@@ -112,7 +112,7 @@ class ClassifierNode:
         Maximum number of collections per classification (the compression
         bound).
     quantization:
-        The weight lattice; defaults to a 2**20-quanta unit.
+        The weight lattice; defaults to a 2**40-quanta unit.
     track_aux:
         When true, every collection carries its mixture-space vector
         (requires ``n_inputs``).  Used by tests and provenance-based

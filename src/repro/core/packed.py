@@ -19,8 +19,8 @@ byte-identical classifications.
 
 Quanta are stored as ``int64``.  That is exact (no float rounding) and
 covers the default lattice (2**40 quanta per unit value) aggregated over
-millions of nodes; the wire format's unsigned-64 bound is reached long
-after int64 would matter for any simulation this repository runs.
+up to 8,388,607 nodes, the bound every engine builder enforces through
+:meth:`~repro.core.weights.Quantization.check_population`.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["Quantization", "WeightError", "DEFAULT_QUANTA_PER_UNIT"]
+__all__ = ["Quantization", "WeightError", "DEFAULT_QUANTA_PER_UNIT", "MAX_TOTAL_QUANTA"]
 
 #: Default resolution: one input value = 2**40 quanta (q ~ 1e-12, the
 #: paper's "q is set by floating point accuracy").  Deep enough that a
@@ -30,9 +30,13 @@ __all__ = ["Quantization", "WeightError", "DEFAULT_QUANTA_PER_UNIT"]
 #: happens under heavy crash rates, when most gossip targets are dead —
 #: without any collection being forced onto the one-quantum floor, where
 #: conformance rule 2 would force-merge it and contaminate its summary.
-#: Still exact: weights are Python ints, and a collection aggregating a
-#: 16M-node network stays within the wire format's unsigned 64 bits.
+#: Still exact up to :meth:`Quantization.check_population`'s bound of
+#: 8,388,607 nodes (2**23 - 1) at this unit.
 DEFAULT_QUANTA_PER_UNIT = 1 << 40
+
+#: The largest total weight, in quanta, the packed ``int64`` columns
+#: hold: the whole network's ``n * unit`` must not exceed it.
+MAX_TOTAL_QUANTA = (1 << 63) - 1
 
 
 class WeightError(ValueError):
@@ -78,6 +82,28 @@ class Quantization:
     def unit(self) -> int:
         """Quanta held by one whole input value (weight 1)."""
         return self.quanta_per_unit
+
+    def check_population(self, n: int) -> int:
+        """Validate a network size against the lattice, returning it unchanged.
+
+        The ``n`` nodes' total weight, ``n * unit`` quanta, is conserved
+        exactly and summed in ``int64``, so it must fit 2**63 - 1.  Every
+        engine builder calls this before allocating anything.
+
+        Raises
+        ------
+        WeightError
+            If ``n * unit`` exceeds 2**63 - 1; the message names the
+            largest ``n`` this unit allows.
+        """
+        if n * self.quanta_per_unit > MAX_TOTAL_QUANTA:
+            raise WeightError(
+                f"n = {n} nodes of {self.quanta_per_unit} quanta each exceed the "
+                f"int64 total weight 2**63 - 1; this unit allows at most "
+                f"n = {MAX_TOTAL_QUANTA // self.quanta_per_unit} (a smaller "
+                "quanta_per_unit allows more)"
+            )
+        return n
 
     def to_float(self, quanta: int) -> float:
         """Convert an integer quantum count to its real-valued weight."""

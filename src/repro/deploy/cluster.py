@@ -233,10 +233,12 @@ def run_cluster(
     Returns a report dict with ``ok`` plus per-node evidence; writes the
     same report as a JSON artifact when ``artifact`` is given.  Raises
     nothing for a *failed* run (the CLI turns ``ok`` into the exit code);
-    raises only for operator errors (bad workload name, bad transport).
+    raises only for operator errors (bad workload name, bad transport,
+    a network too large for the weight lattice).
     """
     if transport not in ("process", "tcp"):
         raise ValueError(f"deployment transport must be process or tcp, not {transport!r}")
+    Quantization().check_population(n_nodes)  # the lattice every node uses
     build_workload(workload, n_nodes, seed)  # fail fast on a bad recipe
 
     context = multiprocessing.get_context("spawn")

@@ -236,6 +236,7 @@ class NetworkArena:
         n = len(values)
         if n == 0:
             raise ValueError("cannot build an arena over zero values")
+        quantization.check_population(n)
         packed = scheme.pack_values(values)
         specs = {name: array.shape[1:] for name, array in packed.items()}
         interner = SummaryInterner(scheme, specs)

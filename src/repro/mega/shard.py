@@ -530,6 +530,9 @@ class ShardedArenaEngine:
         self.scheme = scheme
         self.k = k
         self.quantization = quantization or Quantization()
+        # Each shard only sees its own slice: check the whole network here,
+        # before any worker or shared-memory segment exists.
+        self.quantization.check_population(n)
         self.shards = shards
         self.max_restarts = max_restarts
         self.worker_timeout = worker_timeout

@@ -4,9 +4,10 @@ The model (Section 3.1): channels are asynchronous but reliable — every
 sent message eventually arrives, none are duplicated, none are forged.
 :class:`Channel` realises one directed link with those guarantees plus an
 optional FIFO discipline (delivery times are clamped to be non-decreasing
-per channel).  The asynchronous engine owns one channel per directed edge;
-the collections sitting inside channels are part of Section 6.1's global
-pool, so channels expose their in-flight payloads for inspection.
+per channel).  The kernel's transport holds one channel per directed edge
+while messages are in flight on it; the collections sitting inside
+channels are part of Section 6.1's global pool, so channels expose their
+in-flight payloads for inspection.
 """
 
 from __future__ import annotations

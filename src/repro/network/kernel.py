@@ -10,8 +10,9 @@ schedule-independent core:
 - **transport** — message movement is delegated to a pluggable
   :class:`~repro.network.transport.SimulationTransport` (default
   :class:`~repro.network.transport.InMemoryTransport`: one reliable
-  directed :class:`~repro.network.channel.Channel` per used edge, message
-  envelopes, and the queued-delivery pipeline), while the kernel keeps
+  directed :class:`~repro.network.channel.Channel` per edge with a
+  message in flight, message envelopes, and the queued-delivery
+  pipeline), while the kernel keeps
   the protocol interaction and the link-availability check
   (link availability → send → delay → deliver → receiver-side batched
   merge);
@@ -151,9 +152,8 @@ class SimulationKernel(Network):
     transport:
         The :class:`~repro.network.transport.SimulationTransport` that
         moves messages; defaults to a fresh
-        :class:`~repro.network.transport.InMemoryTransport` — the
-        historical in-process path, byte-identical to the pre-seam
-        kernel.  The kernel binds the transport to itself and mirrors
+        :class:`~repro.network.transport.InMemoryTransport`, the
+        in-process path.  The kernel binds the transport to itself and mirrors
         its :class:`~repro.network.transport.TransportStats` into
         :attr:`metrics` at every round close.
     merge_cache:
@@ -294,11 +294,15 @@ class SimulationKernel(Network):
     # ------------------------------------------------------------------
     @property
     def channels(self) -> dict[tuple[int, int], Channel]:
-        """The transport's directed channels, keyed ``(source, dest)``."""
+        """The transport's channels with a message in flight, keyed
+        ``(source, dest)``; a channel leaves once its last message is
+        delivered, so this is empty after a synchronous round."""
         return self.transport.channels  # type: ignore[attr-defined]
 
     def channel(self, source: int, destination: int) -> Channel:
-        """The directed channel for an edge, created on first use."""
+        """The channel carrying an edge's in-flight messages, or a new
+        empty one when none is in flight (the transport registers a
+        channel when it sends on it)."""
         return self.transport.channel(source, destination)
 
     def link_up(self, source: int, destination: int) -> bool:
@@ -341,21 +345,24 @@ class SimulationKernel(Network):
     # Delivery pipeline
     # ------------------------------------------------------------------
     def _complete_delivery(
-        self, destination: int, entries: list[tuple[Channel, InFlightMessage]]
+        self, destination: int, sources: list[int], payloads: list[Any]
     ) -> None:
-        """Terminal stage: drop at a crashed node, or batched merge."""
+        """Terminal stage: drop at a crashed node, or batched merge.
+
+        The transport has already taken ``payloads`` (sent by
+        ``sources``, in the same order) off their channels.
+        """
         with span("kernel.receive"):
-            payloads = [channel.deliver(message) for channel, message in entries]
             if not self.is_live(destination):
                 # Reliable channels deliver, but a crashed node never
                 # processes: the payloads' weight leaves the system.
-                for channel, _ in entries:
+                for source in sources:
                     self.metrics.record_drop()
-                    self._emit("drop", node=channel.source, peer=destination)
+                    self._emit("drop", node=source, peer=destination)
                 return
-            for channel, _ in entries:
+            for source in sources:
                 self.metrics.record_delivery()
-                self._emit("deliver", node=channel.source, peer=destination)
+                self._emit("deliver", node=source, peer=destination)
             self.protocols[destination].receive_batch(payloads)
 
     def flush_deliveries(self) -> None:
@@ -391,7 +398,11 @@ class SimulationKernel(Network):
     # Pool inspection (Section 6.1)
     # ------------------------------------------------------------------
     def in_flight_payloads(self) -> list[Any]:
-        """Payloads currently inside channels, for global-pool assertions."""
+        """Payloads currently inside channels, for global-pool assertions.
+
+        Costs O(messages in flight): the transport holds no channel that
+        carries nothing.
+        """
         return self.transport.in_flight_payloads()
 
     # ------------------------------------------------------------------

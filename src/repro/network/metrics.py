@@ -71,7 +71,7 @@ class NetworkMetrics:
         round close; the transport owns the counters, the metrics are
         the engine-scoped view of them.  For the in-memory transport,
         bytes stay zero (nothing is serialised) and ``peer_count``
-        gauges the channels opened so far; the wire transports report
+        counts the distinct directed edges used so far; the wire transports report
         real byte counts and live peers — see ``docs/deployment.md``.
         """
         self.frames_sent = stats.frames_sent

@@ -9,12 +9,11 @@ either side of that divide:
   gossip payloads between named nodes and accounts for what it moved in a
   :class:`TransportStats` block (frames, bytes, reconnects, peers).
 - :class:`InMemoryTransport` — the simulation implementation: the
-  :class:`~repro.network.kernel.SimulationKernel`'s historical
-  transmit / queued-deliver / batched-receive pipeline, extracted verbatim.
-  It is *byte-identical* to the pre-extraction kernel: same channel
-  objects, same delivery queue entries, same RNG discipline (none), same
-  event ordering — the seed-determinism and cache/telemetry parity suites
-  pass with zero trace changes.
+  :class:`~repro.network.kernel.SimulationKernel`'s transmit /
+  queued-deliver / batched-receive pipeline.  It holds a channel only
+  while a message is in flight on it and draws no randomness; the
+  seed-determinism and cache/telemetry parity suites pin its event
+  order.
 - :class:`FrameTransport` — the deployment contract: transports that move
   *encoded frames* (see :mod:`repro.network.frames`) between real node
   processes.  Implemented by
@@ -72,7 +71,7 @@ class TransportStats:
     zero for the in-memory transport, which moves Python objects and
     never serialises.  ``reconnects`` counts re-established peer
     connections (TCP only).  ``peer_count`` is a gauge: currently known
-    live peers (in-memory: channels opened so far).
+    live peers (in-memory: distinct directed edges used so far).
     """
 
     frames_sent: int = 0
@@ -115,11 +114,12 @@ class SimulationTransport(Transport):
 
     A simulation transport is *bound* to exactly one
     :class:`~repro.network.kernel.SimulationKernel` and owns the message
-    plumbing the kernel's schedulers drive: lazy per-edge channels, the
-    queued-delivery entries, and the in-flight pool.  What it does *not*
-    own is protocol interaction, metrics and event emission — those stay
-    on the kernel (its single observability site), reached through the
-    delivery callback :meth:`SimulationKernel._complete_delivery`.
+    plumbing the kernel's schedulers drive: the per-edge channels that
+    carry messages, the queued-delivery entries, and the in-flight pool.
+    What it does *not* own is protocol interaction, metrics and event
+    emission — those stay on the kernel (its single observability site),
+    reached through the delivery callback
+    :meth:`SimulationKernel._complete_delivery`.
     """
 
     kernel: "SimulationKernel"
@@ -130,7 +130,8 @@ class SimulationTransport(Transport):
 
     @abc.abstractmethod
     def channel(self, source: int, destination: int) -> Channel:
-        """The directed channel for an edge, created on first use."""
+        """The channel carrying an edge's in-flight messages, or a new
+        empty one when nothing is in flight on it."""
 
     @abc.abstractmethod
     def send(
@@ -164,24 +165,39 @@ class _Delivery:
 
 
 class InMemoryTransport(SimulationTransport):
-    """The simulation kernel's historical transport path, extracted.
+    """The simulation kernel's in-process transport.
 
-    Everything here is the pre-refactor kernel code moved verbatim: one
-    reliable directed :class:`~repro.network.channel.Channel` per used
-    edge (created lazily — a 1,000-node complete graph has ~10^6 directed
-    edges, most of which a short run never exercises), delivery entries
-    pushed onto the *kernel's* event queue (so deliveries stay
-    time-ordered against scheduler fire events), and batched completion
-    through the kernel's delivery callback.  No serialisation happens:
-    payloads travel as Python objects, so ``stats.bytes_*`` stay zero and
-    ``stats.peer_count`` gauges the channels opened so far.
+    A reliable directed :class:`~repro.network.channel.Channel` exists
+    for an edge only while a message is in flight on it: :meth:`send`
+    registers the channel, and the one delivery path that
+    :meth:`flush_deliveries` and :meth:`dispatch_delivery` share drops it
+    once its last message is delivered.  :attr:`channels` is therefore
+    the live part of the Section 6.1 pool, and :meth:`in_flight_payloads`
+    costs O(messages in flight) — nothing after a synchronous flush —
+    however long the run.  Dropping an empty channel changes no delivery
+    time: FIFO clamping raises a new message's delivery time to its
+    channel's latest one, but once the channel is empty that delivery was
+    due at or before the current clock, and no message is due before it
+    is sent.
+
+    Delivery entries go onto the *kernel's* event queue (so deliveries
+    stay time-ordered against scheduler fire events), and batches
+    complete through the kernel's delivery callback.  No serialisation
+    happens: payloads travel as Python objects, so ``stats.bytes_*`` stay
+    zero and ``stats.peer_count`` counts the distinct directed edges used
+    so far.
     """
 
     name = "memory"
 
     def __init__(self) -> None:
         super().__init__()
+        #: Channels with at least one message in flight, keyed
+        #: ``(source, destination)``.
         self.channels: dict[tuple[int, int], Channel] = {}
+        # Every directed edge a message has used; each was checked
+        # against the topology on first use.
+        self._edges: set[tuple[int, int]] = set()
 
     # ------------------------------------------------------------------
     # Channels
@@ -189,13 +205,11 @@ class InMemoryTransport(SimulationTransport):
     def channel(self, source: int, destination: int) -> Channel:
         key = (source, destination)
         found = self.channels.get(key)
-        if found is None:
-            if not self.kernel.graph.has_edge(source, destination):
-                raise KeyError(f"no edge {source}->{destination} in the topology")
-            found = Channel(source, destination, fifo=self.kernel.fifo)
-            self.channels[key] = found
-            self.stats.peer_count = len(self.channels)
-        return found
+        if found is not None:
+            return found
+        if key not in self._edges and not self.kernel.graph.has_edge(source, destination):
+            raise KeyError(f"no edge {source}->{destination} in the topology")
+        return Channel(source, destination, fifo=self.kernel.fifo)
 
     # ------------------------------------------------------------------
     # Send side
@@ -203,8 +217,16 @@ class InMemoryTransport(SimulationTransport):
     def send(
         self, source: int, destination: int, payload: Any, send_time: float, deliver_at: float
     ) -> InFlightMessage:
-        channel = self.channel(source, destination)
+        key = (source, destination)
+        channel = self.channels.get(key)
+        if channel is None:
+            channel = self.channel(source, destination)
         message = channel.send(payload, send_time, deliver_at)
+        if len(channel) == 1:
+            # The channel's only message in flight: it joins the registry.
+            self.channels[key] = channel
+            self._edges.add(key)
+            self.stats.peer_count = len(self._edges)
         self.kernel.queue.push(message.deliver_time, _Delivery(channel, message))
         self.stats.frames_sent += 1
         return message
@@ -223,9 +245,7 @@ class InMemoryTransport(SimulationTransport):
             _, entry = kernel.queue.pop()
             batches[entry.channel.destination].append((entry.channel, entry.message))
         for destination in sorted(batches):
-            entries = batches[destination]
-            self.stats.frames_received += len(entries)
-            kernel._complete_delivery(destination, entries)
+            self._deliver(destination, batches[destination])
 
     def dispatch_delivery(
         self, channel: Channel, message: InFlightMessage, coalesce_at: Optional[float] = None
@@ -253,18 +273,30 @@ class InMemoryTransport(SimulationTransport):
                     break
                 kernel.queue.pop()
                 entries.append((entry.channel, entry.message))
-        self.stats.frames_received += len(entries)
-        kernel._complete_delivery(channel.destination, entries)
+        self._deliver(channel.destination, entries)
         return len(entries)
+
+    def _deliver(
+        self, destination: int, entries: list[tuple[Channel, InFlightMessage]]
+    ) -> None:
+        """The one delivery path: take each message off its channel, drop
+        the channels left empty, and hand the batch to the kernel."""
+        channels = self.channels
+        sources: list[int] = []
+        payloads: list[Any] = []
+        for channel, message in entries:
+            payloads.append(channel.deliver(message))
+            sources.append(channel.source)
+            if not channel:
+                del channels[(channel.source, channel.destination)]
+        self.stats.frames_received += len(entries)
+        self.kernel._complete_delivery(destination, sources, payloads)
 
     # ------------------------------------------------------------------
     # Pool inspection (Section 6.1)
     # ------------------------------------------------------------------
     def in_flight_payloads(self) -> list[Any]:
-        payloads: list[Any] = []
-        for channel in self.channels.values():
-            payloads.extend(message.payload for message in channel.in_flight)
-        return payloads
+        return [message.payload for channel in self.channels.values() for message in channel]
 
 
 class FrameTransport(Transport):

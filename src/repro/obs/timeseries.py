@@ -108,7 +108,8 @@ class TimeSeriesRecorder:
     ``node_quanta``, ``in_flight_quanta``, ``total_quanta``
         The weight census: quanta held at live nodes, quanta travelling
         inside channels, and their sum — mass conservation says
-        ``total_quanta`` is constant until a crash drops weight.
+        ``total_quanta`` is constant until a crash drops weight.  The
+        in-flight part costs O(messages in flight), not O(edges used).
     ``messages_window``, ``payload_items_window``, ``delivered_window``,
     ``dropped_window``, ``bytes_window``
         Message complexity over the window; bytes use the scheme's wire
@@ -118,8 +119,9 @@ class TimeSeriesRecorder:
         The transport's own accounting (see
         :class:`~repro.network.transport.TransportStats`): frame units
         and *actually serialised* bytes moved over the window, plus the
-        live-peer gauge.  On the in-memory transport frames mirror
-        messages and bytes stay 0 (payloads travel as objects);
+        peer gauge.  On the in-memory transport frames mirror messages,
+        bytes stay 0 (payloads travel as objects) and ``peer_count``
+        counts the distinct directed edges used so far;
         ``bytes_window`` above remains the codec-estimated wire cost.
     ``em_iterations_window``
         Hard-EM iterations spent in ``reduce_mixture`` over the window

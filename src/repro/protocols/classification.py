@@ -135,6 +135,7 @@ def build_classification_network(
             f"topology has {graph.number_of_nodes()} nodes but {n} values were given"
         )
     quantization = quantization or Quantization()
+    quantization.check_population(n)
     if merge_cache is None:
         merge_cache = merge_cache_default()
     cache = (

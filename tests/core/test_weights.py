@@ -116,3 +116,19 @@ class TestMinimum:
 
     def test_larger_weights_are_not_minimum(self):
         assert not Quantization(4).is_minimum(2)
+
+
+class TestPopulationBound:
+    """The whole network's ``n * unit`` quanta must fit a signed 64-bit sum."""
+
+    def test_default_unit_allows_up_to_2_pow_23_minus_1_nodes(self):
+        lattice = Quantization()
+        assert lattice.check_population(8_388_607) == 8_388_607
+        with pytest.raises(WeightError, match="at most n = 8388607"):
+            lattice.check_population(8_388_608)
+
+    def test_coarse_unit_names_the_largest_network(self):
+        lattice = Quantization(1 << 62)
+        assert lattice.check_population(1) == 1
+        with pytest.raises(WeightError, match=r"n = 2 nodes .* at most n = 1 "):
+            lattice.check_population(2)

@@ -1,0 +1,196 @@
+"""The in-memory transport holds only channels that carry messages.
+
+A channel joins the transport's registry when a message is sent on it
+and leaves once its last message is delivered, so the registry (and
+every scan of the in-flight pool) is bounded by the messages in flight,
+not by how many edges a run has used.  These tests check counts, never
+timings: the registry after every step, the edge census behind
+``peer_count``, weight conservation across nodes and channels, and FIFO
+delivery times against a reference that remembers every edge forever.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from repro.core.node import ClassifierNode
+from repro.network.factory import make_engine
+from repro.network.kernel import SimulationKernel
+from repro.network.schedulers import SynchronousRoundScheduler
+from repro.network.topology import complete
+from repro.network.transport import InMemoryTransport
+from repro.obs.events import EventSink, RingBufferSink
+from repro.protocols.base import GossipProtocol
+from repro.protocols.classification import (
+    ClassificationProtocol,
+    build_classification_network,
+)
+from repro.schemes.centroid import CentroidScheme
+from repro.schemes.gm import GaussianMixtureScheme
+
+CENTERS = np.array([[0.0, 0.0], [8.0, 8.0], [-8.0, 8.0]])
+
+
+class _EdgeLedger(EventSink):
+    """Messages in flight per directed edge, counted from the kernel's
+    ``send`` / ``deliver`` / ``drop`` events."""
+
+    def __init__(self) -> None:
+        self.in_flight: Counter = Counter()
+
+    def emit(self, event) -> None:
+        if event.kind == "send":
+            self.in_flight[event.node, event.peer] += 1
+        elif event.kind in ("deliver", "drop"):
+            self.in_flight[event.node, event.peer] -= 1
+
+    def queued(self) -> dict:
+        return {edge: count for edge, count in self.in_flight.items() if count}
+
+
+class TestRoundSchedule:
+    def test_registry_is_empty_after_every_round(self):
+        n = 40
+        values = CENTERS[np.random.default_rng(3).integers(0, 3, size=n)]
+        sink = RingBufferSink(capacity=1 << 20)
+        # Exact centers quiesce within the run, so the probe's in-flight
+        # scan runs too; the patience keeps the run going all 30 rounds.
+        kernel, _ = build_classification_network(
+            values,
+            GaussianMixtureScheme(seed=0),
+            k=3,
+            graph=complete(n),
+            seed=11,
+            event_sink=sink,
+            stop_on_quiescence=True,
+            quiescence_patience=100,
+        )
+        transport = kernel.transport
+        peer_counts = []
+
+        def check(engine):
+            assert transport.channels == {}
+            assert engine.in_flight_payloads() == []
+            sent_edges = {(event.node, event.peer) for event in sink.of_kind("send")}
+            assert transport.stats.peer_count == len(sent_edges)
+            peer_counts.append(transport.stats.peer_count)
+
+        assert kernel.run(30, per_round=check) == 30
+        assert len(peer_counts) == 30
+        assert peer_counts == sorted(peer_counts)
+        assert peer_counts[-1] > peer_counts[0] > 0
+        assert kernel.metrics.quiescent_rounds > 0
+        assert kernel.metrics.peer_count == peer_counts[-1]
+
+
+class TestPoissonSchedule:
+    @pytest.mark.parametrize("fifo", [True, False])
+    def test_registry_matches_queued_deliveries(self, fifo):
+        n = 6
+        values = np.random.default_rng(5).standard_normal((n, 2))
+        nodes = [ClassifierNode(i, values[i], CentroidScheme(), k=2) for i in range(n)]
+        ledger = _EdgeLedger()
+        kernel = make_engine(
+            "async",
+            complete(n),
+            {i: ClassificationProtocol(nodes[i]) for i in range(n)},
+            seed=4,
+            delay_range=(0.05, 3.0),
+            fifo=fifo,
+            event_sink=ledger,
+        )
+        transport = kernel.transport
+        total = n * nodes[0].quantization.unit
+        most_in_flight = 0
+        for _ in range(600):
+            assert kernel.run_steps(1) == 1
+            registry = {edge: len(channel) for edge, channel in transport.channels.items()}
+            assert registry == ledger.queued()
+            in_flight = sum(
+                collection.quanta
+                for payload in kernel.in_flight_payloads()
+                for collection in payload
+            )
+            assert sum(node.total_quanta for node in nodes) + in_flight == total
+            for channel in transport.channels.values():
+                most_in_flight = max(most_in_flight, len(channel))
+        # The delays are long enough that some edge carried several
+        # messages at once: the case where FIFO clamping can act.
+        assert most_in_flight > 1
+        assert 0 < transport.stats.peer_count <= n * (n - 1)
+
+
+class _Inbox(GossipProtocol):
+    """Records delivered payloads; never sends on its own."""
+
+    def __init__(self) -> None:
+        self.received: list = []
+
+    def make_payload(self):
+        return None
+
+    def receive_batch(self, payloads) -> None:
+        self.received.extend(payloads)
+
+
+# One step: advance the clock by ``gap``, deliver what is due, then send
+# on ``edge`` with ``delay``.  Three nodes keep edges busy; gaps and
+# delays are multiples of 1/4 so clamped delivery times tie with queued
+# ones and coalescing runs.
+N_INBOXES = 3
+steps = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=8).map(lambda quarters: quarters / 4),
+        st.tuples(
+            st.integers(0, N_INBOXES - 1), st.integers(0, N_INBOXES - 1)
+        ).filter(lambda edge: edge[0] != edge[1]),
+        st.integers(min_value=0, max_value=16).map(lambda quarters: quarters / 4),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(steps)
+# A delivery leaves a later message on its channel, and a new send must
+# still queue behind that one (due at 2.0, not at 1.25).
+@example([(0.0, (0, 1), 1.0), (0.0, (0, 1), 2.0), (1.0, (0, 1), 0.25)])
+def test_fifo_delivery_times_match_a_registry_that_keeps_every_edge(schedule):
+    n = N_INBOXES
+    inboxes = {i: _Inbox() for i in range(n)}
+    kernel = SimulationKernel(
+        complete(n), inboxes, SynchronousRoundScheduler(), fifo=True, transport=InMemoryTransport()
+    )
+    transport = kernel.transport
+    latest: dict[tuple[int, int], float] = {}
+    sent = []
+    now = 0.0
+
+    def deliver_due(until: float) -> None:
+        while kernel.queue and kernel.queue.peek_time() <= until:
+            when, entry = kernel.queue.pop()
+            transport.dispatch_delivery(entry.channel, entry.message, coalesce_at=when)
+
+    for index, (gap, (source, destination), delay) in enumerate(schedule):
+        now += gap
+        deliver_due(now)
+        message = transport.send(source, destination, (source, index), now, now + delay)
+        expected = max(latest.get((source, destination), 0.0), now + delay)
+        latest[(source, destination)] = expected
+        assert message.deliver_time == expected
+        sent.append((destination, (source, index)))
+    deliver_due(float("inf"))
+
+    assert transport.channels == {}
+    assert transport.stats.peer_count == len(latest)
+    assert transport.stats.frames_received == len(schedule)
+    for node, inbox in inboxes.items():
+        assert sorted(inbox.received) == sorted(p for d, p in sent if d == node)
+        for source in range(n):
+            # FIFO: each edge's messages arrive in the order they were sent.
+            order = [index for origin, index in inbox.received if origin == source]
+            assert order == sorted(order)
