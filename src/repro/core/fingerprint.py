@@ -77,9 +77,9 @@ _MARGIN_SLACK_ABS = 1e-9
 def merge_cache_default() -> bool:
     """Whether networks build a merge cache by default.
 
-    On unless ``REPRO_MERGE_CACHE`` is set to ``0``/``false``/``no``/``off``
-    (mirroring ``REPRO_PACKED``).  The determinism gate flips this to pin
-    cache-on traces against the cache-off reference.
+    On unless ``REPRO_MERGE_CACHE`` is set to ``0``/``false``/``no``/``off``.
+    The determinism gate flips this to pin cache-on traces against the
+    cache-off reference.
     """
     return os.environ.get("REPRO_MERGE_CACHE", "1").strip().lower() not in {
         "0",
@@ -140,22 +140,17 @@ def state_fingerprint_of(pairs: Iterable[Tuple[bytes, int]]) -> bytes:
 class CachedReceive:
     """One memoised receive outcome, in output order.
 
-    ``summaries`` are the immutable summary objects of the resulting
-    collections (shared freely — nothing in the pipeline mutates a
-    summary), or ``None`` when the producer ran the native tier and
-    never built them (consumers then unpack from ``columns`` on
-    demand); ``columns`` are the producing node's packed column arrays
-    for the same rows, or ``None`` when the producer ran the object path.
-    At least one of the two is always present.  ``group_sizes`` replays
-    the ``merge`` events and stats deltas: one merge per group of
-    size > 1.
+    ``columns`` are the producing node's packed column arrays for the
+    resulting rows (shared freely — packed columns are never mutated in
+    place), ``digests`` and ``quanta`` the rows' content digests and
+    weights.  ``group_sizes`` replays the ``merge`` events and stats
+    deltas: one merge per group of size > 1.
     """
 
-    summaries: Optional[Tuple[Any, ...]]
     digests: Tuple[bytes, ...]
     quanta: Tuple[int, ...]
     group_sizes: Tuple[int, ...]
-    columns: Optional[Dict[str, np.ndarray]]
+    columns: Dict[str, np.ndarray]
 
 
 class IdentityCertificate:
@@ -394,10 +389,10 @@ class MergeCache:
     Owned by the :class:`~repro.network.kernel.SimulationKernel` (which
     folds its counters into :class:`~repro.network.metrics.NetworkMetrics`)
     and consulted by every :class:`~repro.core.node.ClassifierNode` of the
-    run from inside ``receive``.  Byte-identity contract: a cache hit —
-    memo replay or certified no-op — produces exactly the collections,
-    packed state, stats deltas and ``merge`` events the uncached pipeline
-    would have produced.  The parity and determinism suites pin this with
+    run from inside ``receive_packed``.  Byte-identity contract: a cache
+    hit — memo replay or certified no-op — produces exactly the packed
+    rows, stats deltas and ``merge`` events the uncached pipeline would
+    have produced.  The parity and determinism suites pin this with
     the cache on (the default).
     """
 
@@ -447,8 +442,8 @@ class MergeCache:
     ) -> Optional[IdentityCertificate]:
         """An already-built certificate, or ``None`` — never builds one.
 
-        The native receive tier probes with this first so it only
-        unpacks summary objects (the build inputs) on an actual miss.
+        A receiving node probes with this first so it only unpacks
+        summary objects (the build inputs) on an actual miss.
         """
         certificate = self._certificates.get(locations)
         if certificate is not None:

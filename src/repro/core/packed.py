@@ -1,21 +1,23 @@
 """Packed classification state: a structure-of-arrays view of collections.
 
-The merge pipeline (``ClassifierNode.receive`` -> ``scheme.partition`` ->
-``scheme.merge_set``) is the per-step cost that dominates the paper's
-Section 5.3 simulations.  The object representation pays for it twice:
-every ``partition`` call re-stacks numpy arrays out of Python summary
-objects, and every ``merge_set`` call re-reads the same objects per group.
+The receive pipeline (pool, partition, merge) is the per-step cost that
+dominates the paper's Section 5.3 simulations.  An object representation
+pays for it twice: every ``partition`` call re-stacks numpy arrays out of
+Python summary objects, and every ``merge_set`` call re-reads the same
+objects per group.
 
-A :class:`PackedState` carries the scheme-relevant arrays *alongside* the
-node's ``Collection`` list — ``quanta`` as one integer vector plus
-scheme-specific columns (for the Gaussian schemes ``mean (l, d)`` and
-``cov (l, d, d)``; for centroids/histograms one ``(l, d)`` position
-matrix).  Nodes keep it in sync incrementally: splits only rescale the
-quanta vector, receipts concatenate the packed increment, merges write
-fresh rows.  Schemes consume it through their array-native entry points
-(``partition_packed`` / ``merge_set_packed``); the object path remains as
-the conformance reference, and the parity suite pins both paths to
-byte-identical classifications.
+A :class:`PackedState` *is* a node's classification: ``quanta`` as one
+integer vector plus scheme-specific columns (for the Gaussian schemes
+``mean (l, d)`` and ``cov (l, d, d)``; for centroids/histograms one
+``(l, d)`` position matrix; for schemes that implement only the object
+contract, one object column of summaries), and, on aux-tracking nodes,
+one row of mixture-space components per collection.  Splits only
+rescale the quanta (and aux) rows, receipts pool the payload rows,
+merges write fresh rows.  Schemes consume it through their array-native
+entry points (``partition_packed`` / ``merge_groups_columns``); the
+object-level ``partition`` / ``merge_set`` contract survives as the
+test-side Algorithm 1 oracle, which the parity suites pin the packed
+pipeline against byte for byte.
 
 Quanta are stored as ``int64``.  That is exact (no float rounding) and
 covers the default lattice (2**40 quanta per unit value) aggregated over
@@ -37,6 +39,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 __all__ = [
     "PackedState",
     "PackedPayload",
+    "unpack_collections",
     "SLAB_HEADER_BYTES",
     "slab_region_bytes",
     "write_payload_slab",
@@ -166,13 +169,13 @@ def read_payload_slab(
 
 @dataclass(slots=True)
 class PackedState:
-    """Structure-of-arrays mirror of a list of collections.
+    """A node's classification as a structure of arrays.
 
     Attributes
     ----------
     quanta:
-        Integer quanta counts, shape ``(l,)``, dtype ``int64``.  Always
-        mirrors ``collection.quanta`` of the corresponding objects.
+        Integer quanta counts, shape ``(l,)``, dtype ``int64``; row ``i``
+        is the weight of collection ``i``.
     columns:
         Scheme-specific summary arrays; every value has leading
         dimension ``l`` and row ``i`` describes collection ``i``.  The
@@ -183,22 +186,29 @@ class PackedState:
         row ``i``.  ``None`` means "not computed"; structural operations
         propagate digests when every input carries them and fall back to
         ``None`` otherwise — digests are a cache, never a requirement.
+    aux:
+        Optional mixture-space vectors, shape ``(l, n_inputs)``: row
+        ``i`` is collection ``i``'s :class:`~repro.core.mixture.MixtureVector`
+        components.  Present only on nodes built with ``track_aux``.
     """
 
     quanta: np.ndarray
     columns: Dict[str, np.ndarray]
     row_digests: Optional[Tuple[bytes, ...]] = None
+    aux: Optional[np.ndarray] = None
 
     def __len__(self) -> int:
         return int(self.quanta.shape[0])
 
     @staticmethod
-    def concat_many(states: Sequence["PackedState"]) -> "PackedState":
-        """Row-wise concatenation of several packed states, in order.
+    def concat_many(
+        states: Sequence["PackedState | PackedPayload"],
+    ) -> "PackedState":
+        """Row-wise concatenation of packed states or payloads, in order.
 
-        The arena engine pools one receiver's local rows with every
-        incoming payload slab in a single allocation; pairwise
-        :meth:`concat` would copy the growing prefix once per payload.
+        A receiving node pools its local rows with every delivered
+        payload in a single allocation.  Digests survive when every part
+        carries them; aux rows are concatenated when the parts have them.
         """
         if not states:
             raise ValueError("cannot concatenate zero packed states")
@@ -213,6 +223,9 @@ class PackedState:
             digests = tuple(
                 digest for state in states for digest in state.row_digests  # type: ignore[union-attr]
             )
+        aux = None
+        if states[0].aux is not None:
+            aux = np.concatenate([state.aux for state in states])  # type: ignore[misc]
         return PackedState(
             quanta=np.concatenate([state.quanta for state in states]),
             columns={
@@ -220,53 +233,7 @@ class PackedState:
                 for name in names
             },
             row_digests=digests,
-        )
-
-    def view_rows(self, start: int, stop: int) -> "PackedState":
-        """A zero-copy view of the row range ``[start, stop)``.
-
-        The returned state shares memory with this one — mutating either
-        is visible in both.  Arena shards use this to hand contiguous
-        node ranges to workers without duplicating the arena.
-        """
-        digests = None
-        if self.row_digests is not None:
-            digests = self.row_digests[start:stop]
-        return PackedState(
-            quanta=self.quanta[start:stop],
-            columns={name: column[start:stop] for name, column in self.columns.items()},
-            row_digests=digests,
-        )
-
-    @staticmethod
-    def concat(first: "PackedState", second: "PackedState") -> "PackedState":
-        """Row-wise concatenation (pooling local state with a receipt)."""
-        if first.columns.keys() != second.columns.keys():
-            raise ValueError(
-                f"packed column mismatch: {sorted(first.columns)} vs {sorted(second.columns)}"
-            )
-        digests = None
-        if first.row_digests is not None and second.row_digests is not None:
-            digests = first.row_digests + second.row_digests
-        return PackedState(
-            quanta=np.concatenate([first.quanta, second.quanta]),
-            columns={
-                name: np.concatenate([first.columns[name], second.columns[name]])
-                for name in first.columns
-            },
-            row_digests=digests,
-        )
-
-    def take(self, indices: Sequence[int] | np.ndarray) -> "PackedState":
-        """A new packed state holding only the given rows, in order."""
-        idx = np.asarray(indices, dtype=np.intp)
-        digests = None
-        if self.row_digests is not None:
-            digests = tuple(self.row_digests[int(i)] for i in idx)
-        return PackedState(
-            quanta=self.quanta[idx],
-            columns={name: column[idx] for name, column in self.columns.items()},
-            row_digests=digests,
+            aux=aux,
         )
 
     def weights(self) -> np.ndarray:
@@ -274,30 +241,57 @@ class PackedState:
         return self.quanta.astype(float)
 
 
+def unpack_collections(
+    scheme: "SummaryScheme", rows: "PackedState | PackedPayload"
+) -> List["Collection"]:
+    """The :class:`~repro.core.collection.Collection` objects behind packed rows.
+
+    Summaries come from ``unpack_summary`` (byte-equal to the rows by
+    contract), digests and aux vectors from the rows when present.
+    """
+    from repro.core.collection import Collection  # noqa: PLC0415 - cycle
+    from repro.core.mixture import MixtureVector  # noqa: PLC0415 - cycle
+
+    unpack = scheme.unpack_summary
+    digests: Sequence[Optional[bytes]] = rows.row_digests or (None,) * len(rows)
+    aux = rows.aux
+    return [
+        Collection(
+            summary=unpack(rows.columns, index),
+            quanta=quanta,
+            aux=None if aux is None else MixtureVector(aux[index]),
+            digest=digest,
+        )
+        for index, (quanta, digest) in enumerate(zip(rows.quanta.tolist(), digests))
+    ]
+
+
 @dataclass(slots=True, eq=False)
 class PackedPayload:
     """A zero-copy message payload: column views instead of collections.
 
-    Produced by a native-tier node's ``make_message``: ``columns`` are
+    Produced by ``ClassifierNode.make_message``: ``columns`` are
     (typically) the *sender's own* packed column arrays, shared without
     copying — safe because packed columns are never mutated in place
     (splits rebuild only the quanta vector; receipts assemble fresh
     output arrays).  ``quanta`` carries the sent shares, ``row_digests``
-    the sender's per-row content digests when it had them.
+    the sender's per-row content digests when it had them, ``aux`` the
+    sent shares' mixture vectors on aux-tracking nodes.
 
-    The payload quacks like the ``list[Collection]`` that ``make_message``
-    historically returned: ``len``/truthiness give the row count (the
-    kernel's ``payload_size`` and "skip empty sends" checks), iteration
-    and indexing lazily materialise :class:`~repro.core.collection.Collection`
-    objects — the *transport seam*, paid only when a frame codec, a test,
-    or analysis code actually needs objects.  Native receivers never
-    iterate; they consume the arrays directly via ``receive_packed``.
+    The payload quacks like a ``list[Collection]``: ``len``/truthiness
+    give the row count (the kernel's ``payload_size`` and "skip empty
+    sends" checks), iteration and indexing lazily materialise
+    :class:`~repro.core.collection.Collection` objects — the *transport
+    seam*, paid only when a frame codec, a test, or analysis code
+    actually needs objects.  Receiving nodes never iterate; they consume
+    the arrays directly via ``receive_packed``.
     """
 
     scheme: "SummaryScheme"
     quanta: np.ndarray
     columns: Dict[str, np.ndarray]
     row_digests: Optional[Tuple[bytes, ...]] = None
+    aux: Optional[np.ndarray] = None
     _materialized: Optional[List["Collection"]] = field(default=None, repr=False)
 
     def __len__(self) -> int:
@@ -306,21 +300,7 @@ class PackedPayload:
     def to_collections(self) -> List["Collection"]:
         """Materialise (and cache) the equivalent collection list."""
         if self._materialized is None:
-            from repro.core.collection import Collection  # noqa: PLC0415 - cycle
-
-            unpack = self.scheme.unpack_summary
-            digests: Sequence[Optional[bytes]]
-            digests = self.row_digests or (None,) * len(self)
-            self._materialized = [
-                Collection(
-                    summary=unpack(self.columns, index),
-                    quanta=int(quanta),
-                    digest=digest,
-                )
-                for index, (quanta, digest) in enumerate(
-                    zip(self.quanta.tolist(), digests)
-                )
-            ]
+            self._materialized = unpack_collections(self.scheme, self)
         return self._materialized
 
     def __iter__(self) -> Iterator["Collection"]:

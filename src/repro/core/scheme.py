@@ -28,8 +28,10 @@ from __future__ import annotations
 import abc
 from typing import Any, Generic, Sequence, TypeVar
 
+import numpy as np
+
 from repro.core.collection import Collection
-from repro.core.packed import PackedState
+from repro.core.packed import PackedState, unpack_collections
 from repro.core.weights import Quantization
 
 __all__ = ["SummaryScheme", "PartitionError", "validate_partition"]
@@ -48,12 +50,15 @@ class SummaryScheme(abc.ABC, Generic[S]):
     convergence theorem (Section 6) to apply; the repository ships
     machine checks for all four in the test suite.
 
-    Besides the object-level contract, a scheme may opt into the packed
-    hot path (``supports_packed``) by implementing the array-native
-    entry points ``pack_summaries`` / ``partition_packed`` /
-    ``merge_set_packed``, and may declare ``identity_below_k`` so nodes
-    can skip ``partition`` outright on small pooled sets (see
-    ``docs/performance.md`` for both contracts).
+    Nodes run every scheme through the packed entry points
+    (``pack_summaries`` / ``unpack_summary`` / ``partition_packed`` /
+    ``merge_set_packed``).  Their defaults wrap the object-level contract
+    over one object column, so implementing the four abstract methods is
+    enough to run on any node; a scheme overrides them with numeric
+    columns (and declares ``supports_packed``) for speed and for the
+    arena engines.  ``identity_below_k`` lets nodes skip ``partition``
+    outright on small pooled sets (see ``docs/performance.md`` for both
+    contracts).
     """
 
     #: Fast-path contract: when true, ``partition(collections, k, q)``
@@ -66,9 +71,10 @@ class SummaryScheme(abc.ABC, Generic[S]):
     #: closest-pair merge loop never runs below the bound.
     identity_below_k: bool = False
 
-    #: True when the scheme implements the packed (array-native) entry
-    #: points below; nodes then maintain a :class:`PackedState` mirror
-    #: of their collections and route partition/merge through it.
+    #: True when the scheme overrides the packed entry points below with
+    #: numeric columns.  Nodes run any scheme (the defaults wrap the
+    #: object contract); the arena engines in :mod:`repro.mega` need real
+    #: numeric columns and refuse schemes without this flag.
     supports_packed: bool = False
 
     #: True when the scheme implements :meth:`summary_digest`, making its
@@ -125,18 +131,21 @@ class SummaryScheme(abc.ABC, Generic[S]):
             return 1
 
     # ------------------------------------------------------------------
-    # Packed (array-native) entry points — optional, see supports_packed
+    # Packed entry points — defaults wrap the object contract
     # ------------------------------------------------------------------
     def pack_summaries(self, summaries: Sequence[S]) -> dict[str, Any]:
         """Stack summaries into the scheme's packed column arrays.
 
         Every returned array must have leading dimension
         ``len(summaries)`` with row ``i`` encoding ``summaries[i]``
-        exactly (same float values the object path would stack).
+        exactly (the same float values ``partition`` would stack from the
+        summary objects).  The default keeps the summary objects
+        themselves in one object column, ``"summary"``.
         """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not implement the packed hot path"
-        )
+        column = np.empty(len(summaries), dtype=object)
+        for index, summary in enumerate(summaries):
+            column[index] = summary
+        return {"summary": column}
 
     def partition_packed(
         self,
@@ -148,20 +157,21 @@ class SummaryScheme(abc.ABC, Generic[S]):
 
         Must return exactly the groups ``partition`` would return for
         the equivalent collection list — the parity suite enforces this
-        byte for byte.
+        byte for byte.  The default runs ``partition`` on exactly that
+        list.
         """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not implement the packed hot path"
-        )
+        return self.partition(unpack_collections(self, packed), k, quantization)
 
     def merge_set_packed(self, packed: PackedState, group: Sequence[int]) -> S:
         """Array-native ``merge_set`` over the packed rows in ``group``.
 
         Must reproduce ``merge_set`` on the corresponding
-        ``(summary, float(quanta))`` pairs bit for bit.
+        ``(summary, float(quanta))`` pairs bit for bit; the default runs
+        ``merge_set`` on exactly those pairs.
         """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not implement the packed hot path"
+        quanta = packed.quanta.tolist()
+        return self.merge_set(
+            [(self.unpack_summary(packed.columns, i), float(quanta[i])) for i in group]
         )
 
     # ------------------------------------------------------------------
@@ -184,11 +194,10 @@ class SummaryScheme(abc.ABC, Generic[S]):
         The inverse of ``pack_summaries`` for one row: packing the
         returned summary again must reproduce the row byte for byte.
         The returned object must own its arrays (no views into
-        ``columns`` — arena rows are overwritten in place).
+        ``columns`` — arena rows are overwritten in place).  The default
+        reads the object column of the default ``pack_summaries``.
         """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not implement the packed hot path"
-        )
+        return columns["summary"][index]
 
     def merge_groups_packed(
         self, packed: PackedState, groups: Sequence[Sequence[int]]
@@ -211,8 +220,8 @@ class SummaryScheme(abc.ABC, Generic[S]):
         group, in group order — byte-identical to packing the summaries
         ``merge_groups_packed`` would return.  The default does exactly
         that; schemes with array-native merges override it with the
-        batched kernels in :mod:`repro.native.kernels` so the native
-        receive tier never constructs summary objects at all.
+        batched kernels in :mod:`repro.native.kernels` so a receiving
+        node never constructs summary objects at all.
         """
         return self.pack_summaries(self.merge_groups_packed(packed, groups))
 
@@ -225,9 +234,10 @@ class SummaryScheme(abc.ABC, Generic[S]):
         Must equal ``summary_digest(unpack_summary(columns, index))``;
         the default computes exactly that.  Schemes override it to hash
         the row's column slices directly, skipping the intermediate
-        summary object on the native receive tier.
+        summary object.
         """
         return self.summary_digest(self.unpack_summary(columns, index))
+
     def summary_digest(self, summary: S) -> bytes:
         """Stable content digest of one summary.
 
@@ -244,11 +254,14 @@ class SummaryScheme(abc.ABC, Generic[S]):
 
 def validate_partition(
     groups: Sequence[Sequence[int]],
-    collections: Sequence[Collection],
+    collections: Sequence[Collection] | PackedState,
     k: int,
     quantization: Quantization,
 ) -> None:
     """Check a partition against Algorithm 1's two conformance rules.
+
+    ``collections`` is the pooled set the groups index into, as
+    collection objects or as packed rows.
 
     Rule 1: at most ``k`` groups.  Rule 2: no group consists of a single
     collection of minimum weight ``q`` (unless that collection is the only
@@ -277,9 +290,13 @@ def validate_partition(
     if len(seen) != len(collections):
         missing = set(range(len(collections))) - seen
         raise PartitionError(f"partition drops collection indices {sorted(missing)}")
-    if len(collections) > 1:
+    if isinstance(collections, PackedState):
+        quanta = collections.quanta.tolist()
+    else:
+        quanta = [collection.quanta for collection in collections]
+    if len(quanta) > 1:
         for group in groups:
-            if len(group) == 1 and quantization.is_minimum(collections[group[0]].quanta):
+            if len(group) == 1 and quantization.is_minimum(quanta[group[0]]):
                 raise PartitionError(
                     "a minimum-weight collection was left unmerged "
                     f"(index {group[0]}); Section 4.1 rule 2 forbids this"

@@ -23,7 +23,7 @@ pipeline.  :class:`ArenaEngine` executes the *same* round over a
    handful of problems — collapses into dictionary hits across the
    population.  Distinct problems run the same fast path / certified
    no-op / partition+merge pipeline as
-   :meth:`repro.core.node.ClassifierNode.receive`, against the same
+   :meth:`repro.core.node.ClassifierNode.receive_packed`, against the same
    :class:`~repro.core.fingerprint.MergeCache` certificate machinery.
 
 Byte-parity with the per-node kernel (same seeds, same schemes, same
@@ -534,7 +534,7 @@ class ReceiveSolver:
         local_columns = {
             name: column[receiver, :count] for name, column in arena.columns.items()
         }
-        # Identity fast path: mirrors ClassifierNode._try_fastpath (the
+        # Identity fast path: mirrors ClassifierNode.receive_packed's (the
         # pooled set always has >= 2 members on a receive).
         size = len(pooled_ids)
         if (
@@ -666,7 +666,7 @@ class ReceiveSolver:
         incoming_quanta: np.ndarray,
         local_columns: Dict[str, np.ndarray],
     ) -> Optional[_Outcome]:
-        """Mirror of ClassifierNode._try_certified_noop on interned ids.
+        """Mirror of ClassifierNode._absorb_noop on interned ids.
 
         Within one interner an id bijects with a summary byte pattern and
         hence with its content digest, so "incoming digest matches a

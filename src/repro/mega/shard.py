@@ -65,7 +65,7 @@ import hashlib
 import os
 import time
 import uuid
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from multiprocessing import connection as mp_connection
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
 
@@ -868,16 +868,20 @@ class ShardedArenaEngine:
 
     @property
     def stats(self) -> ArenaStats:
-        """Aggregate worker stats (see the respawn caveat in the class doc)."""
+        """Aggregate worker stats (see the respawn caveat in the class doc).
+
+        ``rounds``/``messages`` are the parent's own counts; every other
+        field is the sum of the workers' per-receive counters, taken over
+        all of ``ArenaStats``' fields so a counter added later is summed too.
+        """
         total = ArenaStats(rounds=self.round_index, messages=self._messages)
-        for stats in self._shard_stats:
-            total.receivers += stats["receivers"]
-            total.fastpath_hits += stats["fastpath_hits"]
-            total.memo_round_hits += stats["memo_round_hits"]
-            total.memo_lru_hits += stats["memo_lru_hits"]
-            total.noop_hits += stats["noop_hits"]
-            total.full_solves += stats["full_solves"]
-            total.merges += stats["merges"]
+        for field in fields(ArenaStats):
+            if field.name not in ("rounds", "messages"):
+                setattr(
+                    total,
+                    field.name,
+                    sum(stats[field.name] for stats in self._shard_stats),
+                )
         return total
 
     # ------------------------------------------------------------------

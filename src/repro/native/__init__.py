@@ -1,80 +1,11 @@
-"""Compiled execution tier for the receive/merge inner loop.
+"""Batched numpy kernels for the receive/merge inner loop.
 
-The gossip hot path (ISSUE 9) spends its time in three primitives: the
-hard-EM reduction behind :mod:`repro.ml.reduction`, the greedy
-closest-pair partition behind :mod:`repro.schemes`, and the packed
-merge/quanta arithmetic in :class:`repro.core.node.ClassifierNode` and
-:class:`repro.mega.ReceiveSolver`.  This package hosts batched kernels
-for all three, in two tiers:
-
-``numba``
-    JIT-compiled scalar loops, used when :mod:`numba` imports cleanly
-    (install with ``pip install repro[native]``).
-``fallback``
-    Pure-numpy batched implementations, always available.  These are
-    the *reference* semantics — the numba tier must match them byte
-    for byte, and the hypothesis parity suites in
-    ``tests/native/test_native_parity.py`` enforce it.
-
-The ``REPRO_NATIVE`` environment variable gates the whole tier
-(default on): with ``REPRO_NATIVE=0`` nodes run the original
-object-per-collection receive path and kernels fall back to their
-unbatched equivalents, which is what the CI fallback-parity leg pins
-against.  Import failure of numba is never an error — the fallback is
-auto-selected, exactly as the packed (PR 4) and arena (PR 8) tiers
-degrade.
+The gossip hot path spends its time in three primitives: the hard-EM
+reduction behind :mod:`repro.ml.reduction`, the greedy closest-pair
+partition behind :mod:`repro.schemes`, and the packed merge/quanta
+arithmetic in :class:`repro.core.node.ClassifierNode` and
+:class:`repro.mega.ReceiveSolver`.  :mod:`repro.native.kernels` hosts
+batched numpy kernels for all three, each byte-identical to the
+unbatched reference it replaces; ``tests/native/test_kernels.py`` pins
+every one.
 """
-
-from __future__ import annotations
-
-import os
-from typing import Any
-
-__all__ = [
-    "HAVE_NUMBA",
-    "TIER",
-    "native_default",
-    "native_enabled",
-    "status",
-]
-
-try:  # pragma: no cover - exercised only where numba is installed
-    import numba  # type: ignore[import-not-found]
-
-    HAVE_NUMBA = True
-    _NUMBA_VERSION: str | None = getattr(numba, "__version__", "unknown")
-except Exception:  # pragma: no cover - the container default
-    numba = None  # type: ignore[assignment]
-    HAVE_NUMBA = False
-    _NUMBA_VERSION = None
-
-#: Which kernel tier backs the batched entry points in
-#: :mod:`repro.native.kernels`.  ``numba`` when the JIT imported,
-#: ``fallback`` (pure numpy) otherwise.
-TIER = "numba" if HAVE_NUMBA else "fallback"
-
-
-def native_default() -> bool:
-    """Whether ``REPRO_NATIVE`` asks for the native tier (default on).
-
-    Read per call, not at import, so tests can monkeypatch the
-    environment and flip tiers without reloading modules.
-    """
-    return os.environ.get("REPRO_NATIVE", "1").lower() not in ("0", "false", "no", "off")
-
-
-def native_enabled() -> bool:
-    """True when the native receive/merge tier should be used."""
-    return native_default()
-
-
-def status() -> dict[str, Any]:
-    """Report which execution tier is active (surfaced by ``repro.obs.report``)."""
-    enabled = native_enabled()
-    return {
-        "requested": native_default(),
-        "enabled": enabled,
-        "tier": TIER if enabled else "off",
-        "numba_available": HAVE_NUMBA,
-        "numba_version": _NUMBA_VERSION,
-    }

@@ -1,4 +1,4 @@
-"""Batched kernels for the receive/merge hot loop.
+"""Batched numpy kernels for the receive/merge hot loop.
 
 Each kernel here replaces a Python-level loop over collections or
 groups with one batched computation, under a strict byte-parity
@@ -19,9 +19,6 @@ lean on, enforced empirically by ``tests/native/test_kernels.py``:
   a Python-level ``sum(...)`` (strictly left-to-right, seeded with
   ``0``), the batch accumulates with an explicit zero-seeded loop over
   the group slot axis.
-- **numba only where order-safe.**  The jitted tier is dispatched only
-  for integer arithmetic and float lanes shorter than numpy's pairwise
-  unroll width (8), where a scalar-sequential loop provably matches.
 
 Everything below is pure computation: no scheme objects, no
 Collections, no I/O.
@@ -33,8 +30,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.native import HAVE_NUMBA, native_enabled
-
 __all__ = [
     "compact_labels",
     "greedy_partition",
@@ -45,18 +40,6 @@ __all__ = [
     "weighted_average_groups",
 ]
 
-if HAVE_NUMBA:  # pragma: no cover - exercised only where numba is installed
-    from repro.native import _numba
-else:
-    _numba = None  # type: ignore[assignment]
-
-#: numpy's pairwise-summation unroll width: reductions over lanes
-#: shorter than this are strictly sequential, so a scalar loop (numba)
-#: produces identical bytes.  At or above it, only the equal-size
-#: batched numpy forms are parity-safe.
-_PAIRWISE_UNROLL = 8
-
-
 # ----------------------------------------------------------------------
 # Quanta arithmetic
 # ----------------------------------------------------------------------
@@ -65,7 +48,7 @@ def split_quanta(quanta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Mirrors ``ClassifierNode.make_message``: a node sends half of each
     collection's quanta (rounded down) and keeps the rest.  Integer
-    arithmetic — exact in every tier.
+    arithmetic, so exact.
     """
     sent = quanta // 2
     return quanta - sent, sent
@@ -147,22 +130,6 @@ def greedy_partition(
     n = positions.shape[0]
     if n == 0:
         raise ValueError("cannot partition zero collections")
-    if (
-        _numba is not None
-        and native_enabled()
-        and positions.shape[1] < _PAIRWISE_UNROLL
-    ):  # pragma: no cover - numba-only tier
-        return _numba.greedy_partition(positions, weights, heavy, k)
-    return _greedy_partition_numpy(positions, weights, heavy, k)
-
-
-def _greedy_partition_numpy(
-    positions: np.ndarray,
-    weights: np.ndarray,
-    heavy: np.ndarray,
-    k: int,
-) -> list[list[int]]:
-    n = positions.shape[0]
     groups: list[list[int] | None] = [[i] for i in range(n)]
     points = positions.copy()
     masses = weights.astype(float, copy=True)

@@ -442,10 +442,11 @@ class SimulationKernel(Network):
         for payload in self.in_flight_payloads():
             digests = getattr(payload, "row_digests", None)
             if digests is not None:
-                # Native-tier payloads carry their rows' content digests;
-                # comparing them is equivalent to re-hashing the summaries
-                # (digest == summary_digest of the row, by construction)
-                # without materialising any collection objects.
+                # Packed payloads carry their rows' content digests once
+                # the sender has computed them; comparing them is
+                # equivalent to re-hashing the summaries (digest ==
+                # summary_digest of the row, by construction) without
+                # materialising any collection objects.
                 if any(digest not in reference_digests for digest in digests):
                     return False
                 continue

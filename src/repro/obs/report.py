@@ -368,21 +368,6 @@ def _span_section(events: list[dict[str, Any]], top: int) -> str:
     return "\n".join(lines)
 
 
-def _native_section() -> str:
-    """Which receive/merge execution tier this interpreter would run.
-
-    Environment-derived (``repro.native.status()``), not trace-derived:
-    the tier that produced a trace is not recorded in it, so the report
-    shows the tier *this* process resolves to — what a rerun would use.
-    """
-    from repro.native import status
-
-    rows = [[name, value] for name, value in sorted(status().items())]
-    return f"{banner('Execution tier (this interpreter)')}\n" + format_table(
-        ["field", "value"], rows
-    )
-
-
 def _metrics_section(events: list[dict[str, Any]]) -> str:
     snapshots = _of_kind(events, "metrics")
     if not snapshots:
@@ -414,7 +399,6 @@ def render_report(events: list[dict[str, Any]], top: int = 10, nodes: int = 10) 
         _node_section(events, nodes),
         _span_section(events, top),
         _metrics_section(events),
-        _native_section(),
     )
     return "\n\n".join(sections)
 

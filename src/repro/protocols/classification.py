@@ -14,7 +14,6 @@ from typing import Any, Optional, Sequence
 import networkx as nx
 import numpy as np
 
-from repro.core.collection import Collection
 from repro.core.fingerprint import MergeCache, merge_cache_default
 from repro.core.node import ClassifierNode
 from repro.core.packed import PackedPayload
@@ -39,36 +38,21 @@ class ClassificationProtocol(GossipProtocol):
     def __init__(self, node: ClassifierNode) -> None:
         self.node = node
 
-    def make_payload(self) -> "Optional[list[Collection] | PackedPayload]":
+    def make_payload(self) -> Optional[PackedPayload]:
         """Split the local classification; the sent halves are the payload.
 
         Returns ``None`` when quantisation leaves nothing sendable (every
-        local collection holds a single quantum).  Native-tier nodes
-        return a zero-copy :class:`~repro.core.packed.PackedPayload`
-        instead of a collection list; both are falsy when empty.
+        local collection holds a single quantum).  The payload is a
+        zero-copy :class:`~repro.core.packed.PackedPayload`.
         """
         with span("protocol.split"):
             payload = self.node.make_message()
         return payload if payload else None
 
-    def receive_batch(
-        self, payloads: "Sequence[list[Collection] | PackedPayload]"
-    ) -> None:
-        """Pool all delivered collections and merge once (Section 5.3)."""
-        node = self.node
-        if node.native and all(
-            isinstance(payload, PackedPayload) for payload in payloads
-        ):
-            # Straight through to the array pipeline — the payloads'
-            # columns are consumed as-is, nothing is materialised.
-            with span("protocol.merge"):
-                node.receive_packed(payloads)  # type: ignore[arg-type]
-            return
-        incoming: list[Collection] = []
-        for payload in payloads:
-            incoming.extend(payload)
+    def receive_batch(self, payloads: Sequence[PackedPayload]) -> None:
+        """Pool all delivered payloads and merge once (Section 5.3)."""
         with span("protocol.merge"):
-            node.receive(incoming)
+            self.node.receive_packed(payloads)
 
     # Convenience pass-throughs used pervasively by analysis code.
     @property

@@ -87,11 +87,10 @@ class TestStateFingerprint:
 def _entry(tag: float) -> CachedReceive:
     summary = np.array([tag])
     return CachedReceive(
-        summaries=(summary,),
         digests=(digest_arrays(summary),),
         quanta=(1,),
         group_sizes=(1,),
-        columns=None,
+        columns={"position": summary[None, :]},
     )
 
 

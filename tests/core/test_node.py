@@ -122,12 +122,15 @@ class TestReceive:
         assert node.stats.partition_calls == 1
         assert node.stats.collections_received == 2
 
-    def test_singleton_groups_reuse_collection_objects(self):
+    def test_singleton_groups_keep_summary_bytes(self):
         """Merging a singleton group is the identity (no new arithmetic)."""
         node = make_node([0.0, 0.0], k=4)
         far = Collection(summary=np.array([100.0, 100.0]), quanta=16)
         node.receive([far])
-        assert any(c is far for c in node.classification)
+        assert any(
+            c.summary.tobytes() == far.summary.tobytes() and c.quanta == far.quanta
+            for c in node.classification
+        )
 
     def test_aux_merged_by_summation(self):
         node = ClassifierNode(
@@ -151,6 +154,37 @@ class TestReceive:
         node.receive(other.make_message())
         aux = node.classification[0].aux
         assert np.allclose(aux.components, [16.0, 8.0])
+
+    def test_aux_survives_a_collection_list(self):
+        """A collection list (a decoded frame, a test's input) is packed
+        with its aux vectors: the result equals receiving the payload."""
+        nodes = [
+            ClassifierNode(
+                node_id=i,
+                value=np.array([2.0 * i]),
+                scheme=CentroidScheme(),
+                k=1,
+                quantization=Quantization(16),
+                track_aux=True,
+                n_inputs=2,
+            )
+            for i in range(2)
+        ]
+        nodes[0].receive(list(nodes[1].make_message()))
+        assert nodes[0].classification[0].aux.components.tolist() == [16.0, 8.0]
+
+    def test_aux_node_rejects_collections_without_aux(self):
+        node = ClassifierNode(
+            node_id=0,
+            value=np.array([0.0]),
+            scheme=CentroidScheme(),
+            k=1,
+            quantization=Quantization(16),
+            track_aux=True,
+            n_inputs=2,
+        )
+        with pytest.raises(ValueError, match="aux"):
+            node.receive([Collection(summary=np.array([1.0]), quanta=16)])
 
     def test_validation_flag_accepts_correct_scheme(self):
         node = make_node([0.0], k=2, validate=True)

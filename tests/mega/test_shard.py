@@ -15,10 +15,13 @@ recovery.
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from repro.mega import ArenaEngine, ShardedArenaEngine
+from repro.mega.engine import ArenaStats
 from repro.mega.shard import CRASH_FLAG_ENV, CRASH_SHARD_ENV
 from repro.schemes.centroid import CentroidScheme
 from repro.schemes.gm import GaussianMixtureScheme
@@ -101,6 +104,25 @@ def test_sharded_stats_match_single(values):
         assert stats.messages == single.stats.messages
         assert stats.receivers == single.stats.receivers
         engine.collect()
+
+
+def test_sharded_stats_sum_every_worker_counter():
+    """Each aggregate counter, the batched no-op sweep's included, is the
+    sum of the workers' final counters after a converging 2-shard run."""
+    centers = np.array([[0.0, 0.0], [8.0, 8.0], [-8.0, 8.0]])
+    values = centers[np.random.default_rng(11).integers(0, 3, size=400)]
+    with ShardedArenaEngine(
+        values, GaussianMixtureScheme(seed=0), 3, seed=11, shards=2, use_cache=True
+    ) as engine:
+        engine.run(30)
+        engine.collect()
+        stats = engine.stats
+        workers = engine._shard_stats
+        for field in fields(ArenaStats):
+            if field.name not in ("rounds", "messages"):
+                expected = sum(worker[field.name] for worker in workers)
+                assert getattr(stats, field.name) == expected, field.name
+        assert stats.noop_sweep_hits > 0
 
 
 def test_shard_solver_stats_cover_all_receives(values):

@@ -1,27 +1,31 @@
-"""End-to-end native-tier parity: ``REPRO_NATIVE=1`` vs ``REPRO_NATIVE=0``.
+"""End-to-end parity of the node's one receive pipeline with Algorithm 1.
 
-The compiled receive/merge tier (ISSUE 9) is gated by the
-``REPRO_NATIVE`` environment variable, read per node construction.  Its
-contract is byte-parity: for every scheme and both schedulers, a network
-run with the native tier on must produce bit-for-bit the same
-classifications, the same protocol event trace (splits, merges,
-fast-path adoptions, cache hits) and the same per-node counters as the
-fallback object path.  These runs are small (the tier-1 suite runs
-them); the benchmarks and ``tests/mega`` cover the same contract at
-scale.
+A :class:`~repro.core.node.ClassifierNode` receives through packed rows,
+the identity fast path, the merge cache (memo replay and certified
+no-op), ``partition_packed`` and the batched merge kernels of
+:mod:`repro.native.kernels`.  Its contract is byte parity with Algorithm 1
+as written: for every scheme and both schedulers, with aux tracking on
+and off, a network run must produce bit for bit the classifications
+(summaries, quanta, aux vectors) and the ``split``/``merge`` event stream
+of the same run on the test-side oracle (``tests/oracle.py``), which has
+no cache and no fast path.  Per-node counters agree too, once the fast
+path's skipped partitions are added back.  These runs are small (the
+tier-1 suite runs them); the benchmarks and ``tests/mega`` cover the same
+contract at scale.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from oracle import oracle_nodes, state_bytes
 
-from repro.network.topology import ring
+from repro.network.failures import BernoulliCrashes
+from repro.network.topology import complete, ring
 from repro.obs.events import RingBufferSink
 from repro.protocols.classification import build_classification_network
 from repro.schemes.centroid import CentroidScheme
 from repro.schemes.diagonal import DiagonalGaussianScheme
-from repro.schemes.gaussian import GaussianSummary
 from repro.schemes.gm import GaussianMixtureScheme
 from repro.schemes.histogram import HistogramScheme
 
@@ -29,7 +33,8 @@ N = 16
 ROUNDS = 12
 SCHEME_NAMES = ["centroid", "gm", "diagonal", "histogram"]
 ENGINES = ["rounds", "async"]
-TRACE_KINDS = ("split", "merge", "fastpath", "cache")
+TRACE_KINDS = ("split", "merge")
+SHARED_COUNTERS = ("splits", "merges", "messages_made", "batches_received", "collections_received")
 
 
 def _values(name: str) -> np.ndarray:
@@ -50,70 +55,73 @@ def _scheme(name: str):
     return HistogramScheme(-12.0, 12.0, bins=16)
 
 
-def _summary_bytes(summary) -> bytes:
-    if isinstance(summary, GaussianSummary):
-        return summary.mean.tobytes() + summary.cov.tobytes()
-    return np.asarray(summary, dtype=float).tobytes()
-
-
-def _run(name: str, engine: str, native: bool, monkeypatch):
-    monkeypatch.setenv("REPRO_NATIVE", "1" if native else "0")
+def _run(values, scheme, graph, rounds, **kwargs):
     sink = RingBufferSink(capacity=100000)
     kernel, nodes = build_classification_network(
-        _values(name),
-        _scheme(name),
-        k=3,
-        graph=ring(N),
-        seed=11,
-        engine=engine,
-        event_sink=sink,
+        values, scheme, graph=graph, seed=11, event_sink=sink, **kwargs
     )
-    kernel.run(ROUNDS)
-    states = [
-        [(c.quanta, _summary_bytes(c.summary)) for c in node.classification]
-        for node in nodes
-    ]
+    kernel.run(rounds)
+    live = sorted(kernel.live_nodes)
+    states = [state_bytes(nodes[node]) for node in live]
     trace = [
         (event.kind, event.node, event.items)
         for event in sink.events
         if event.kind in TRACE_KINDS
     ]
-    stats = [node.stats.as_dict() for node in nodes]
-    return states, trace, stats
+    return states, trace, [nodes[node].stats for node in live]
+
+
+def _assert_matches_oracle(values, make_scheme, graph, rounds, **kwargs):
+    """Run the node network and the oracle network; returns the node stats."""
+    node_run = _run(values, make_scheme(), graph, rounds, **kwargs)
+    with oracle_nodes():
+        oracle_run = _run(values, make_scheme(), graph, rounds, **kwargs)
+    assert node_run[0] == oracle_run[0], "classification states diverged"
+    assert node_run[1] == oracle_run[1], "split/merge event streams diverged"
+    assert any(kind == "merge" for kind, _, _ in node_run[1]), "no merge ran"
+    for node_stats, oracle_stats in zip(node_run[2], oracle_run[2]):
+        for counter in SHARED_COUNTERS:
+            assert getattr(node_stats, counter) == getattr(oracle_stats, counter), counter
+        # The fast path is a partition the node proved it could skip.
+        assert (
+            node_stats.partition_calls + node_stats.fastpath_hits
+            == oracle_stats.partition_calls
+        )
+    return node_run[2]
 
 
 @pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("name", SCHEME_NAMES)
-def test_native_and_fallback_runs_are_byte_identical(name, engine, monkeypatch):
-    native = _run(name, engine, native=True, monkeypatch=monkeypatch)
-    fallback = _run(name, engine, native=False, monkeypatch=monkeypatch)
-    assert native[0] == fallback[0], "classification states diverged"
-    assert native[1] == fallback[1], "protocol event traces diverged"
-    assert native[2] == fallback[2], "per-node counters diverged"
+def test_native_and_fallback_runs_are_byte_identical(name, engine):
+    """The node pipeline against the oracle, aux tracking off and on."""
+    for track_aux in (False, True):
+        _assert_matches_oracle(
+            _values(name), lambda: _scheme(name), ring(N), ROUNDS,
+            k=3, engine=engine, track_aux=track_aux,
+        )
 
 
-def test_native_toggle_reaches_nodes(monkeypatch):
-    """The env toggle must actually select the tier on supporting nodes."""
-    monkeypatch.setenv("REPRO_NATIVE", "1")
-    _, native_nodes = build_classification_network(
-        _values("gm"), _scheme("gm"), k=3, graph=ring(N), seed=11
+@pytest.mark.parametrize("engine", ENGINES)
+def test_crash_run_matches_oracle(engine):
+    """Figure 4's setting: GM, k=2, complete graph, outliers and crashes."""
+    rng = np.random.default_rng(4)
+    values = rng.normal(size=(N, 2))
+    values[: N // 4] += 10.0
+    stats = _assert_matches_oracle(
+        values, lambda: GaussianMixtureScheme(seed=4), complete(N), ROUNDS,
+        k=2, engine=engine, failure_model=BernoulliCrashes(0.05, min_survivors=4),
     )
-    monkeypatch.setenv("REPRO_NATIVE", "0")
-    _, fallback_nodes = build_classification_network(
-        _values("gm"), _scheme("gm"), k=3, graph=ring(N), seed=11
+    assert len(stats) < N, "no node crashed"
+
+
+@pytest.mark.parametrize("name", ["gm", "centroid"])
+def test_agreeing_run_matches_oracle(name):
+    """A 60-node ring on three exact centers reaches agreement, so every
+    layer of the pipeline fires: fast path, memo replay, certified no-op."""
+    centers = np.array([[0.0, 0.0], [8.0, 8.0], [-8.0, 8.0]])
+    values = centers[np.random.default_rng(11).integers(0, 3, size=60)]
+    stats = _assert_matches_oracle(
+        values, lambda: _scheme(name), ring(60), 30, k=3, engine="rounds"
     )
-    assert all(node.native for node in native_nodes)
-    assert not any(node.native for node in fallback_nodes)
-
-
-def test_status_reports_tier(monkeypatch):
-    from repro import native as native_package
-
-    monkeypatch.setenv("REPRO_NATIVE", "1")
-    on = native_package.status()
-    assert on["enabled"] is True
-    assert on["tier"] in ("numba", "fallback")
-    monkeypatch.setenv("REPRO_NATIVE", "0")
-    off = native_package.status()
-    assert off["enabled"] is False
-    assert off["tier"] == "off"
+    for layer in ("fastpath_hits", "cache_memo_hits", "cache_noop_hits"):
+        assert sum(getattr(node_stats, layer) for node_stats in stats) > 0, layer

@@ -13,8 +13,11 @@ numeric assertion notices.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
+from oracle import oracle_nodes
 
 from repro.network.factory import ENGINES
 from repro.network.failures import BernoulliCrashes
@@ -67,21 +70,29 @@ def test_different_seeds_diverge(tmp_path, engine):
 
 @pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("scheme_name", ["centroid", "gm"])
-def test_packed_and_object_paths_trace_identically(tmp_path, engine, scheme_name, monkeypatch):
-    """The packed hot path is a representation change only: with the same
-    seed, a run on the structure-of-arrays path must reproduce the object
-    path's JSONL trace byte for byte (same events, same order, same
-    payload counts)."""
+def test_packed_and_object_paths_trace_identically(tmp_path, engine, scheme_name):
+    """The node's packed pipeline against the object-level Algorithm 1
+    oracle: with the same seed, the JSONL traces must match line for line
+    (same events, same order, same payload counts) once the node's own
+    ``fastpath``/``cache`` bookkeeping events, which the oracle has no
+    layers to emit, are dropped."""
 
     def make_scheme():
         return CentroidScheme() if scheme_name == "centroid" else GaussianMixtureScheme(seed=0)
 
-    monkeypatch.setenv("REPRO_PACKED", "1")
-    packed = _trace_bytes(tmp_path / "packed.jsonl", seed=123, engine=engine, scheme=make_scheme())
-    monkeypatch.setenv("REPRO_PACKED", "0")
-    plain = _trace_bytes(tmp_path / "object.jsonl", seed=123, engine=engine, scheme=make_scheme())
+    def lines(path):
+        return [
+            line
+            for line in path.read_bytes().splitlines()
+            if json.loads(line)["kind"] not in ("fastpath", "cache")
+        ]
+
+    _trace_bytes(tmp_path / "packed.jsonl", seed=123, engine=engine, scheme=make_scheme())
+    with oracle_nodes():
+        _trace_bytes(tmp_path / "object.jsonl", seed=123, engine=engine, scheme=make_scheme())
+    packed = lines(tmp_path / "packed.jsonl")
     assert packed, "run emitted no events — the parity check is vacuous"
-    assert packed == plain
+    assert packed == lines(tmp_path / "object.jsonl")
 
 
 def test_schedulers_stamp_traces_differently(tmp_path):

@@ -1,24 +1,24 @@
 """Packed-state edge cases: minimum weights, ``k=1``, empty batches.
 
-The zero-copy packed tier moves the receive pipeline onto shared column
-arrays, so its degenerate shapes — everything at one quantum, a single
-allowed collection, nothing delivered — deserve their own pins alongside
-the randomized parity suites.  Each case runs through the public
-``pack_values`` / ``unpack_summary`` seam and the node receive path in
-both representations.
+The node's receive pipeline runs on shared column arrays, so its
+degenerate shapes — everything at one quantum, a single allowed
+collection, nothing delivered — deserve their own pins alongside the
+randomized parity suites.  Each case runs through the public
+``pack_values`` / ``unpack_summary`` seam or the node receive path, the
+latter checked against the test-side Algorithm 1 oracle.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from oracle import OracleNode, summary_bytes
 
 from repro.core.collection import Collection
 from repro.core.node import ClassifierNode
 from repro.core.weights import Quantization
 from repro.schemes.centroid import CentroidScheme
 from repro.schemes.diagonal import DiagonalGaussianScheme
-from repro.schemes.gaussian import GaussianSummary
 from repro.schemes.gm import GaussianMixtureScheme
 from repro.schemes.histogram import HistogramScheme
 
@@ -40,14 +40,8 @@ def _value(name: str, rng: np.random.Generator):
     return float(rng.normal()) if name == "histogram" else rng.normal(size=2)
 
 
-def _summary_bytes(summary) -> bytes:
-    if isinstance(summary, GaussianSummary):
-        return summary.mean.tobytes() + summary.cov.tobytes()
-    return np.asarray(summary, dtype=float).tobytes()
-
-
-def _state(node: ClassifierNode) -> list[tuple[int, bytes]]:
-    return [(c.quanta, _summary_bytes(c.summary)) for c in node.classification]
+def _state(node) -> list[tuple[int, bytes]]:
+    return [(c.quanta, summary_bytes(c.summary)) for c in node.classification]
 
 
 class TestPackValuesRoundTrip:
@@ -60,7 +54,7 @@ class TestPackValuesRoundTrip:
         for index, value in enumerate(values):
             unpacked = scheme.unpack_summary(columns, index)
             reference = scheme.val_to_summary(value)
-            assert _summary_bytes(unpacked) == _summary_bytes(reference)
+            assert summary_bytes(unpacked) == summary_bytes(reference)
 
     @pytest.mark.parametrize("name", SCHEME_NAMES)
     def test_single_value_pack(self, name):
@@ -69,29 +63,29 @@ class TestPackValuesRoundTrip:
         scheme = _scheme(name)
         value = _value(name, rng)
         columns = scheme.pack_values([value])
-        assert _summary_bytes(scheme.unpack_summary(columns, 0)) == _summary_bytes(
+        assert summary_bytes(scheme.unpack_summary(columns, 0)) == summary_bytes(
             scheme.val_to_summary(value)
         )
 
 
 class TestEmptyIncoming:
     @pytest.mark.parametrize("name", SCHEME_NAMES)
-    @pytest.mark.parametrize("packed", [True, False])
-    def test_empty_receive_is_a_noop(self, name, packed):
+    @pytest.mark.parametrize("track_aux", [True, False])
+    def test_empty_receive_is_a_noop(self, name, track_aux):
         rng = np.random.default_rng(5)
         node = ClassifierNode(
-            0, _value(name, rng), _scheme(name), k=3, quantization=QUANT, packed=packed
+            0, _value(name, rng), _scheme(name), k=3, quantization=QUANT,
+            track_aux=track_aux, n_inputs=1,
         )
         before = _state(node)
         node.receive([])
         assert _state(node) == before
         assert node.stats.partition_calls == 0
+        assert (node.classification[0].aux is not None) == track_aux
 
     def test_empty_packed_batch_is_a_noop(self):
         rng = np.random.default_rng(6)
-        node = ClassifierNode(
-            0, _value("gm", rng), _scheme("gm"), k=3, quantization=QUANT, packed=True
-        )
+        node = ClassifierNode(0, _value("gm", rng), _scheme("gm"), k=3, quantization=QUANT)
         before = _state(node)
         node.receive_packed([])
         assert _state(node) == before
@@ -106,7 +100,6 @@ class TestEmptyIncoming:
             _scheme("gm"),
             k=3,
             quantization=Quantization(1),
-            packed=True,
         )
         payload = node.make_message()
         assert not payload
@@ -116,17 +109,15 @@ class TestEmptyIncoming:
 class TestOneQuantumCollections:
     @pytest.mark.parametrize("name", SCHEME_NAMES)
     def test_minimum_weight_receive_parity(self, name):
-        """All-minimum pools force rule-2 merging; packed and object
-        paths must agree byte for byte on the merged result."""
+        """All-minimum pools force rule-2 merging; the node and the
+        oracle must agree byte for byte on the merged result."""
         rng = np.random.default_rng(8)
         value = _value(name, rng)
         incoming_values = [_value(name, rng) for _ in range(4)]
         states = []
-        for packed in (True, False):
+        for node_class in (ClassifierNode, OracleNode):
             scheme = _scheme(name)
-            node = ClassifierNode(
-                0, value, scheme, k=3, quantization=QUANT, packed=packed, validate=True
-            )
+            node = node_class(0, value, scheme, k=3, quantization=QUANT, validate=True)
             incoming = [
                 Collection(summary=scheme.val_to_summary(v), quanta=1)
                 for v in incoming_values
@@ -146,11 +137,9 @@ class TestKEqualsOne:
         value = _value(name, rng)
         incoming_values = [_value(name, rng) for _ in range(3)]
         states = []
-        for packed in (True, False):
+        for node_class in (ClassifierNode, OracleNode):
             scheme = _scheme(name)
-            node = ClassifierNode(
-                0, value, scheme, k=1, quantization=QUANT, packed=packed, validate=True
-            )
+            node = node_class(0, value, scheme, k=1, quantization=QUANT, validate=True)
             incoming = [
                 Collection(summary=scheme.val_to_summary(v), quanta=int(QUANT.unit))
                 for v in incoming_values
@@ -167,9 +156,7 @@ class TestKEqualsOne:
         rng = np.random.default_rng(10)
         scheme = GaussianMixtureScheme(seed=0)
         nodes = [
-            ClassifierNode(
-                i, rng.normal(size=2), scheme, k=1, quantization=QUANT, packed=True
-            )
+            ClassifierNode(i, rng.normal(size=2), scheme, k=1, quantization=QUANT)
             for i in range(2)
         ]
         for _ in range(6):

@@ -1,27 +1,34 @@
-"""Packed hot path vs object path: byte-identical classifications.
+"""The node's packed pipeline vs the object-level oracle: byte-identical classifications.
 
-The packed structure-of-arrays path (``docs/performance.md``) is a pure
-representation change: a node routed through ``partition_packed`` /
-``merge_set_packed`` must produce *bit-for-bit* the same classifications
-as the object-path conformance reference, because both feed identical
-float values through the same shared numeric kernels and replicate the
-same accumulation order.  These tests pin that contract per scheme, and
-pin the ``identity_below_k`` fast-path declaration against the scheme's
-actual ``partition``.
+Every :class:`~repro.core.node.ClassifierNode` receives through
+``partition_packed`` / ``merge_groups_columns`` on packed rows
+(``docs/performance.md``).  That is a pure representation change: it must
+produce *bit-for-bit* the same classifications as the test-side
+Algorithm 1 oracle (``tests/oracle.py``), which calls the object-level
+``partition`` / ``merge_set``, because both feed identical float values
+through the same shared numeric kernels and replicate the same
+accumulation order.  These tests pin that contract per scheme, pin the
+``identity_below_k`` fast-path declaration against the scheme's actual
+``partition``, and pin the default packed entry points that let a scheme
+implementing only the object contract run on any node.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from oracle import OracleNode, oracle_nodes, state_bytes, summary_bytes
 
 from repro.core.collection import Collection
-from repro.core.node import ClassifierNode, packed_default
-from repro.core.scheme import validate_partition
+from repro.core.node import ClassifierNode
+from repro.core.scheme import SummaryScheme, validate_partition
 from repro.core.weights import Quantization
+from repro.mega import NetworkArena
+from repro.network.topology import ring
+from repro.protocols.classification import build_classification_network
+from repro.schemes import greedy_closest_pair_partition
 from repro.schemes.centroid import CentroidScheme
 from repro.schemes.diagonal import DiagonalGaussianScheme
-from repro.schemes.gaussian import GaussianSummary
 from repro.schemes.gm import GaussianMixtureScheme
 from repro.schemes.histogram import HistogramScheme
 
@@ -49,32 +56,18 @@ def _make_value(name: str, rng: np.random.Generator):
 SCHEME_NAMES = ["centroid", "gm", "diagonal", "histogram"]
 
 
-def _summary_bytes(summary) -> bytes:
-    if isinstance(summary, GaussianSummary):
-        return summary.mean.tobytes() + summary.cov.tobytes()
-    return np.asarray(summary, dtype=float).tobytes()
-
-
-def _classification_bytes(node: ClassifierNode) -> list[tuple[int, bytes]]:
-    return [
-        (collection.quanta, _summary_bytes(collection.summary))
-        for collection in node.classification
-    ]
-
-
-def _ping_pong(name: str, packed: bool, rounds: int = 8, k: int = 3):
+def _ping_pong(name: str, node_class, rounds: int = 8, k: int = 3):
     """A deterministic two-node gossip; returns per-round classifications."""
     rng = np.random.default_rng(42)
     scheme = _make_scheme(name)
     nodes = [
-        ClassifierNode(
+        node_class(
             i,
             _make_value(name, rng),
             scheme,
             k=k,
             quantization=QUANT,
             validate=True,
-            packed=packed,
         )
         for i in range(2)
     ]
@@ -86,37 +79,43 @@ def _ping_pong(name: str, packed: bool, rounds: int = 8, k: int = 3):
         payload = nodes[1].make_message()
         if payload:
             nodes[0].receive(payload)
-        history.append([_classification_bytes(node) for node in nodes])
+        history.append([state_bytes(node) for node in nodes])
     return history, nodes
 
 
 class TestPackedObjectParity:
     @pytest.mark.parametrize("name", SCHEME_NAMES)
     def test_ping_pong_classifications_byte_identical(self, name):
-        packed_history, packed_nodes = _ping_pong(name, packed=True)
-        object_history, object_nodes = _ping_pong(name, packed=False)
+        packed_history, _ = _ping_pong(name, ClassifierNode)
+        object_history, _ = _ping_pong(name, OracleNode)
         assert packed_history == object_history
-        # The representation flag is the only difference between the runs.
-        assert all(node.packed for node in packed_nodes)
-        assert not any(node.packed for node in object_nodes)
 
     @pytest.mark.parametrize("name", SCHEME_NAMES)
     def test_stats_counters_identical(self, name):
-        _, packed_nodes = _ping_pong(name, packed=True)
-        _, object_nodes = _ping_pong(name, packed=False)
+        _, packed_nodes = _ping_pong(name, ClassifierNode)
+        _, object_nodes = _ping_pong(name, OracleNode)
         for packed_node, object_node in zip(packed_nodes, object_nodes):
-            assert packed_node.stats.as_dict() == object_node.stats.as_dict()
+            packed_stats = packed_node.stats.as_dict()
+            object_stats = object_node.stats.as_dict()
+            # The oracle partitions every receipt; the node skips the ones
+            # its fast path proves are the identity.
+            packed_stats["partition_calls"] += packed_stats.pop("fastpath_hits")
+            packed_stats.pop("fastpath_misses")
+            object_stats.pop("fastpath_hits")
+            object_stats.pop("fastpath_misses")
+            assert packed_stats == object_stats
 
     @pytest.mark.parametrize("name", SCHEME_NAMES)
     def test_packed_state_mirrors_collections(self, name):
-        """After arbitrary receive/split traffic the cached PackedState
-        must equal a fresh packing of the collection list."""
-        _, nodes = _ping_pong(name, packed=True)
-        for node in nodes:
-            fresh = node._pack(node._collections)
-            assert np.array_equal(fresh.quanta, node._packed.quanta)
-            assert set(fresh.columns) == set(node._packed.columns)
-            for key, column in fresh.columns.items():
+        """After arbitrary receive/split traffic the node's packed rows
+        must equal a fresh packing of the oracle's collection list."""
+        _, nodes = _ping_pong(name, ClassifierNode)
+        _, oracles = _ping_pong(name, OracleNode)
+        for node, oracle in zip(nodes, oracles):
+            fresh = node.scheme.pack_summaries([c.summary for c in oracle.collections])
+            assert node._packed.quanta.tolist() == [c.quanta for c in oracle.collections]
+            assert set(fresh) == set(node._packed.columns)
+            for key, column in fresh.items():
                 assert column.tobytes() == node._packed.columns[key].tobytes()
 
 
@@ -150,7 +149,6 @@ class TestIdentityBelowK:
             k=4,
             quantization=QUANT,
             validate=True,  # validate_partition runs on the identity groups
-            packed=True,
         )
         incoming = [
             Collection(summary=scheme.val_to_summary(_make_value(name, rng)), quanta=8)
@@ -161,7 +159,9 @@ class TestIdentityBelowK:
         assert node.stats.partition_calls == 0
         # The pooled set is adopted unchanged, in index order.
         assert len(node.classification) == 3
-        assert node.classification[1].summary is incoming[0].summary
+        assert [row[1] for row in state_bytes(node)[1:]] == [
+            summary_bytes(collection.summary) for collection in incoming
+        ]
 
     @pytest.mark.parametrize("name", SCHEME_NAMES)
     def test_minimum_weight_forces_real_partition(self, name):
@@ -177,7 +177,6 @@ class TestIdentityBelowK:
             k=4,
             quantization=QUANT,
             validate=True,
-            packed=True,
         )
         node.receive(
             [Collection(summary=scheme.val_to_summary(_make_value(name, rng)), quanta=1)]
@@ -200,25 +199,72 @@ class TestIdentityBelowK:
         validate_partition(groups, collections, 4, QUANT)
 
 
+class BoundingBoxScheme(SummaryScheme):
+    """Axis-aligned boxes: the object-only scheme of ``examples/custom_scheme.py``."""
+
+    def val_to_summary(self, value):
+        point = np.atleast_1d(np.asarray(value, dtype=float))
+        return (point.copy(), point.copy())
+
+    def merge_set(self, items):
+        lowers = np.stack([low for (low, _), _ in items])
+        uppers = np.stack([high for (_, high), _ in items])
+        return (lowers.min(axis=0), uppers.max(axis=0))
+
+    def distance(self, a, b):
+        return float(np.linalg.norm(a[0] - b[0]) + np.linalg.norm(a[1] - b[1]))
+
+    def partition(self, collections, k, quantization):
+        centers = np.stack([(c.summary[0] + c.summary[1]) / 2.0 for c in collections])
+        weights = np.array([float(c.quanta) for c in collections])
+        quanta = [c.quanta for c in collections]
+        return greedy_closest_pair_partition(centers, weights, quanta, k, quantization)
+
+
 class TestPackedDefault:
-    def test_env_toggle(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PACKED", raising=False)
-        assert packed_default() is True
-        monkeypatch.setenv("REPRO_PACKED", "0")
-        assert packed_default() is False
-        monkeypatch.setenv("REPRO_PACKED", "off")
-        assert packed_default() is False
-        monkeypatch.setenv("REPRO_PACKED", "1")
-        assert packed_default() is True
+    """The default packed entry points run schemes that implement only the
+    object contract (no numeric columns, no ``supports_packed``)."""
 
     def test_unsupported_scheme_falls_back(self):
+        """Without ``supports_packed`` a scheme still runs on a node, on its
+        own numeric columns here; only the arena engines refuse it."""
+
         class ObjectOnly(CentroidScheme):
             supports_packed = False
 
-        node = ClassifierNode(
-            0, np.zeros(2), ObjectOnly(), k=2, quantization=QUANT, packed=True
-        )
-        assert not node.packed
-        assert node._packed is None
+        node = ClassifierNode(0, np.zeros(2), ObjectOnly(), k=2, quantization=QUANT)
         node.receive([Collection(summary=np.ones(2), quanta=8)])
         assert len(node.classification) == 2
+        with pytest.raises(ValueError, match="packed"):
+            NetworkArena.from_values(np.zeros((4, 2)), ObjectOnly(), k=2)
+
+    def test_default_packing_is_one_object_column(self):
+        scheme = BoundingBoxScheme()
+        summaries = [scheme.val_to_summary(np.full(2, float(i))) for i in range(3)]
+        columns = scheme.pack_summaries(summaries)
+        assert list(columns) == ["summary"]
+        assert columns["summary"].shape == (3,)
+        assert all(scheme.unpack_summary(columns, i) is summaries[i] for i in range(3))
+
+    @pytest.mark.parametrize("engine", ["rounds", "async"])
+    def test_object_only_scheme_matches_oracle(self, engine):
+        values = np.random.default_rng(33).normal(size=(12, 2))
+        values[6:] += 12.0
+
+        def run():
+            kernel, nodes = build_classification_network(
+                values, BoundingBoxScheme(), k=2, graph=ring(12), seed=33,
+                engine=engine, validate=True,
+            )
+            kernel.run(10)
+            return [state_bytes(node) for node in nodes]
+
+        packed = run()
+        with oracle_nodes():
+            plain = run()
+        assert packed == plain
+        assert any(len(state) == 2 for state in packed)
+
+    def test_arena_rejects_object_only_scheme(self):
+        with pytest.raises(ValueError, match="arena engine requires it"):
+            NetworkArena.from_values(np.zeros((4, 2)), BoundingBoxScheme(), k=2)
