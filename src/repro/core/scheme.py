@@ -162,6 +162,22 @@ class SummaryScheme(abc.ABC, Generic[S]):
         """
         return self.partition(unpack_collections(self, packed), k, quantization)
 
+    def partition_packed_batch(
+        self,
+        problems: Sequence[PackedState],
+        k: int,
+        quantization: Quantization,
+    ) -> list[list[list[int]]]:
+        """``partition_packed`` over many independent pooled sets.
+
+        Returns one grouping per problem, in order, each exactly what
+        ``partition_packed`` returns for that problem alone.  The arena
+        engine poses every distinct receive problem of a round through
+        this one call.  The default loops; schemes override it to solve
+        the problems in stacks.
+        """
+        return [self.partition_packed(packed, k, quantization) for packed in problems]
+
     def merge_set_packed(self, packed: PackedState, group: Sequence[int]) -> S:
         """Array-native ``merge_set`` over the packed rows in ``group``.
 

@@ -24,7 +24,9 @@ pipeline.  :class:`ArenaEngine` executes the *same* round over a
    population.  Distinct problems run the same fast path / certified
    no-op / partition+merge pipeline as
    :meth:`repro.core.node.ClassifierNode.receive_packed`, against the same
-   :class:`~repro.core.fingerprint.MergeCache` certificate machinery.
+   :class:`~repro.core.fingerprint.MergeCache` certificate machinery;
+   the problems left for partition+merge are solved together, in one
+   batched partition call and one merge call per round.
 
 Byte-parity with the per-node kernel (same seeds, same schemes, same
 classifications down to collection order) is the contract; the scalar
@@ -178,7 +180,9 @@ class _Outcome:
 
     All arrays are owned copies (never views into the arena), so one
     outcome can be applied to every receiver posing the same problem and
-    survive in the memo across rounds while arena rows churn.
+    survive in the memo across rounds while arena rows churn.  A full
+    solve's outcome is created empty when its problem is queued and
+    filled in before the round scatters.
     """
 
     __slots__ = ("ids", "quanta", "columns", "merges")
@@ -197,6 +201,16 @@ class _Outcome:
 
 
 _MISSING = object()
+
+#: Placeholder arrays of a queued full solve's outcome (never mutated).
+_UNSOLVED = np.empty(0, dtype=np.int64)
+
+
+def _ragged(lengths: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Flatten ragged ranges: each element's entry and its index in ``range(lengths[entry])``."""
+    owner = np.repeat(np.arange(len(lengths)), lengths)
+    slot = np.arange(len(owner)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    return owner, slot
 
 
 class _NoopPlan:
@@ -258,7 +272,9 @@ class ReceiveSolver:
     - the structural shortcuts of the node pipeline (identity fast path
       below ``k``; certified no-op receives via the run's
       :class:`~repro.core.fingerprint.IdentityCertificate` machinery);
-    - the real ``partition_packed`` / ``merge_groups_packed`` pipeline.
+    - the real partition + merge pipeline, batched over the round: one
+      ``partition_packed_batch`` call for every problem left, then one
+      ``merge_groups_columns`` call for every multi-member group.
     """
 
     def __init__(
@@ -295,6 +311,14 @@ class ReceiveSolver:
         ascending; payload rows ``bounds[p]:bounds[p+1]`` of
         ``ids`` / ``quanta`` / ``columns`` belong to ``dests[p]``, in
         ascending-sender order — the in-memory transport's batch order.
+
+        Three passes.  The first resolves every receiver in order from
+        the memos, the fast path or a certified no-op, and queues the
+        rest as distinct problems; a queued problem takes its memo slot
+        at once, so the LRU evicts exactly as a one-at-a-time loop would.
+        The second solves the queue in one batch (:meth:`_solve_queued`),
+        interning new summaries in queue order.  The third scatters.
+        Receivers are distinct, so no receiver reads another's new rows.
         """
         arena = self.arena
         stats = self.stats
@@ -307,6 +331,8 @@ class ReceiveSolver:
         if self.merge_cache is not None and len(dests) >= 32:
             handled = self._noop_sweep(dests, bounds, ids, quanta)
         round_memo: Dict[Any, _Outcome] = {}
+        resolved: List[Tuple[int, _Outcome]] = []
+        queued: List[Tuple[int, int, int, int, _Outcome]] = []
         for position in range(len(dests)):
             if handled is not None and handled[position]:
                 continue
@@ -331,9 +357,8 @@ class ReceiveSolver:
                 if outcome is not None:
                     memo.move_to_end(key)
                     stats.memo_lru_hits += 1
-                    round_memo[key] = outcome
                 else:
-                    outcome = self._solve(
+                    outcome = self._shortcut(
                         receiver,
                         count,
                         local_ids,
@@ -341,9 +366,20 @@ class ReceiveSolver:
                         ids[start:stop],
                         quanta[start:stop],
                         {name: rows[start:stop] for name, rows in columns.items()},
-                        key,
                     )
-                    round_memo[key] = outcome
+                    if outcome is None:
+                        outcome = _Outcome(_UNSOLVED, _UNSOLVED, {}, 0)
+                        queued.append((receiver, count, start, stop, outcome))
+                        stats.full_solves += 1
+                        if self.memo_size > 0:
+                            if len(memo) >= self.memo_size:
+                                memo.popitem(last=False)
+                            memo[key] = outcome
+                round_memo[key] = outcome
+            resolved.append((receiver, outcome))
+        if queued:
+            self._solve_queued(queued, ids, quanta, columns)
+        for receiver, outcome in resolved:
             stats.receivers += 1
             stats.merges += outcome.merges
             width = len(outcome.ids)
@@ -516,7 +552,7 @@ class ReceiveSolver:
     # ------------------------------------------------------------------
     # One distinct receive problem
     # ------------------------------------------------------------------
-    def _solve(
+    def _shortcut(
         self,
         receiver: int,
         count: int,
@@ -525,29 +561,24 @@ class ReceiveSolver:
         incoming_ids: np.ndarray,
         incoming_quanta: np.ndarray,
         incoming_columns: Dict[str, np.ndarray],
-        key: Any,
-    ) -> _Outcome:
-        arena = self.arena
-        scheme = self.scheme
-        pooled_ids = np.concatenate([local_ids, incoming_ids])
-        pooled_quanta = np.concatenate([local_quanta, incoming_quanta])
+    ) -> Optional[_Outcome]:
+        """The identity fast path or a certified no-op, when one applies."""
         local_columns = {
-            name: column[receiver, :count] for name, column in arena.columns.items()
+            name: column[receiver, :count] for name, column in self.arena.columns.items()
         }
         # Identity fast path: mirrors ClassifierNode.receive_packed's (the
         # pooled set always has >= 2 members on a receive).
-        size = len(pooled_ids)
-        if (
-            size <= self.k
-            and scheme.identity_below_k
-            and not self.quantization.is_minimum(int(pooled_quanta.min()))
-        ):
-            self.stats.fastpath_hits += 1
-            pooled_columns = {
-                name: np.concatenate([local_columns[name], incoming_columns[name]])
-                for name in local_columns
-            }
-            return _Outcome(pooled_ids, pooled_quanta, pooled_columns, 0)
+        if count + len(incoming_ids) <= self.k and self.scheme.identity_below_k:
+            pooled_quanta = np.concatenate([local_quanta, incoming_quanta])
+            if not self.quantization.is_minimum(int(pooled_quanta.min())):
+                self.stats.fastpath_hits += 1
+                pooled_columns = {
+                    name: np.concatenate([local_columns[name], incoming_columns[name]])
+                    for name in local_columns
+                }
+                return _Outcome(
+                    np.concatenate([local_ids, incoming_ids]), pooled_quanta, pooled_columns, 0
+                )
         if self.merge_cache is not None:
             outcome = self._try_certified_noop(
                 count, local_ids, local_quanta, incoming_ids, incoming_quanta, local_columns
@@ -555,53 +586,112 @@ class ReceiveSolver:
             if outcome is not None:
                 self.stats.noop_hits += 1
                 return outcome
-        pooled_columns = {
-            name: np.concatenate([local_columns[name], incoming_columns[name]])
-            for name in local_columns
-        }
-        packed = PackedState(quanta=pooled_quanta, columns=pooled_columns)
-        groups = scheme.partition_packed(packed, self.k, self.quantization)
-        self.stats.full_solves += 1
-        width = len(groups)
-        out_ids = np.empty(width, dtype=np.int64)
-        out_quanta = np.empty(width, dtype=np.int64)
-        out_columns = {
-            name: np.empty((width,) + column.shape[1:], dtype=float)
-            for name, column in pooled_columns.items()
-        }
-        multi: List[Tuple[int, Sequence[int]]] = []
-        for group_index, group in enumerate(groups):
-            if len(group) == 1:
-                member = group[0]
-                out_ids[group_index] = pooled_ids[member]
-                out_quanta[group_index] = pooled_quanta[member]
-                for name in out_columns:
-                    out_columns[name][group_index] = pooled_columns[name][member]
-            else:
-                multi.append((group_index, group))
+        return None
+
+    def _solve_queued(
+        self,
+        queued: List[Tuple[int, int, int, int, _Outcome]],
+        ids: np.ndarray,
+        quanta: np.ndarray,
+        columns: Dict[str, np.ndarray],
+    ) -> None:
+        """Partition and merge a round's queued problems in one batch.
+
+        Each queued ``(receiver, count, start, stop, outcome)`` pools the
+        receiver's local rows with payload rows ``start:stop``.  Every
+        pooled set of the round is gathered into one block; the scheme
+        partitions them all in one ``partition_packed_batch`` call and
+        merges every multi-member group in one ``merge_groups_columns``
+        call (its groups merge row by row, so a group's bytes do not
+        depend on the others).  New summaries are interned problem by
+        problem, group by group: the order a one-at-a-time loop interns
+        them, so ids match it.
+        """
+        arena = self.arena
+        receivers = np.array([entry[0] for entry in queued], dtype=np.intp)
+        counts = np.array([entry[1] for entry in queued], dtype=np.intp)
+        starts = np.array([entry[2] for entry in queued], dtype=np.intp)
+        widths = np.array([entry[3] for entry in queued], dtype=np.intp) - starts
+        offsets = np.zeros(len(queued) + 1, dtype=np.intp)
+        np.cumsum(counts + widths, out=offsets[1:])
+        total = int(offsets[-1])
+        # Problem p's pooled rows are offsets[p]:offsets[p+1]: its local
+        # block, then its payload rows in delivery order.
+        owner, local_slot = _ragged(counts)
+        local_at = offsets[owner] + local_slot
+        local_node = receivers[owner]
+        owner, incoming_slot = _ragged(widths)
+        incoming_at = offsets[owner] + counts[owner] + incoming_slot
+        incoming_rows = starts[owner] + incoming_slot
+
+        def pool(local: np.ndarray, incoming: np.ndarray) -> np.ndarray:
+            rows = np.empty((total,) + incoming.shape[1:], dtype=incoming.dtype)
+            rows[local_at] = local[local_node, local_slot]
+            rows[incoming_at] = incoming[incoming_rows]
+            return rows
+
+        pooled_ids = pool(arena.ids, ids)
+        pooled = PackedState(
+            quanta=pool(arena.quanta, quanta),
+            columns={name: pool(column, columns[name]) for name, column in arena.columns.items()},
+        )
+        bounds = offsets.tolist()
+        groupings = self.scheme.partition_packed_batch(
+            [
+                PackedState(
+                    quanta=pooled.quanta[low:high],
+                    columns={name: rows[low:high] for name, rows in pooled.columns.items()},
+                )
+                for low, high in zip(bounds[:-1], bounds[1:])
+            ],
+            self.k,
+            self.quantization,
+        )
+        # Output rows, problem by problem and group by group: a singleton
+        # keeps its pooled row, a multi-member group takes the next
+        # merged row (numbered after the pooled block).
+        source: List[int] = []
+        output_of = [0] * total
+        multi: List[List[int]] = []
+        cuts = [0]
+        merges: List[int] = []
+        for base, groups in zip(bounds, groupings):
+            merged_before = len(multi)
+            for group in groups:
+                members = [base + member for member in group]
+                for member in members:
+                    output_of[member] = len(source)
+                if len(members) == 1:
+                    source.append(members[0])
+                else:
+                    source.append(total + len(multi))
+                    multi.append(members)
+            cuts.append(len(source))
+            merges.append(len(multi) - merged_before)
+        out_quanta = np.zeros(len(source), dtype=np.int64)
+        np.add.at(out_quanta, np.asarray(output_of, dtype=np.intp), pooled.quanta)
+        rows_ids = pooled_ids
+        rows_columns = pooled.columns
         if multi:
-            interner = arena.interner
             # merge_groups_columns is contractually byte-identical to
             # packing merge_groups_packed's summaries; the summary object
             # behind each new id materialises lazily in the interner when
             # a certificate needs it.
-            packed_rows = scheme.merge_groups_columns(
-                packed, [group for _, group in multi]
-            )
-            for row, (group_index, group) in enumerate(multi):
-                for name in out_columns:
-                    out_columns[name][group_index] = packed_rows[name][row]
-                out_quanta[group_index] = int(
-                    pooled_quanta[np.asarray(group, dtype=np.intp)].sum()
-                )
-                out_ids[group_index] = interner.intern_row(packed_rows, row)
-        outcome = _Outcome(out_ids, out_quanta, out_columns, len(multi))
-        if self.memo_size > 0:
-            memo = self._memo
-            if len(memo) >= self.memo_size:
-                memo.popitem(last=False)
-            memo[key] = outcome
-        return outcome
+            merged = self.scheme.merge_groups_columns(pooled, multi)
+            intern_row = arena.interner.intern_row
+            merged_ids = [intern_row(merged, row) for row in range(len(multi))]
+            rows_ids = np.concatenate([pooled_ids, np.asarray(merged_ids, dtype=np.int64)])
+            rows_columns = {
+                name: np.concatenate([rows, merged[name]]) for name, rows in rows_columns.items()
+            }
+        sources = np.asarray(source, dtype=np.intp)
+        for entry, low, high, merge_count in zip(queued, cuts[:-1], cuts[1:], merges):
+            take = sources[low:high]
+            outcome = entry[4]
+            outcome.ids = rows_ids[take]
+            outcome.quanta = out_quanta[low:high].copy()
+            outcome.columns = {name: rows[take] for name, rows in rows_columns.items()}
+            outcome.merges = merge_count
 
     def _noop_plan_for(
         self, count: int, local_ids: np.ndarray
@@ -676,11 +766,13 @@ class ReceiveSolver:
         id-dependent setup lives on a per-block :class:`_NoopPlan`; this
         path only does the quanta-dependent arithmetic.
         """
+        incoming_list = incoming_ids.tolist()
+        if not set(local_ids.tolist()).issuperset(incoming_list):
+            return None  # an incoming summary is not local: not a no-op
         plan = self._noop_plan_for(count, local_ids)
         if plan is None:
             return None
         local_index = plan.local_index
-        incoming_list = incoming_ids.tolist()
         if count + len(incoming_list) <= self.k:
             return None
         is_minimum = self.quantization.is_minimum

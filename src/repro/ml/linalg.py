@@ -67,7 +67,7 @@ def cholesky_with_ridge(cov: np.ndarray, ridge: float = DEFAULT_RIDGE) -> np.nda
 
 
 def cholesky_log_det_batch(
-    covs: np.ndarray, ridge: float = DEFAULT_RIDGE
+    covs: np.ndarray, ridge: float = DEFAULT_RIDGE, block: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Lower Cholesky factors and log-determinants of a covariance stack.
 
@@ -76,7 +76,10 @@ def cholesky_log_det_batch(
     one LAPACK call.  If any matrix still fails to factorise, the batch
     falls back to per-matrix :func:`cholesky_with_ridge` escalation, so
     callers get the batched speed without losing the robustness of the
-    scalar path.
+    scalar path.  A stack of independent problems passes ``block``, the
+    matrices per problem: the fallback then escalates only the blocks
+    that fail, and every block gets the factors it gets alone (LAPACK
+    factorises each matrix on its own).
 
     Returns ``(lowers, log_dets)`` with shapes ``(k, d, d)`` and ``(k,)``;
     each log-determinant is read off the factor's diagonal.
@@ -85,7 +88,15 @@ def cholesky_log_det_batch(
     try:
         lowers = np.linalg.cholesky(covs)
     except np.linalg.LinAlgError:
-        lowers = np.stack([cholesky_with_ridge(cov, ridge) for cov in covs])
+        size = block or len(covs)
+        parts = []
+        for start in range(0, len(covs), size):
+            part = covs[start : start + size]
+            try:
+                parts.append(np.linalg.cholesky(part))
+            except np.linalg.LinAlgError:
+                parts.append(np.stack([cholesky_with_ridge(cov, ridge) for cov in part]))
+        lowers = np.concatenate(parts)
     log_dets = 2.0 * np.sum(np.log(np.diagonal(lowers, axis1=-2, axis2=-1)), axis=-1)
     return lowers, log_dets
 

@@ -14,6 +14,16 @@ closed-form moment match of :func:`repro.ml.gaussian.pool_moments`.
 Assignments are *hard* because the generic algorithm's ``partition`` must
 return a partition — a collection is merged wholly into one group, never
 fractionally shared (sharing happens upstream, through weight splitting).
+
+Hard EM exists in two spellings that share every piece of arithmetic
+(features, M-step, scores): :func:`reduce_mixture` solves one problem,
+and :func:`reduce_mixture_batch` solves a stack of equal-size problems in
+one pass (the arena's receive solver poses a round's problems this way).
+A problem's groups, iteration count and :func:`em_iterations_total`
+contribution do not depend on the spelling or on the batch it is solved
+in; ``tests/ml/test_reduction.py`` pins this byte for byte.  The per-node
+kernel keeps the scalar spelling: a batch of one pays the stack's
+bookkeeping, which measurably slowed the kernel's receives.
 """
 
 from __future__ import annotations
@@ -22,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.ml.gaussian import pool_moments
 from repro.ml.gmm import GaussianMixtureModel
@@ -38,17 +48,23 @@ from repro.native.kernels import (
 )
 from repro.obs.profiling import span
 
-__all__ = ["ReductionResult", "em_iterations_total", "reduce_mixture"]
+__all__ = [
+    "ReductionResult",
+    "em_iterations_total",
+    "reduce_mixture",
+    "reduce_mixture_batch",
+]
 
 #: Process-wide count of hard-EM iterations executed by
-#: :func:`reduce_mixture`.  Telemetry reads this as a monotone gauge and
-#: reports per-round deltas; it is observational only and never feeds
-#: back into the algorithm.
+#: :func:`reduce_mixture` and :func:`reduce_mixture_batch` (one count
+#: per problem per iteration).  Telemetry reads this as a monotone gauge
+#: and reports per-round deltas; it is observational only and never
+#: feeds back into the algorithm.
 _EM_ITERATIONS_TOTAL = 0
 
 
 def em_iterations_total() -> int:
-    """Cumulative EM iterations run by :func:`reduce_mixture` so far."""
+    """Cumulative hard-EM iterations run so far, summed over problems."""
     return _EM_ITERATIONS_TOTAL
 
 #: Ridge applied to group covariances when *scoring* only; the reported
@@ -57,12 +73,16 @@ _SCORING_RIDGE = 1e-6
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
-#: Below this component count the maximin seeding runs on a fused
+#: Below this component count the scalar maximin seeding runs on a fused
 #: pairwise distance matrix (one batched computation reused by the seed
 #: walk *and* the initial assignment).  The gossip receive path always
 #: sits far below it; centralized reductions of thousands of components
 #: keep the O(l*k) row-at-a-time form to avoid an O(l^2 d) intermediate.
 _FUSED_PAIRWISE_MAX = 64
+
+#: Cap on the component rows one pass of the stacked core holds, so a
+#: round with a million receive problems runs in bounded slices.
+_BATCH_ROWS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -70,18 +90,18 @@ class ReductionResult:
     """Outcome of an l-GM -> k-GM reduction.
 
     ``model`` is ``None`` when the caller requested ``build_model=False``
-    (the schemes' partition hot path only consumes ``groups``).
+    (the schemes' partition hot path only consumes ``groups``) and for
+    every result of :func:`reduce_mixture_batch`.
     """
 
     groups: tuple[tuple[int, ...], ...]
     model: Optional[GaussianMixtureModel]
-    score: float
     iterations: int
     converged: bool
 
 
 def _group_moments(
-    groups: list[list[int]],
+    groups: Sequence[Sequence[int]],
     weights: np.ndarray,
     means: np.ndarray,
     covs: np.ndarray,
@@ -110,6 +130,9 @@ def _moments_from_assignment(
     ``compact`` holds group labels in ``0..k_occupied-1`` with every label
     occupied.  One pass of ``np.bincount``/``np.add.at`` replaces the
     Python loop over groups: this is the M-step for *all* groups at once.
+    Both accumulate in row order, so a group's moments are the same
+    bytes whether its labels are local to one problem or global ids
+    over a whole batch.
     """
     d = means.shape[1]
     group_weights = np.bincount(compact, weights=weights, minlength=k_occupied)
@@ -141,6 +164,64 @@ def _score_features(means: np.ndarray, covs: np.ndarray) -> np.ndarray:
     return features
 
 
+def _score_coefficients(
+    d: int,
+    log_pi: np.ndarray,
+    group_means: np.ndarray,
+    group_covs: np.ndarray,
+    block: int | None = None,
+) -> np.ndarray:
+    """Per-group score coefficients ``[-1/2 vec(P_j), P_j m_j, const_j]``.
+
+    ``log_pi (G,)``, ``group_means (G, d)``, ``group_covs (G, d, d)``;
+    returns ``(G, d^2+d+1)``.  Every group's row is computed elementwise
+    (or by one LAPACK call per matrix), so it does not depend on which
+    other groups share the call; ``block`` is the groups per problem
+    when the call spans several (see :func:`cholesky_log_det_batch`).
+    See :func:`_score_matrix`.
+    """
+    if d == 2:
+        # Inline regularize_covariance for the 2x2 stack: symmetrise,
+        # then add a relative ridge on the diagonal.
+        off = (group_covs[:, 0, 1] + group_covs[:, 1, 0]) * 0.5
+        a = group_covs[:, 0, 0]
+        e = group_covs[:, 1, 1]
+        floor = np.maximum((a + e) * (0.5 * _SCORING_RIDGE), _SCORING_RIDGE)
+        a = a + floor
+        e = e + floor
+        det = a * e - off * off
+        log_dets = np.log(det)
+        inv_det = 1.0 / det
+        p00 = e * inv_det
+        p11 = a * inv_det
+        p01 = -off * inv_det
+        m0 = group_means[:, 0]
+        m1 = group_means[:, 1]
+        s0 = p00 * m0 + p01 * m1
+        s1 = p01 * m0 + p11 * m1
+        consts = log_pi - 0.5 * (2.0 * _LOG_2PI + log_dets + (s0 * m0 + s1 * m1))
+        coefficients = np.empty((len(log_pi), 7))
+        coefficients[:, 0] = -0.5 * p00
+        coefficients[:, 1] = -0.5 * p01
+        coefficients[:, 2] = coefficients[:, 1]
+        coefficients[:, 3] = -0.5 * p11
+        coefficients[:, 4] = s0
+        coefficients[:, 5] = s1
+        coefficients[:, 6] = consts
+        return coefficients
+    regularized = regularize_covariance(group_covs, _SCORING_RIDGE)
+    lowers, log_dets = cholesky_log_det_batch(regularized, _SCORING_RIDGE, block)
+    lower_invs = triangular_inverse_batch(lowers)
+    precisions = np.matmul(np.swapaxes(lower_invs, -2, -1), lower_invs)
+    scaled_means = np.einsum("jab,jb->ja", precisions, group_means)
+    mean_quads = np.einsum("ja,ja->j", scaled_means, group_means)
+    consts = log_pi - 0.5 * (d * _LOG_2PI + log_dets + mean_quads)
+    return np.concatenate(
+        [-0.5 * precisions.reshape(-1, d * d), scaled_means, consts[:, None]],
+        axis=1,
+    )
+
+
 def _score_matrix(
     features: np.ndarray,
     d: int,
@@ -170,52 +251,35 @@ def _score_matrix(
     hot path calls this on 5-group stacks where the LAPACK round trip
     costs more than the whole remaining E-step.  Larger ``d`` keeps the
     batched factorisation.  This routine is the *single* scoring
-    definition shared by the EM loop and the merge-cache no-op
-    certificates, so every consumer sees identical scores.
+    definition shared by the EM loop, its stacked spelling
+    (:func:`_score_stack`) and the merge-cache no-op certificates, so
+    every consumer sees identical scores.
     """
-    k = group_weights.shape[0]
     log_pi = np.log(group_weights / group_weights.sum())
-    if d == 2:
-        # Inline regularize_covariance for the 2x2 stack: symmetrise,
-        # then add a relative ridge on the diagonal.
-        off = (group_covs[:, 0, 1] + group_covs[:, 1, 0]) * 0.5
-        a = group_covs[:, 0, 0]
-        e = group_covs[:, 1, 1]
-        floor = np.maximum((a + e) * (0.5 * _SCORING_RIDGE), _SCORING_RIDGE)
-        a = a + floor
-        e = e + floor
-        det = a * e - off * off
-        log_dets = np.log(det)
-        inv_det = 1.0 / det
-        p00 = e * inv_det
-        p11 = a * inv_det
-        p01 = -off * inv_det
-        m0 = group_means[:, 0]
-        m1 = group_means[:, 1]
-        s0 = p00 * m0 + p01 * m1
-        s1 = p01 * m0 + p11 * m1
-        consts = log_pi - 0.5 * (2.0 * _LOG_2PI + log_dets + (s0 * m0 + s1 * m1))
-        coefficients = np.empty((k, 7))
-        coefficients[:, 0] = -0.5 * p00
-        coefficients[:, 1] = -0.5 * p01
-        coefficients[:, 2] = coefficients[:, 1]
-        coefficients[:, 3] = -0.5 * p11
-        coefficients[:, 4] = s0
-        coefficients[:, 5] = s1
-        coefficients[:, 6] = consts
-        return features @ coefficients.T
-    regularized = regularize_covariance(group_covs, _SCORING_RIDGE)
-    lowers, log_dets = cholesky_log_det_batch(regularized, _SCORING_RIDGE)
-    lower_invs = triangular_inverse_batch(lowers)
-    precisions = np.matmul(np.swapaxes(lower_invs, -2, -1), lower_invs)
-    scaled_means = np.einsum("jab,jb->ja", precisions, group_means)
-    mean_quads = np.einsum("ja,ja->j", scaled_means, group_means)
-    consts = log_pi - 0.5 * (d * _LOG_2PI + log_dets + mean_quads)
-    coefficients = np.concatenate(
-        [-0.5 * precisions.reshape(k, d * d), scaled_means, consts[:, None]],
-        axis=1,
-    )
-    return features @ coefficients.T
+    return features @ _score_coefficients(d, log_pi, group_means, group_covs).T
+
+
+def _score_stack(
+    features: np.ndarray,
+    d: int,
+    group_weights: np.ndarray,
+    group_means: np.ndarray,
+    group_covs: np.ndarray,
+) -> np.ndarray:
+    """:func:`_score_matrix` for ``P`` problems of ``k`` groups each.
+
+    ``features (P, l, F)``, ``group_weights (P, k)`` and the groups'
+    moments flattened to ``(P*k, d)`` / ``(P*k, d, d)``; returns
+    ``(P, l, k)``.  The mixing-weight total reduces each problem's own
+    ``k`` lane, and the product is one stacked ``(P, l, F) @ (P, F, k)``
+    matmul, which numpy runs as one BLAS call per slice with the scalar
+    spelling's operand layout: each problem gets the bytes it gets
+    alone.
+    """
+    problems, count = group_weights.shape
+    log_pi = np.log(group_weights / group_weights.sum(axis=1, keepdims=True)).ravel()
+    coefficients = _score_coefficients(d, log_pi, group_means, group_covs, count)
+    return features @ coefficients.reshape(problems, count, -1).swapaxes(1, 2)
 
 
 def _maximin_seeds(weights: np.ndarray, means: np.ndarray, k: int) -> np.ndarray:
@@ -239,6 +303,198 @@ def _maximin_seeds(weights: np.ndarray, means: np.ndarray, k: int) -> np.ndarray
     return means[chosen]
 
 
+def _seed_stack(weights: np.ndarray, means: np.ndarray, k: int) -> np.ndarray:
+    """Maximin seeding of a ``(P, l)`` stack; returns the initial assignment.
+
+    The walk of :func:`_maximin_seeds`, one problem per row.  Each
+    component's nearest-seed distance *is* the walk's running
+    ``closest`` row, so one distance row per seed serves both the walk
+    and the assignment (ties to the earlier seed, like ``argmin`` over
+    the chosen seeds).  Rows reduce the lanes of the scalar spelling.  A
+    problem whose remaining components all coincide with seeds has an
+    all-zero ``closest`` row, so no later seed is strictly nearer to any
+    of its components: its early stop needs no mask.
+    """
+    problems = np.arange(weights.shape[0])
+    closest = np.add.reduce((means - means[problems, weights.argmax(axis=1), None]) ** 2, axis=2)
+    assignment = np.zeros(closest.shape, dtype=np.intp)
+    for slot in range(1, k):
+        seed = means[problems, closest.argmax(axis=1), None]
+        distances = np.add.reduce((means - seed) ** 2, axis=2)
+        assignment[distances < closest] = slot
+        closest = np.minimum(closest, distances)
+    return assignment
+
+
+def _compact_stack(assignment: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row :func:`~repro.native.kernels.compact_labels` of a ``(P, l)`` stack.
+
+    Returns the compact labels and each row's occupied-group count.
+    """
+    rows = np.arange(assignment.shape[0])[:, None]
+    occupied = np.zeros((assignment.shape[0], int(assignment.max()) + 1), dtype=bool)
+    occupied[rows, assignment] = True
+    lookup = occupied.cumsum(axis=1) - 1
+    return lookup[rows, assignment], lookup[:, -1] + 1
+
+
+def _e_step(
+    weights: np.ndarray,
+    means: np.ndarray,
+    covs: np.ndarray,
+    features: np.ndarray,
+    compact: np.ndarray,
+    occupied: int,
+) -> np.ndarray:
+    """One M-step + E-step for problems that all hold ``occupied`` groups.
+
+    The moments of every group of the stack come from one segment sum
+    over global group ids (problem ``p``'s group ``j`` is
+    ``p * occupied + j``); the scores from one stacked product.  Returns
+    the new assignment, with empty groups repaired.
+    """
+    problems, size = compact.shape
+    d = means.shape[-1]
+    offsets = np.arange(0, problems * occupied, occupied)[:, None]
+    group_weights, group_means, group_covs = _moments_from_assignment(
+        (compact + offsets).ravel(),
+        problems * occupied,
+        weights.ravel(),
+        means.reshape(-1, d),
+        covs.reshape(-1, d, d),
+    )
+    scores = _score_stack(
+        features, d, group_weights.reshape(problems, occupied), group_means, group_covs
+    )
+    assignment = scores.argmax(axis=2)
+    members = np.bincount((assignment + offsets).ravel(), minlength=problems * occupied)
+    if members.all():
+        return assignment
+    members = members.reshape(problems, occupied)
+    for p in np.flatnonzero(~members.all(axis=1)).tolist():
+        # Repair empty groups (possible when seeds collapse), one problem
+        # at a time: move the worst-explained components into them.
+        best = scores[p, np.arange(size), assignment[p]]
+        order = np.argsort(best)  # worst fit first
+        for j, i in zip(np.flatnonzero(members[p] == 0), order):
+            assignment[p, int(i)] = int(j)
+    return assignment
+
+
+def _hard_em(
+    weights: np.ndarray,
+    means: np.ndarray,
+    covs: np.ndarray,
+    k: int,
+    max_iterations: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Hard EM over ``P`` equal-size problems with more than ``k`` rows.
+
+    Returns per-problem final labels ``(P, l)`` (group ``j`` = the
+    ``j``-th smallest label), iteration counts and converged flags.
+    Each problem freezes at its own fixed point; only the problems still
+    moving take part in later iterations.
+    """
+    # Seed group centres deterministically: the heaviest component first,
+    # then greedy farthest-point (maximin) selection.  Unlike randomised
+    # k-means++ this *always* covers well-separated clusters, so a node
+    # can never draw an unlucky seeding that merges a distant outlier
+    # cluster into the bulk — an irreversible mistake under the
+    # algorithm's lossy compression (merged collections never separate).
+    assignment = _seed_stack(weights, means, k)
+    labels = np.empty_like(assignment)
+    problems, size, d = means.shape
+    iterations = np.zeros(problems, dtype=np.int64)
+    converged = np.zeros(problems, dtype=bool)
+    active = np.arange(problems)
+    features = _score_features(means.reshape(-1, d), covs.reshape(-1, d, d)).reshape(
+        problems, size, -1
+    )
+    with span("ml.reduce_mixture"):
+        for iteration in range(1, max_iterations + 1):
+            # Relabel occupied groups compactly (occupied labels keep
+            # their sorted order), then step every problem, one stack
+            # per occupied-group count so no problem sees padding.  A
+            # problem with one group keeps every component in it.
+            compact, occupied = _compact_stack(assignment)
+            low = int(occupied[0])
+            if (occupied == low).all():
+                new_assignment = (
+                    _e_step(weights, means, covs, features, compact, low)
+                    if low > 1
+                    else compact
+                )
+            else:
+                new_assignment = compact.copy()
+                for count in np.unique(occupied[occupied > 1]).tolist():
+                    sub = np.flatnonzero(occupied == count)
+                    new_assignment[sub] = _e_step(
+                        weights[sub], means[sub], covs[sub], features[sub], compact[sub], count
+                    )
+            moving = (new_assignment != compact).any(axis=1)
+            if not moving.all():
+                fixed = active[~moving]
+                labels[fixed] = compact[~moving]
+                iterations[fixed] = iteration
+                converged[fixed] = True
+                active = active[moving]
+                if not len(active):
+                    break
+                new_assignment = new_assignment[moving]
+                weights, means, covs, features = (
+                    weights[moving],
+                    means[moving],
+                    covs[moving],
+                    features[moving],
+                )
+            assignment = new_assignment
+        else:
+            labels[active] = assignment
+            iterations[active] = max_iterations
+    global _EM_ITERATIONS_TOTAL
+    _EM_ITERATIONS_TOTAL += int(iterations.sum())
+    return labels, iterations, converged
+
+
+def _groups_of(labels: list[int]) -> tuple[tuple[int, ...], ...]:
+    """Component indices bucketed by label: ascending labels, ascending indices."""
+    buckets: dict[int, list[int]] = {}
+    for i, label in enumerate(labels):
+        buckets.setdefault(label, []).append(i)
+    return tuple(tuple(buckets[label]) for label in sorted(buckets))
+
+
+def reduce_mixture_batch(
+    weights: np.ndarray,
+    means: np.ndarray,
+    covs: np.ndarray,
+    k: int,
+    max_iterations: int = 50,
+) -> list[ReductionResult]:
+    """Group each of ``P`` equal-size ``l``-mixtures into at most ``k`` groups.
+
+    ``weights``, ``means`` and ``covs`` have shapes ``(P, l)``,
+    ``(P, l, d)`` and ``(P, l, d, d)``.  Problem ``p``'s result is
+    exactly :func:`reduce_mixture`'s with ``build_model=False`` (the
+    same groups, iteration count and converged flag).  The stack runs in
+    slices of at most ``_BATCH_ROWS`` component rows.
+    """
+    problems, size = weights.shape
+    if size <= k:
+        singletons = tuple((i,) for i in range(size))
+        return [ReductionResult(singletons, None, 0, True)] * problems
+    results: list[ReductionResult] = []
+    step = max(1, _BATCH_ROWS // size)
+    for start in range(0, problems, step):
+        stop = start + step
+        labels, iterations, converged = _hard_em(
+            weights[start:stop], means[start:stop], covs[start:stop], k, max_iterations
+        )
+        for row, count, done in zip(labels.tolist(), iterations.tolist(), converged.tolist()):
+            results.append(ReductionResult(_groups_of(row), None, count, done))
+    return results
+
+
 def reduce_mixture(
     weights: np.ndarray,
     means: np.ndarray,
@@ -247,7 +503,6 @@ def reduce_mixture(
     rng: np.random.Generator,
     max_iterations: int = 50,
     build_model: bool = True,
-    compute_score: bool = False,
 ) -> ReductionResult:
     """Group ``l`` weighted Gaussians into at most ``k`` groups by hard EM.
 
@@ -268,18 +523,12 @@ def reduce_mixture(
         (``result.model`` is ``None``).  The scheme partition hot path
         only needs ``groups``, so it opts out of the extra k moment
         matches per call.
-    compute_score:
-        When false (the default), ``result.score`` is reported as 0.0
-        and the per-iteration best-score gather is skipped except when
-        an empty-group repair needs it.  The assignment sequence — and
-        therefore ``groups`` — is identical either way.
 
     Returns
     -------
     ReductionResult
         ``groups`` partitions ``range(l)``; ``model`` is the
-        moment-matched reduced mixture; ``score`` is the summed
-        weight-scaled expected log-likelihood the assignment achieves.
+        moment-matched reduced mixture.
     """
     weights = np.asarray(weights, dtype=float)
     means = np.atleast_2d(np.asarray(means, dtype=float))
@@ -303,17 +552,11 @@ def reduce_mixture(
         return ReductionResult(
             groups=tuple(tuple(group) for group in groups),
             model=model,
-            score=0.0,
             iterations=0,
             converged=True,
         )
 
-    # Seed group centres deterministically: the heaviest component first,
-    # then greedy farthest-point (maximin) selection.  Unlike randomised
-    # k-means++ this *always* covers well-separated clusters, so a node
-    # can never draw an unlucky seeding that merges a distant outlier
-    # cluster into the bulk — an irreversible mistake under the
-    # algorithm's lossy compression (merged collections never separate).
+    # Seed group centres deterministically (see _hard_em).
     if l <= _FUSED_PAIRWISE_MAX:
         # Gossip-sized inputs: one fused pairwise matrix feeds both the
         # seed walk and the initial assignment.  Byte-identical to the
@@ -328,7 +571,6 @@ def reduce_mixture(
 
     converged = False
     iteration = 0
-    score = 0.0
     d = means.shape[1]
     features = _score_features(means, covs)
     with span("ml.reduce_mixture"):
@@ -344,18 +586,13 @@ def reduce_mixture(
                 features, d, group_weights, group_means, group_covs
             )
             new_assignment = scores.argmax(axis=1)
-            best = None
-            if compute_score:
-                best = scores[np.arange(l), new_assignment]
-                score = float(np.sum(weights * best))
 
             # Repair empty groups (possible when k seeds collapse): move the
             # worst-explained component into its own group.
             counts = np.bincount(new_assignment, minlength=occupied_count)
             if not counts.all():
                 free = np.flatnonzero(counts == 0)
-                if best is None:
-                    best = scores[np.arange(l), new_assignment]
+                best = scores[np.arange(l), new_assignment]
                 order = np.argsort(best)  # worst fit first
                 for j, i in zip(free, order):
                     new_assignment[int(i)] = int(j)
@@ -368,12 +605,7 @@ def reduce_mixture(
     global _EM_ITERATIONS_TOTAL
     _EM_ITERATIONS_TOTAL += iteration
 
-    # Bucket indices by label in one pass; ascending labels with ascending
-    # member indices, exactly like the old per-label ``np.where`` scan.
-    buckets: dict[int, list[int]] = {}
-    for i, label in enumerate(assignment.tolist()):
-        buckets.setdefault(label, []).append(i)
-    groups = [buckets[label] for label in sorted(buckets)]
+    groups = _groups_of(assignment.tolist())
     model = None
     if build_model:
         group_weights, group_means, group_covs = _group_moments(
@@ -381,9 +613,8 @@ def reduce_mixture(
         )
         model = GaussianMixtureModel(group_weights, group_means, group_covs)
     return ReductionResult(
-        groups=tuple(tuple(group) for group in groups),
+        groups=groups,
         model=model,
-        score=score,
         iterations=iteration,
         converged=converged,
     )

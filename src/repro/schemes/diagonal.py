@@ -45,6 +45,8 @@ class DiagonalGaussianScheme(SummaryScheme):
     Behaviourally identical to :class:`~repro.schemes.gm.GaussianMixtureScheme`
     on axis-aligned data; loses the correlation information (the tilt of
     Figure 2's fire-side ellipse) in exchange for O(d) summaries.
+    ``seed`` and ``reduction_iterations`` are as there: the EM reduction
+    seeds by deterministic maximin selection and never reads the seed.
     """
 
     identity_below_k = True  # same reduce_mixture singleton behaviour at l <= k
@@ -106,6 +108,14 @@ class DiagonalGaussianScheme(SummaryScheme):
         quantization: Quantization,
     ) -> list[list[int]]:
         return self._full.partition_packed(packed, k, quantization)
+
+    def partition_packed_batch(
+        self,
+        problems: Sequence[PackedState],
+        k: int,
+        quantization: Quantization,
+    ) -> list[list[list[int]]]:
+        return self._full.partition_packed_batch(problems, k, quantization)
 
     def merge_set_packed(
         self, packed: PackedState, group: Sequence[int]

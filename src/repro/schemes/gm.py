@@ -23,7 +23,7 @@ from repro.core.packed import PackedState
 from repro.core.scheme import SummaryScheme
 from repro.core.weights import Quantization
 from repro.ml.gaussian import pool_moments
-from repro.ml.reduction import reduce_mixture
+from repro.ml.reduction import reduce_mixture, reduce_mixture_batch
 from repro.native.kernels import pool_moments_groups
 from repro.schemes.gaussian import (
     GaussianSummary,
@@ -40,10 +40,10 @@ class GaussianMixtureScheme(SummaryScheme):
     Parameters
     ----------
     seed:
-        Seeds the scheme's private RNG, used only to initialise the EM
-        reduction (k-means++ seeding).  Runs are reproducible given the
-        seed; distinct nodes may share one scheme instance (the paper's
-        algorithm does not require node-local randomness here).
+        Seeds the scheme's private RNG, kept for API stability: the EM
+        reduction seeds its groups by deterministic maximin selection
+        and never reads it, so runs do not depend on the seed and
+        distinct nodes may share one scheme instance.
     reduction_iterations:
         Cap on EM iterations per ``partition`` call.  The paper's nodes
         "run EM once for the entire set" per receipt; a small cap keeps
@@ -153,6 +153,39 @@ class GaussianMixtureScheme(SummaryScheme):
             k,
             quantization,
         )
+
+    def partition_packed_batch(
+        self,
+        problems: Sequence[PackedState],
+        k: int,
+        quantization: Quantization,
+    ) -> list[list[list[int]]]:
+        """Solve the problems in stacks of equal pooled size.
+
+        Each size bucket is one :func:`~repro.ml.reduction.reduce_mixture_batch`
+        call (stacking needs equal sizes, and a bucket never pads a
+        problem); the minimum-weight rule then runs per problem, as in
+        :meth:`partition_packed`.
+        """
+        out: list[list[list[int]]] = [[] for _ in problems]
+        buckets: dict[int, list[int]] = {}
+        for index, packed in enumerate(problems):
+            buckets.setdefault(len(packed), []).append(index)
+        for members in buckets.values():
+            quanta = np.stack([problems[index].quanta for index in members])
+            means = np.stack([problems[index].columns["mean"] for index in members])
+            covs = np.stack([problems[index].columns["cov"] for index in members])
+            results = reduce_mixture_batch(
+                quanta.astype(float), means, covs, k, self.reduction_iterations
+            )
+            for row, (index, result) in enumerate(zip(members, results)):
+                out[index] = self._enforce_minimum_weight_rule(
+                    [list(group) for group in result.groups],
+                    quanta[row],
+                    means[row],
+                    quantization,
+                )
+        return out
 
     def merge_set_packed(
         self, packed: PackedState, group: Sequence[int]

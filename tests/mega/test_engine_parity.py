@@ -18,7 +18,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.fingerprint import MergeCache
 from repro.mega import ArenaEngine
+from repro.mega.engine import ReceiveSolver
 from repro.network.simulator import RoundRobinSelector
 from repro.network.topology import TOPOLOGY_BUILDERS
 from repro.protocols.classification import build_classification_network
@@ -60,12 +62,28 @@ SCHEMES = [
 ]
 
 
+#: The default cross-round memo, none at all, and one so small that it
+#: evicts on nearly every store: the memo only replays bytes, so its
+#: size (and the LRU order in which a round's lookups and stores
+#: interleave) must never change them.
+SEEDS = [
+    pytest.param(0, 65536, id="0"),
+    pytest.param(7, 65536, id="7"),
+    pytest.param(0, 0, id="0-memo0"),
+    pytest.param(7, 0, id="7-memo0"),
+    pytest.param(0, 4, id="0-memo4"),
+    pytest.param(7, 4, id="7-memo4"),
+]
+
+
 @pytest.mark.parametrize("make_scheme, k, dimension", SCHEMES)
-@pytest.mark.parametrize("seed", [0, 7])
-def test_engine_matches_kernel(make_scheme, k, dimension, seed):
+@pytest.mark.parametrize("seed, memo_size", SEEDS)
+def test_engine_matches_kernel(make_scheme, k, dimension, seed, memo_size):
     values = _values(dimension)
     expected = _kernel_states(values, make_scheme(), k, seed, ROUNDS)
-    engine = ArenaEngine(values, make_scheme(), k, seed=seed, use_cache=True)
+    engine = ArenaEngine(
+        values, make_scheme(), k, seed=seed, use_cache=True, memo_size=memo_size
+    )
     engine.run(ROUNDS)
     assert _engine_states(engine) == expected
 
@@ -157,3 +175,36 @@ def test_stats_account_for_every_receiver():
 def test_pull_variant_rejected():
     with pytest.raises(ValueError, match="push"):
         ArenaEngine(_values(2), CentroidScheme(), 3, variant="pull")
+
+
+@pytest.mark.parametrize("shared", [False, True])
+def test_noop_plan_only_for_local_incoming(monkeypatch, shared):
+    """The certified no-op checks membership before it builds a plan.
+
+    Two nodes, k = 1: each receive pools two rows, so neither the fast
+    path nor a memo answers it.  With distinct values the incoming
+    summary is not the receiver's own, and no plan (and no certificate)
+    may be built; with a shared value it is, and the plan is built.
+    """
+    built, certified = [], []
+    build = ReceiveSolver._build_noop_plan
+    certificate_for = MergeCache.certificate_for
+
+    def counting_build(self, *args):
+        built.append(args)
+        return build(self, *args)
+
+    def counting_certificate(self, *args, **kwargs):
+        certified.append(args)
+        return certificate_for(self, *args, **kwargs)
+
+    monkeypatch.setattr(ReceiveSolver, "_build_noop_plan", counting_build)
+    monkeypatch.setattr(MergeCache, "certificate_for", counting_certificate)
+    values = np.array([[0.0, 0.0], [0.0, 0.0] if shared else [8.0, 8.0]])
+    engine = ArenaEngine(values, GaussianMixtureScheme(seed=0), 1, seed=0, use_cache=True)
+    engine.run_round()
+    if shared:
+        assert built and certified
+    else:
+        assert built == [] and certified == []
+        assert engine.stats.full_solves == 2

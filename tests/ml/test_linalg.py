@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.ml.linalg import (
+    cholesky_log_det_batch,
     cholesky_with_ridge,
     log_det_and_solve,
     mahalanobis_squared,
@@ -53,6 +54,19 @@ class TestCholesky:
     def test_lower_triangular(self):
         lower = cholesky_with_ridge(np.eye(3) * 2.0)
         assert np.allclose(lower, np.tril(lower))
+
+
+    def test_failing_block_escalates_alone(self, rng):
+        """Per-problem blocks: each gets the factors it gets factorised alone."""
+        factors = rng.normal(size=(4, 3, 3))
+        covs = factors @ np.swapaxes(factors, -1, -2) + np.eye(3)
+        covs[3] = -np.eye(3)  # the second block cannot factorise as is
+        lowers, log_dets = cholesky_log_det_batch(covs, block=2)
+        for start in (0, 2):
+            alone, alone_log_dets = cholesky_log_det_batch(covs[start : start + 2])
+            assert lowers[start : start + 2].tobytes() == alone.tobytes()
+            assert log_dets[start : start + 2].tobytes() == alone_log_dets.tobytes()
+        assert lowers[:2].tobytes() == np.linalg.cholesky(covs[:2]).tobytes()
 
 
 class TestLogDetAndSolve:

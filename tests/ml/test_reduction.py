@@ -2,9 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.packed import PackedState
+from repro.core.weights import Quantization
 from repro.ml.gaussian import pool_moments
-from repro.ml.reduction import reduce_mixture
+from repro.ml import reduction
+from repro.ml.reduction import em_iterations_total, reduce_mixture, reduce_mixture_batch
+from repro.schemes.gm import GaussianMixtureScheme
 
 
 def component_block(rng, center, count, spread=0.4):
@@ -100,3 +106,165 @@ class TestValidation:
         a = reduce_mixture(weights, means, covs, k=3, rng=np.random.default_rng(1))
         b = reduce_mixture(weights, means, covs, k=3, rng=np.random.default_rng(1))
         assert a.groups == b.groups
+
+
+# ----------------------------------------------------------------------
+# The stacked core: a problem solved in a batch is the problem solved alone
+# ----------------------------------------------------------------------
+def _problem(rng, size, d, anchors, jitter, heavy, spread):
+    """One pooled set: ``(quanta, means, covs)``.
+
+    Means sit on ``anchors`` distinct points (so maximin seeding stops
+    early and only one or two groups may be occupied) plus ``jitter``;
+    ``heavy`` puts a wide component of 2^40 quanta first, which leaves
+    the light groups empty after an E-step (the repair path) and can
+    keep the assignment cycling up to ``max_iterations``.
+    """
+    points = rng.normal(size=(anchors, d)) * 4.0
+    means = points[rng.integers(0, anchors, size=size)]
+    if jitter:
+        means = means + rng.normal(size=means.shape) * jitter
+    factors = rng.normal(size=(size, d, d)) * spread
+    covs = factors @ np.swapaxes(factors, -1, -2)
+    quanta = rng.integers(1, 9, size=size).astype(np.int64)
+    if heavy:
+        covs[0] = np.eye(d) * 100.0
+        quanta[0] = 1 << 40
+    return quanta, means, covs
+
+
+problem_shapes = st.lists(
+    st.tuples(
+        st.integers(0, 23),  # size above k
+        st.integers(1, 3),  # distinct anchor points
+        st.sampled_from([0.0, 1e-3, 1.0]),  # jitter
+        st.booleans(),  # heavy wide component
+        st.sampled_from([0.0, 0.05, 1.0]),  # covariance scale
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 4),
+    d=st.sampled_from([2, 3]),
+    max_iterations=st.sampled_from([1, 2, 25]),
+    shapes=problem_shapes,
+)
+def test_batched_solves_equal_solves_alone(seed, k, d, max_iterations, shapes):
+    rng = np.random.default_rng(seed)
+    problems = [
+        _problem(rng, k + 1 + min(extra, 23 - k), d, anchors, jitter, heavy, spread)
+        for extra, anchors, jitter, heavy, spread in shapes
+    ]
+    alone = []
+    before = em_iterations_total()
+    for quanta, means, covs in problems:
+        alone.append(
+            reduce_mixture(
+                quanta.astype(float), means, covs, k, None, max_iterations, build_model=False
+            )
+        )
+    alone_iterations = em_iterations_total() - before
+    by_size: dict[int, list[int]] = {}
+    for index, (quanta, _, _) in enumerate(problems):
+        by_size.setdefault(len(quanta), []).append(index)
+    before = em_iterations_total()
+    for members in by_size.values():
+        batch = reduce_mixture_batch(
+            np.stack([problems[i][0] for i in members]).astype(float),
+            np.stack([problems[i][1] for i in members]),
+            np.stack([problems[i][2] for i in members]),
+            k,
+            max_iterations,
+        )
+        for index, result in zip(members, batch):
+            assert result.groups == alone[index].groups
+            assert result.iterations == alone[index].iterations
+            assert result.converged == alone[index].converged
+    assert em_iterations_total() - before == alone_iterations
+
+    # The GM scheme buckets a mixed-size list itself and then applies the
+    # minimum-weight rule per problem, exactly as partition_packed does.
+    scheme = GaussianMixtureScheme(seed=0, reduction_iterations=max_iterations)
+    packed = [
+        PackedState(quanta=quanta, columns={"mean": means, "cov": covs})
+        for quanta, means, covs in problems
+    ]
+    quantization = Quantization()
+    assert scheme.partition_packed_batch(packed, k, quantization) == [
+        scheme.partition_packed(state, k, quantization) for state in packed
+    ]
+
+
+def test_stack_repairs_and_caps_like_one_problem(monkeypatch):
+    """Pinned inputs that take the empty-group repair and hit the cap."""
+    rng = np.random.default_rng(0)
+    problems = [_problem(rng, 8, 2, 3, 1.0, True, 0.0) for _ in range(4)]
+    repairs = []
+    original = np.argsort
+
+    def counting_argsort(values, *args, **kwargs):
+        repairs.append(1)  # the repair is the reduction's only argsort
+        return original(values, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", counting_argsort)
+    alone = [
+        reduce_mixture(quanta.astype(float), means, covs, 3, None, 50, build_model=False)
+        for quanta, means, covs in problems
+    ]
+    solo_repairs = len(repairs)
+    batch = reduce_mixture_batch(
+        np.stack([p[0] for p in problems]).astype(float),
+        np.stack([p[1] for p in problems]),
+        np.stack([p[2] for p in problems]),
+        3,
+        50,
+    )
+    assert solo_repairs > 0 and len(repairs) == 2 * solo_repairs
+    assert not all(result.converged for result in alone)
+    assert [(r.groups, r.iterations, r.converged) for r in batch] == [
+        (r.groups, r.iterations, r.converged) for r in alone
+    ]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("count", [1, 2, 3, 5])
+def test_stacked_scores_are_the_bytes_of_each_problem(d, count):
+    """The stacked product is byte-safe: one BLAS call per slice."""
+    rng = np.random.default_rng(d * 10 + count)
+    problems, size = 7, 9
+    means = rng.normal(size=(problems, size, d)) * 3.0
+    factors = rng.normal(size=(problems, size, d, d))
+    covs = factors @ np.swapaxes(factors, -1, -2)
+    features = np.stack([reduction._score_features(m, c) for m, c in zip(means, covs)])
+    weights = rng.uniform(1.0, 9.0, size=(problems, count))
+    group_means = rng.normal(size=(problems * count, d))
+    group_factors = rng.normal(size=(problems * count, d, d))
+    group_covs = group_factors @ np.swapaxes(group_factors, -1, -2)
+    stacked = reduction._score_stack(features, d, weights, group_means, group_covs)
+    for p in range(problems):
+        rows = slice(p * count, (p + 1) * count)
+        alone = reduction._score_matrix(
+            features[p], d, weights[p], group_means[rows], group_covs[rows]
+        )
+        assert stacked[p].tobytes() == alone.tobytes()
+
+
+def test_stack_runs_in_bounded_slices(monkeypatch):
+    rng = np.random.default_rng(1)
+    problems = [_problem(rng, 8, 2, 2, 1.0, False, 0.05) for _ in range(5)]
+    stacked = [np.stack([p[i] for p in problems]) for i in range(3)]
+    whole = reduce_mixture_batch(stacked[0].astype(float), stacked[1], stacked[2], 3)
+    monkeypatch.setattr(reduction, "_BATCH_ROWS", 16)  # two problems per slice
+    sliced = reduce_mixture_batch(stacked[0].astype(float), stacked[1], stacked[2], 3)
+    assert sliced == whole
+
+
+def test_small_problems_keep_singletons():
+    quanta = np.ones((3, 2))
+    batch = reduce_mixture_batch(quanta, np.zeros((3, 2, 2)), np.zeros((3, 2, 2, 2)), 2)
+    assert [result.groups for result in batch] == [((0,), (1,))] * 3
