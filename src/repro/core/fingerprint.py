@@ -27,9 +27,10 @@ makes that redundancy *addressable*:
      whose incoming digests are a subset of the local ones is a *no-op*
      up to quanta bookkeeping.  The certificate pins the weight-independent
      geometry (pairwise-distinct locations, maximin seed orders, E-step
-     score margins); a cheap pure-Python check per receipt then verifies
-     the weight-dependent remainder.  See ``docs/performance.md`` for the
-     soundness argument.
+     score margins); :mod:`repro.core.receive` keeps a per-local-block
+     no-op plan on the cache and checks the weight-dependent remainder
+     per receipt.  See ``docs/performance.md`` for the soundness
+     argument.
 
 Both layers are only consulted when the scheme declares
 ``supports_fingerprints``; both default on (the ``REPRO_MERGE_CACHE``
@@ -173,21 +174,18 @@ class IdentityCertificate:
     __slots__ = (
         "locations",
         "index_of",
-        "summaries",
         "style",
         "valid",
         "_means",
         "_margins",
         "_slack",
         "_seed_orders",
-        "_columns",
         "_threshold_matrix",
     )
 
     def __init__(
         self,
         locations: Tuple[bytes, ...],
-        summaries: Tuple[Any, ...],
         style: str,
         valid: bool,
         means: Optional[np.ndarray] = None,
@@ -195,7 +193,6 @@ class IdentityCertificate:
     ) -> None:
         self.locations = locations
         self.index_of = {digest: i for i, digest in enumerate(locations)}
-        self.summaries = summaries
         self.style = style
         self.valid = valid
         self._means = means
@@ -209,7 +206,6 @@ class IdentityCertificate:
         self._seed_orders: Dict[
             Tuple[int, Tuple[int, ...]], Optional[Tuple[int, ...]]
         ] = {}
-        self._columns: Dict[Tuple[bytes, ...], Dict[str, np.ndarray]] = {}
         self._threshold_matrix: Optional[np.ndarray] = None
 
     def seed_order(
@@ -304,25 +300,6 @@ class IdentityCertificate:
             self._threshold_matrix = matrix
         return matrix
 
-    def columns_for(
-        self, order: Tuple[bytes, ...], scheme: "SummaryScheme"
-    ) -> Dict[str, np.ndarray]:
-        """Packed column arrays for the locations in ``order`` (cached).
-
-        The arrays are shared across every receive that lands on the same
-        output order — safe because packed columns are never mutated in
-        place (splits rebuild only the quanta vector; merges re-pack).
-        """
-        columns = self._columns.get(order)
-        if columns is None:
-            columns = scheme.pack_summaries(
-                [self.summaries[self.index_of[digest]] for digest in order]
-            )
-            if len(self._columns) >= 32:  # pathological order churn guard
-                self._columns.clear()
-            self._columns[order] = columns
-        return columns
-
 
 def _pairwise_distances_positive(rows: np.ndarray) -> bool:
     """Whether every off-diagonal pairwise squared distance is > 0."""
@@ -340,7 +317,7 @@ def _build_certificate(
     """Construct (and validate) the certificate for one location set."""
     style = scheme.identity_partition_style
     if style not in ("em", "greedy"):
-        return IdentityCertificate(locations, summaries, style or "none", valid=False)
+        return IdentityCertificate(locations, style or "none", valid=False)
     columns = scheme.pack_summaries(list(summaries))
     if style == "greedy":
         matrix = next(iter(columns.values()))
@@ -350,12 +327,12 @@ def _build_certificate(
         # minimum), so check computed distances rather than byte
         # inequality — distinct rows can still underflow to distance 0.
         if not _pairwise_distances_positive(positions):
-            return IdentityCertificate(locations, summaries, style, valid=False)
-        return IdentityCertificate(locations, summaries, style, valid=True)
+            return IdentityCertificate(locations, style, valid=False)
+        return IdentityCertificate(locations, style, valid=True)
 
     # EM style: needs mean/cov columns (the Gaussian schemes' packing).
     if "mean" not in columns or "cov" not in columns:
-        return IdentityCertificate(locations, summaries, style, valid=False)
+        return IdentityCertificate(locations, style, valid=False)
     means = np.atleast_2d(np.asarray(columns["mean"], dtype=float))
     covs = np.asarray(columns["cov"], dtype=float)
     if covs.ndim == 2:
@@ -365,9 +342,9 @@ def _build_certificate(
     # positive pairwise mean distances as *computed* (not merely
     # byte-distinct means, which can underflow to distance zero).
     if not _pairwise_distances_positive(means):
-        return IdentityCertificate(locations, summaries, style, valid=False)
+        return IdentityCertificate(locations, style, valid=False)
     if m == 1:
-        return IdentityCertificate(locations, summaries, style, valid=True, means=means)
+        return IdentityCertificate(locations, style, valid=True, means=means)
     # Score margins at uniform group weights: the mixing-weight term is
     # constant across groups there, so scores[a, a] - scores[a, b] is the
     # pure geometry of "component at location a under group b" — computed
@@ -378,9 +355,7 @@ def _build_certificate(
         _score_features(means, covs), means.shape[1], np.ones(m), means, covs
     )
     margins = scores.diagonal()[:, None] - scores
-    return IdentityCertificate(
-        locations, summaries, style, valid=True, means=means, margins=margins
-    )
+    return IdentityCertificate(locations, style, valid=True, means=means, margins=margins)
 
 
 class MergeCache:
@@ -389,11 +364,15 @@ class MergeCache:
     Owned by the :class:`~repro.network.kernel.SimulationKernel` (which
     folds its counters into :class:`~repro.network.metrics.NetworkMetrics`)
     and consulted by every :class:`~repro.core.node.ClassifierNode` of the
-    run from inside ``receive_packed``.  Byte-identity contract: a cache
-    hit — memo replay or certified no-op — produces exactly the packed
-    rows, stats deltas and ``merge`` events the uncached pipeline would
-    have produced.  The parity and determinism suites pin this with
-    the cache on (the default).
+    run from inside ``receive_packed`` (an arena's
+    :class:`~repro.mega.engine.ReceiveSolver` owns one the same way).
+    Byte-identity contract: a cache hit — memo replay or certified no-op
+    — produces exactly the packed rows, stats deltas and ``merge``
+    events the uncached pipeline would have produced.  The parity and
+    determinism suites pin this with the cache on (the default).
+
+    ``noop_plans`` holds :mod:`repro.core.receive`'s per-local-block
+    no-op plans, keyed by ``k`` and the ordered local row tokens.
     """
 
     def __init__(self, max_entries: Optional[int] = None) -> None:
@@ -406,6 +385,7 @@ class MergeCache:
         self._certificates: "OrderedDict[Tuple[bytes, ...], IdentityCertificate]" = (
             OrderedDict()
         )
+        self.noop_plans: Dict[Any, Any] = {}
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -436,19 +416,6 @@ class MergeCache:
 
     def record_noop(self) -> None:
         self.noop_hits += 1
-
-    def certificate_lookup(
-        self, locations: Tuple[bytes, ...]
-    ) -> Optional[IdentityCertificate]:
-        """An already-built certificate, or ``None`` — never builds one.
-
-        A receiving node probes with this first so it only unpacks
-        summary objects (the build inputs) on an actual miss.
-        """
-        certificate = self._certificates.get(locations)
-        if certificate is not None:
-            self._certificates.move_to_end(locations)
-        return certificate
 
     def certificate_for(
         self,

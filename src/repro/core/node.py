@@ -24,7 +24,6 @@ setting of the convergence proof).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Any, Optional, Sequence
 
@@ -40,11 +39,17 @@ from repro.core.fingerprint import (
 )
 from repro.core.mixture import MixtureVector
 from repro.core.packed import PackedPayload, PackedState, unpack_collections
+from repro.core.receive import (
+    certified_noop,
+    merge_pooled,
+    partition_pooled,
+    takes_fast_path,
+)
 from repro.core.scheme import SummaryScheme, validate_partition
 from repro.core.weights import Quantization
 from repro.obs.context import current_sink
 from repro.obs.events import Event, EventSink
-from repro.obs.profiling import current_registry, span
+from repro.obs.profiling import current_registry
 
 __all__ = ["ClassifierNode", "NodeStats"]
 
@@ -349,13 +354,14 @@ class ClassifierNode:
     def receive_packed(self, payloads: Sequence[PackedPayload]) -> None:
         """Pool the payloads' rows with local state, partition, and merge.
 
-        The pipeline runs, in order: the identity fast path (below the
-        compression bound), the merge cache's memo replay and certified
-        no-op (see :mod:`repro.core.fingerprint`), then
-        ``partition_packed`` and the batched merge.  Every layer yields
-        the bytes, stats deltas and ``merge`` events the full partition
-        and merge would; the parity suites pin the result against the
-        test-side Algorithm 1 oracle.
+        The decisions are :mod:`repro.core.receive`'s, taken in this
+        order: the identity fast path (below the compression bound), the
+        merge cache's memo replay, the certified no-op, then the full
+        solve (``partition_packed`` and the batched merge).  The node
+        adds its own work: the memo table, aux rows, ``validate``, stats
+        and events.  Every layer yields the bytes, stats deltas and
+        ``merge`` events the full solve would; the parity suites pin the
+        result against the test-side Algorithm 1 oracle.
         """
         stats = self.stats
         stats.batches_received += 1
@@ -371,25 +377,21 @@ class ClassifierNode:
         )
         pooled_size = len(local) + total_in
         registry = current_registry()
-        # Fast path: below the compression bound the partition is the
-        # identity (see SummaryScheme.identity_below_k) unless a
-        # minimum-weight row could trigger conformance rule 2.
-        if pooled_size <= self.k and self.scheme.identity_below_k:
-            min_quanta = min(int(local.quanta.min()), int(incoming.quanta.min()))
-            if not self.quantization.is_minimum(min_quanta):
-                pooled = PackedState.concat_many((local, incoming))
-                if self.validate:
-                    identity = [[index] for index in range(pooled_size)]
-                    validate_partition(identity, pooled, self.k, self.quantization)
-                self._adopt(pooled)
-                stats.fastpath_hits += 1
-                if registry is not None:
-                    registry.inc("partition.fastpath_hit")
-                if self.event_sink is not None:
-                    self.event_sink.emit(
-                        Event(kind="fastpath", node=self.node_id, items=pooled_size)
-                    )
-                return
+        scheme = self.scheme
+        if takes_fast_path(scheme, self.k, self.quantization, local.quanta, incoming.quanta):
+            pooled = PackedState.concat_many((local, incoming))
+            if self.validate:
+                identity = [[index] for index in range(pooled_size)]
+                validate_partition(identity, pooled, self.k, self.quantization)
+            self._adopt(pooled)
+            stats.fastpath_hits += 1
+            if registry is not None:
+                registry.inc("partition.fastpath_hit")
+            if self.event_sink is not None:
+                self.event_sink.emit(
+                    Event(kind="fastpath", node=self.node_id, items=pooled_size)
+                )
+            return
         stats.fastpath_misses += 1
         if registry is not None:
             registry.inc("partition.fastpath_miss")
@@ -399,7 +401,7 @@ class ClassifierNode:
             local_digests = self._row_digests()
             in_digests = incoming.row_digests
             if in_digests is None:
-                digest_row = self.scheme.digest_row
+                digest_row = scheme.digest_row
                 in_digests = tuple(
                     digest_row(incoming.columns, index) for index in range(total_in)
                 )
@@ -410,7 +412,7 @@ class ClassifierNode:
             # receipts over the same multiset but different row orders may
             # legitimately produce differently ordered output.
             key = (
-                id(self.scheme),
+                id(scheme),
                 self.k,
                 self.quantization.unit,
                 tuple(zip(local_digests, local.quanta.tolist())),
@@ -418,100 +420,43 @@ class ClassifierNode:
             )
             entry = cache.lookup(key)
             if entry is not None:
-                self._replay_memo(entry, pooled_size)
+                self._replay(
+                    entry.digests,
+                    np.fromiter(entry.quanta, dtype=np.int64, count=len(entry.quanta)),
+                    entry.columns,
+                    entry.group_sizes,
+                    "memo",
+                    pooled_size,
+                )
                 return
-            if self._absorb_noop(
-                incoming.quanta, in_digests, local_digests, pooled_size
-            ):
+            noop = certified_noop(
+                cache,
+                scheme,
+                self.k,
+                self.quantization,
+                local_digests,
+                local.quanta,
+                in_digests,
+                incoming.quanta,
+                local.columns,
+                lambda digest, position: (digest, scheme.unpack_summary(local.columns, position)),
+            )
+            if noop is not None:
+                cache.record_noop()
+                self._replay(
+                    noop.tokens, noop.quanta, noop.columns, noop.group_sizes, "noop", pooled_size
+                )
                 return
         pooled = PackedState.concat_many((local, incoming))
-        groups = self.scheme.partition_packed(pooled, self.k, self.quantization)
+        (groups,) = partition_pooled(scheme, (pooled,), self.k, self.quantization)
         stats.partition_calls += 1
         if self.validate:
             validate_partition(groups, pooled, self.k, self.quantization)
-        merged = self._merge_pooled(pooled, groups)
-        if key is not None:
-            assert cache is not None and merged.row_digests is not None
-            cache.store(
-                key,
-                CachedReceive(
-                    digests=merged.row_digests,
-                    quanta=tuple(merged.quanta.tolist()),
-                    group_sizes=tuple(len(group) for group in groups),
-                    columns=dict(merged.columns),
-                ),
-            )
-            stats.cache_misses += 1
-            if registry is not None:
-                registry.inc("merge_cache.miss")
-        self._adopt(merged)
-
-    def _merge_pooled(
-        self, pooled: PackedState, groups: Sequence[Sequence[int]]
-    ) -> PackedState:
-        """Algorithm 1 line 11: one output row per group, in group order.
-
-        Singleton groups keep their row's bytes (merging a singleton is
-        the identity under R4, and skipping the arithmetic means repeated
-        gossip cannot accumulate float churn); larger groups go through
-        the scheme's batched ``merge_groups_columns`` in one call.  Quanta
-        sum exactly as Python ints, aux rows as :class:`MixtureVector`
-        sums, and output digests are derived when the pooled rows have
-        them.
-        """
-        single_pos: list[int] = []
-        single_idx: list[int] = []
-        multi_pos: list[int] = []
-        multi_groups: list[Sequence[int]] = []
-        for position, group in enumerate(groups):
-            if len(group) == 1:
-                single_pos.append(position)
-                single_idx.append(group[0])
-            else:
-                multi_pos.append(position)
-                multi_groups.append(group)
-        pooled_quanta = pooled.quanta
-        merged_columns: Optional[dict[str, np.ndarray]] = None
-        if not multi_groups:
-            gather = np.asarray(single_idx, dtype=np.intp)
-            out_quanta = pooled_quanta[gather]
-            out_columns = {
-                name: column[gather] for name, column in pooled.columns.items()
-            }
-        else:
-            with span("scheme.merge_set"):
-                merged_columns = self.scheme.merge_groups_columns(pooled, multi_groups)
-            # Python-int group sums off one tolist(): exact (no float
-            # rounding possible) and far cheaper than a fancy-indexed
-            # numpy gather per tiny group.
-            quanta_list = pooled_quanta.tolist()
-            if not single_pos:
-                out_quanta = np.fromiter(
-                    (sum(quanta_list[i] for i in g) for g in groups),
-                    dtype=np.int64,
-                    count=len(groups),
-                )
-                out_columns = merged_columns
-            else:
-                count = len(groups)
-                sp = np.asarray(single_pos, dtype=np.intp)
-                si = np.asarray(single_idx, dtype=np.intp)
-                mp = np.asarray(multi_pos, dtype=np.intp)
-                out_quanta = np.empty(count, dtype=np.int64)
-                out_quanta[sp] = pooled_quanta[si]
-                for position, group in zip(multi_pos, multi_groups):
-                    out_quanta[position] = sum(quanta_list[i] for i in group)
-                out_columns = {}
-                for name, column in pooled.columns.items():
-                    out = np.empty((count,) + column.shape[1:], dtype=column.dtype)
-                    out[sp] = column[si]
-                    out[mp] = merged_columns[name]
-                    out_columns[name] = out
-        sink = self.event_sink
-        for group in multi_groups:
-            self.stats.merges += 1
-            if sink is not None:
-                sink.emit(Event(kind="merge", node=self.node_id, items=len(group)))
+        (rows,) = merge_pooled(
+            scheme, pooled, (0,), (groups,), pooled.row_digests, scheme.digest_row
+        )
+        digests = rows.tokens
+        self._record_merges(rows.group_sizes)
         out_aux = None
         if pooled.aux is not None:
             aux = pooled.aux
@@ -523,208 +468,66 @@ class ClassifierNode:
                     for group in groups
                 ]
             )
-        out_digests: Optional[tuple[bytes, ...]] = None
-        if pooled.row_digests is not None:
-            pooled_digests = pooled.row_digests
-            digest_row = self.scheme.digest_row
-            collected: list[bytes] = []
-            merged_row = 0
-            for group in groups:
-                if len(group) == 1:
-                    collected.append(pooled_digests[group[0]])
-                else:
-                    assert merged_columns is not None
-                    collected.append(digest_row(merged_columns, merged_row))
-                    merged_row += 1
-            out_digests = tuple(collected)
-        return PackedState(
-            quanta=out_quanta, columns=out_columns, row_digests=out_digests, aux=out_aux
-        )
-
-    def _replay_memo(self, entry: CachedReceive, pooled_size: int) -> None:
-        """Replay a memoised outcome straight into the packed state."""
-        # Columns are shared, never mutated in place (splits rebuild only
-        # the quanta vector; receipts assemble fresh rows).
+        if key is not None:
+            assert cache is not None and digests is not None
+            cache.store(
+                key,
+                CachedReceive(
+                    digests=digests,
+                    quanta=tuple(rows.quanta.tolist()),
+                    group_sizes=rows.group_sizes,
+                    columns=rows.columns,
+                ),
+            )
+            stats.cache_misses += 1
+            if registry is not None:
+                registry.inc("merge_cache.miss")
         self._adopt(
             PackedState(
-                quanta=np.fromiter(entry.quanta, dtype=np.int64, count=len(entry.quanta)),
-                columns=entry.columns,
-                row_digests=entry.digests,
+                quanta=rows.quanta, columns=rows.columns, row_digests=digests, aux=out_aux
             )
         )
-        self.stats.partition_calls += 1
-        self.stats.cache_memo_hits += 1
-        registry = current_registry()
-        if registry is not None:
-            registry.inc("merge_cache.hit")
+
+    def _record_merges(self, group_sizes: Sequence[int]) -> None:
+        """One merge (stat and event) per output row built from several."""
         sink = self.event_sink
-        for size in entry.group_sizes:
+        for size in group_sizes:
             if size > 1:
                 self.stats.merges += 1
                 if sink is not None:
                     sink.emit(Event(kind="merge", node=self.node_id, items=size))
-        if sink is not None:
-            sink.emit(
-                Event(
-                    kind="cache",
-                    node=self.node_id,
-                    items=pooled_size,
-                    extra={"path": "memo"},
-                )
-            )
 
-    def _absorb_noop(
+    def _replay(
         self,
-        in_quanta: np.ndarray,
-        incoming_digests: tuple[bytes, ...],
-        local_digests: tuple[bytes, ...],
+        digests: tuple[bytes, ...],
+        quanta: np.ndarray,
+        columns: dict[str, np.ndarray],
+        group_sizes: Sequence[int],
+        path: str,
         pooled_size: int,
-    ) -> bool:
-        """Absorb a receipt whose collections the node already holds.
+    ) -> None:
+        """Adopt a cache layer's rows with the full solve's stats and events.
 
-        Applies when every incoming digest matches a distinct local row:
-        the pooled set then consists of ``m`` *locations* (distinct byte
-        patterns) with duplicates, and — under conditions certified per
-        location set by :class:`~repro.core.fingerprint.IdentityCertificate`
-        — the scheme's partition provably groups the pooled rows exactly
-        by location, with every merge reproducing the local summary bytes
-        (identical inputs pool exactly; see the scheme-level shortcuts).
-        The receipt then reduces to quanta bookkeeping: bump each
-        location's total, reorder per the certified output order, and skip
-        the partition/merge pipeline entirely.  Any condition that cannot
-        be certified falls through to the real pipeline, so this path is
-        sound by construction, not by testing alone.  Summaries are only
-        unpacked when a certificate has to be built (once per location
-        set per run).
+        ``path`` is the answering layer: ``"memo"`` (a stored outcome) or
+        ``"noop"`` (a certified no-op).  Columns are shared, never mutated
+        in place (splits rebuild only the quanta vector; receipts
+        assemble fresh rows).
         """
-        cache = self.merge_cache
-        assert cache is not None
-        local = self._packed
-        m = len(local)
-        if len(set(local_digests)) != m or m > self.k:
-            return False
-        local_index = {digest: i for i, digest in enumerate(local_digests)}
-        for digest in incoming_digests:
-            if digest not in local_index:
-                return False
-        if pooled_size <= self.k:
-            return False
-        style = self.scheme.identity_partition_style
-        if style is None:
-            return False
-        if style == "greedy" and m != self.k:
-            # The greedy merge loop stops at exactly k groups; with fewer
-            # locations than k it leaves duplicates uncoalesced.
-            return False
-        # Pool per-location quanta and member counts; bail anywhere near
-        # the quantisation floor, where conformance rule 2 (and its repair
-        # passes) could reshape the partition.
-        is_min = self.quantization.is_minimum
-        local_quanta = local.quanta.tolist()
-        totals = []
-        for quanta in local_quanta:
-            if is_min(quanta):
-                return False
-            totals.append(quanta)
-        counts = [1] * m
-        incoming_quanta = in_quanta.tolist()
-        for digest, quanta in zip(incoming_digests, incoming_quanta):
-            if is_min(quanta):
-                return False
-            index = local_index[digest]
-            totals[index] += quanta
-            counts[index] += 1
-        sorted_digests = tuple(sorted(local_digests))
-        certificate = cache.certificate_lookup(sorted_digests)
-        if certificate is None:
-            unpack = self.scheme.unpack_summary
-            certificate = cache.certificate_for(
-                self.scheme,
-                sorted_digests,
-                tuple(
-                    unpack(local.columns, local_index[digest])
-                    for digest in sorted_digests
-                ),
-            )
-        if not certificate.valid:
-            return False
-        if style == "em":
-            # Replicate the seeding: heaviest pooled component first
-            # (strict first-index argmax over locals-then-incoming, the
-            # pooled order partition_packed would see), then the maximin
-            # walk over locations; then check the E-step margins at the
-            # actual mixing weights.  Exact integer quanta (< 2**53) make
-            # the argmax and the log-weights exact.
-            best_quanta = -1
-            best_digest = local_digests[0]
-            for digest, quanta in zip(local_digests, local_quanta):
-                if quanta > best_quanta:
-                    best_quanta = quanta
-                    best_digest = digest
-            for digest, quanta in zip(incoming_digests, incoming_quanta):
-                if quanta > best_quanta:
-                    best_quanta = quanta
-                    best_digest = digest
-            ranks = tuple(local_index[digest] for digest in certificate.locations)
-            seed_order = certificate.seed_order(
-                certificate.index_of[best_digest], ranks
-            )
-            if seed_order is None:
-                return False
-            log_totals = [0.0] * m
-            for digest, index in local_index.items():
-                log_totals[certificate.index_of[digest]] = math.log(totals[index])
-            if not certificate.margin_ok(log_totals):
-                return False
-            order_digests = tuple(
-                certificate.locations[index] for index in seed_order
-            )
+        self._adopt(PackedState(quanta=quanta, columns=columns, row_digests=digests))
+        stats = self.stats
+        stats.partition_calls += 1
+        if path == "memo":
+            stats.cache_memo_hits += 1
         else:
-            # Greedy: duplicates coalesce first (zero distance is the
-            # strict minimum), the loop stops at exactly k = m groups, and
-            # surviving group leaders keep first-occurrence order — the
-            # local row order, since incoming ⊆ local.
-            order_digests = tuple(local_digests)
-        self._adopt(
-            PackedState(
-                quanta=np.fromiter(
-                    (totals[local_index[digest]] for digest in order_digests),
-                    dtype=np.int64,
-                    count=m,
-                ),
-                columns=certificate.columns_for(order_digests, self.scheme),
-                row_digests=order_digests,
-            )
-        )
-        # Replay the stats/event deltas of the pipeline this receipt skipped.
-        self.stats.partition_calls += 1
-        self.stats.cache_noop_hits += 1
-        cache.record_noop()
+            stats.cache_noop_hits += 1
         registry = current_registry()
         if registry is not None:
-            registry.inc("merge_cache.noop")
-        sink = self.event_sink
-        for digest in order_digests:
-            if counts[local_index[digest]] > 1:
-                self.stats.merges += 1
-                if sink is not None:
-                    sink.emit(
-                        Event(
-                            kind="merge",
-                            node=self.node_id,
-                            items=counts[local_index[digest]],
-                        )
-                    )
-        if sink is not None:
-            sink.emit(
-                Event(
-                    kind="cache",
-                    node=self.node_id,
-                    items=pooled_size,
-                    extra={"path": "noop"},
-                )
+            registry.inc("merge_cache.hit" if path == "memo" else "merge_cache.noop")
+        self._record_merges(group_sizes)
+        if self.event_sink is not None:
+            self.event_sink.emit(
+                Event(kind="cache", node=self.node_id, items=pooled_size, extra={"path": path})
             )
-        return True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -114,15 +114,6 @@ class SummaryInterner:
             self._summaries.append(None)
         return found
 
-    def remember_summary(self, summary_id: int, summary: Any) -> None:
-        """Seed the summary-object cache for an id the caller just built.
-
-        Saves the decode round-trip when the merging code already holds
-        the object; treat the stored summary as immutable.
-        """
-        if self._summaries[summary_id] is None:
-            self._summaries[summary_id] = summary
-
     # ------------------------------------------------------------------
     # Decoding
     # ------------------------------------------------------------------

@@ -16,17 +16,16 @@ pipeline.  :class:`ArenaEngine` executes the *same* round over a
 3. **Routing** — a stable argsort by destination reproduces the
    in-memory transport's delivery order (destinations ascending, and
    within a destination payloads in ascending sender order).
-4. **Receive** — :class:`ReceiveSolver` runs the node receive pipeline
-   per *distinct problem*, not per receiver: a receive is keyed by its
+4. **Receive** — :class:`ReceiveSolver` runs the receive step per
+   *distinct problem*, not per receiver: a receive is keyed by its
    local and incoming ``(summary id, quanta)`` bytes, so the
    post-convergence tail — where nearly every receiver poses one of a
    handful of problems — collapses into dictionary hits across the
-   population.  Distinct problems run the same fast path / certified
-   no-op / partition+merge pipeline as
-   :meth:`repro.core.node.ClassifierNode.receive_packed`, against the same
-   :class:`~repro.core.fingerprint.MergeCache` certificate machinery;
-   the problems left for partition+merge are solved together, in one
-   batched partition call and one merge call per round.
+   population.  Distinct problems are decided by :mod:`repro.core.receive`,
+   the code :meth:`repro.core.node.ClassifierNode.receive_packed` runs,
+   with interned ids as row tokens: the same fast path, certified no-op
+   and full solve; the problems left for the full solve are solved
+   together, in one partition call and one merge call per round.
 
 Byte-parity with the per-node kernel (same seeds, same schemes, same
 classifications down to collection order) is the contract; the scalar
@@ -40,7 +39,6 @@ which defeats whole-network batching.
 
 from __future__ import annotations
 
-import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
@@ -50,6 +48,14 @@ import numpy as np
 
 from repro.core.fingerprint import MergeCache, merge_cache_default
 from repro.core.packed import PackedState
+from repro.core.receive import (
+    ReceiveRows,
+    certified_noop,
+    merge_pooled,
+    noop_plan,
+    partition_pooled,
+    takes_fast_path,
+)
 from repro.core.weights import Quantization
 from repro.mega.arena import NetworkArena
 from repro.network.simulator import NeighborSelector, RandomSelector
@@ -175,33 +181,6 @@ class ArenaStats:
         }
 
 
-class _Outcome:
-    """One solved receive: the receiver's next row block, ready to scatter.
-
-    All arrays are owned copies (never views into the arena), so one
-    outcome can be applied to every receiver posing the same problem and
-    survive in the memo across rounds while arena rows churn.  A full
-    solve's outcome is created empty when its problem is queued and
-    filled in before the round scatters.
-    """
-
-    __slots__ = ("ids", "quanta", "columns", "merges")
-
-    def __init__(
-        self,
-        ids: np.ndarray,
-        quanta: np.ndarray,
-        columns: Dict[str, np.ndarray],
-        merges: int,
-    ) -> None:
-        self.ids = ids
-        self.quanta = quanta
-        self.columns = columns
-        self.merges = merges
-
-
-_MISSING = object()
-
 #: Placeholder arrays of a queued full solve's outcome (never mutated).
 _UNSOLVED = np.empty(0, dtype=np.int64)
 
@@ -213,68 +192,27 @@ def _ragged(lengths: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return owner, slot
 
 
-class _NoopPlan:
-    """Everything about a certified no-op that depends only on the ids.
-
-    A receiver's local id block fixes its index maps, content digests,
-    certificate, and — per heaviest location — the output permutation and
-    the gathered id/column arrays.  Caching those per distinct
-    ``local_ids`` byte pattern leaves only the quanta-dependent scalar
-    work (minimum checks, totals, the margin test) on the per-receiver
-    path.  Safe to share the gathered arrays across receivers because an
-    interned id bijects with its packed row bytes and outcome arrays are
-    never mutated in place.
-    """
-
-    __slots__ = (
-        "local_index",
-        "certificate",
-        "cert_of_pos",
-        "pos_of_cert",
-        "ranks",
-        "style_em",
-        "orders",
-        "tight_thresholds",
-    )
-
-    def __init__(
-        self,
-        local_index: Dict[int, int],
-        certificate: Any,
-        cert_of_pos: List[int],
-        pos_of_cert: List[int],
-        style_em: bool,
-    ) -> None:
-        self.local_index = local_index
-        self.certificate = certificate
-        self.cert_of_pos = cert_of_pos
-        self.pos_of_cert = pos_of_cert
-        self.ranks = tuple(pos_of_cert)
-        self.style_em = style_em
-        # heaviest local position -> None (no certified order) or
-        # [order, out_ids, out_columns]; greedy-style plans use key -1.
-        self.orders: Dict[int, Optional[List[Any]]] = {}
-        self.tight_thresholds: Optional[np.ndarray] = None
-
-
 class ReceiveSolver:
-    """The node receive pipeline, deduplicated over a whole payload slab.
+    """The receive step of :mod:`repro.core.receive`, deduplicated over a payload slab.
 
     Shared by :class:`ArenaEngine` and the shard workers: both hand it
     per-destination payload slabs (ids/quanta/columns sorted by receiver)
-    and it updates the arena in place.  Three layers, cheapest first:
+    and it updates the arena in place.  Rows are named by interned id,
+    the core's row token here.  Layers, cheapest first:
 
     - a round-local and a bounded cross-round memo keyed by the exact
       ``(local state, incoming)`` bytes — byte-identical replay because
-      the pipeline is a deterministic pure function of that key (the
+      the receive is a deterministic pure function of that key (the
       same argument as the node-level merge cache, whose key this
       mirrors);
-    - the structural shortcuts of the node pipeline (identity fast path
-      below ``k``; certified no-op receives via the run's
-      :class:`~repro.core.fingerprint.IdentityCertificate` machinery);
-    - the real partition + merge pipeline, batched over the round: one
-      ``partition_packed_batch`` call for every problem left, then one
-      ``merge_groups_columns`` call for every multi-member group.
+    - the core's identity fast path and certified no-op, the no-op also
+      as a vectorised sweep over receivers that share a local block;
+    - the core's full solve, batched over the round: one partition call
+      for every problem left, then one ``merge_groups_columns`` call for
+      every multi-member group.
+
+    The solver's own work is the memos, the sweep, the gathers that pool
+    each problem's rows out of the slabs, interning and the scatter.
     """
 
     def __init__(
@@ -291,8 +229,13 @@ class ReceiveSolver:
         self.merge_cache = merge_cache if arena.scheme.supports_fingerprints else None
         self.memo_size = int(memo_size)
         self.stats = stats if stats is not None else ArenaStats()
-        self._memo: "OrderedDict[Any, _Outcome]" = OrderedDict()
-        self._noop_plans: Dict[bytes, Optional[_NoopPlan]] = {}
+        self._memo: "OrderedDict[Any, ReceiveRows]" = OrderedDict()
+        interner = arena.interner
+        # The core's resolve: a local id's digest and summary.
+        self._resolve = lambda summary_id, position: (
+            interner.digest(summary_id),
+            interner.summary(summary_id),
+        )
 
     # ------------------------------------------------------------------
     # Batch entry point
@@ -330,9 +273,9 @@ class ReceiveSolver:
         handled: Optional[np.ndarray] = None
         if self.merge_cache is not None and len(dests) >= 32:
             handled = self._noop_sweep(dests, bounds, ids, quanta)
-        round_memo: Dict[Any, _Outcome] = {}
-        resolved: List[Tuple[int, _Outcome]] = []
-        queued: List[Tuple[int, int, int, int, _Outcome]] = []
+        round_memo: Dict[Any, ReceiveRows] = {}
+        resolved: List[Tuple[int, ReceiveRows]] = []
+        queued: List[Tuple[int, int, int, int, ReceiveRows]] = []
         for position in range(len(dests)):
             if handled is not None and handled[position]:
                 continue
@@ -359,16 +302,10 @@ class ReceiveSolver:
                     stats.memo_lru_hits += 1
                 else:
                     outcome = self._shortcut(
-                        receiver,
-                        count,
-                        local_ids,
-                        local_quanta,
-                        ids[start:stop],
-                        quanta[start:stop],
-                        {name: rows[start:stop] for name, rows in columns.items()},
+                        receiver, count, local_ids, local_quanta, start, stop, ids, quanta, columns
                     )
                     if outcome is None:
-                        outcome = _Outcome(_UNSOLVED, _UNSOLVED, {}, 0)
+                        outcome = ReceiveRows(_UNSOLVED, _UNSOLVED, {}, ())
                         queued.append((receiver, count, start, stop, outcome))
                         stats.full_solves += 1
                         if self.memo_size > 0:
@@ -382,9 +319,9 @@ class ReceiveSolver:
         for receiver, outcome in resolved:
             stats.receivers += 1
             stats.merges += outcome.merges
-            width = len(outcome.ids)
+            width = len(outcome.quanta)
             a_counts[receiver] = width
-            a_ids[receiver, :width] = outcome.ids
+            a_ids[receiver, :width] = outcome.tokens
             a_quanta[receiver, :width] = outcome.quanta
             a_quanta[receiver, width:] = 0
             for name, column in a_columns.items():
@@ -405,10 +342,12 @@ class ReceiveSolver:
         Post-convergence almost every receiver holds the same ``k``
         interned summaries and every incoming id matches one of them, so
         the scalar no-op check repeats identical id-dependent work per
-        receiver.  This pass groups receivers by their local id block and
-        runs the quanta-dependent checks (minimum weights, membership,
-        heaviest location, margin test) as array operations, scattering
-        the shared outcome arrays back in one broadcast per order.
+        receiver.  This pass groups receivers by their local id block,
+        reads the block's :class:`~repro.core.receive.NoopPlan` (the one
+        the scalar check uses), and runs the quanta-dependent checks
+        (minimum weights, membership, heaviest location, margin test) as
+        array operations, scattering the shared outcome arrays back in
+        one broadcast per order.
 
         Only receivers that *pass* every check are marked handled; any
         rejection simply leaves the receiver to the scalar path, whose
@@ -422,6 +361,8 @@ class ReceiveSolver:
         if type(self.quantization) is not Quantization:
             return None  # exotic lattice: is_minimum semantics unknown
         arena = self.arena
+        cache = self.merge_cache
+        assert cache is not None
         k = self.k
         n_pos = len(dests)
         handled = np.zeros(n_pos, dtype=bool)
@@ -447,7 +388,8 @@ class ReceiveSolver:
                 continue  # scalar path amortises better on small groups
             sub = np.flatnonzero(members_mask)
             block_ids = local_ids[sub[0]]
-            plan = self._noop_plan_for(k, block_ids)
+            block_tokens = tuple(block_ids.tolist())
+            plan = noop_plan(cache, self.scheme, k, block_tokens, self._resolve)
             if plan is None or not plan.style_em:
                 continue
             tight = plan.tight_thresholds
@@ -511,32 +453,18 @@ class ReceiveSolver:
                 continue
             for b in np.unique(best_pos[ok]).tolist():
                 accepted = np.flatnonzero(ok & (best_pos == b))
-                entry = plan.orders.get(b, _MISSING)
-                if entry is _MISSING:
-                    seed_order = plan.certificate.seed_order(
-                        plan.cert_of_pos[b], plan.ranks
-                    )
-                    if seed_order is None:
-                        plan.orders[b] = None
-                        continue  # scalar path will reject identically
-                    order = [plan.pos_of_cert[index] for index in seed_order]
-                    take = np.asarray(order, dtype=np.intp)
-                    first = int(receivers[sub[accepted[0]]])
-                    entry = [
-                        order,
-                        block_ids[take],
-                        {
-                            name: column[first, :k][take]
-                            for name, column in a_columns.items()
-                        },
-                    ]
-                    plan.orders[b] = entry
-                elif entry is None:
-                    continue
-                order, out_ids, out_columns = entry
                 out = receivers[sub[accepted]]
+                # Gather from a receiver not yet scattered this round.
+                entry = plan.order_for(
+                    b,
+                    block_tokens,
+                    {name: column[out[0], :k] for name, column in a_columns.items()},
+                )
+                if entry is None:
+                    continue  # the scalar path rejects identically
+                order, out_tokens, out_columns = entry
                 a_counts[out] = k
-                a_ids[out, :k] = out_ids[None]
+                a_ids[out, :k] = out_tokens
                 a_quanta[out, :k] = totals[accepted][:, order]
                 a_quanta[out, k:] = 0
                 for name, column in a_columns.items():
@@ -558,54 +486,65 @@ class ReceiveSolver:
         count: int,
         local_ids: np.ndarray,
         local_quanta: np.ndarray,
-        incoming_ids: np.ndarray,
-        incoming_quanta: np.ndarray,
-        incoming_columns: Dict[str, np.ndarray],
-    ) -> Optional[_Outcome]:
-        """The identity fast path or a certified no-op, when one applies."""
+        start: int,
+        stop: int,
+        ids: np.ndarray,
+        quanta: np.ndarray,
+        columns: Dict[str, np.ndarray],
+    ) -> Optional[ReceiveRows]:
+        """The core's identity fast path or certified no-op, when one applies."""
+        scheme = self.scheme
         local_columns = {
             name: column[receiver, :count] for name, column in self.arena.columns.items()
         }
-        # Identity fast path: mirrors ClassifierNode.receive_packed's (the
-        # pooled set always has >= 2 members on a receive).
-        if count + len(incoming_ids) <= self.k and self.scheme.identity_below_k:
-            pooled_quanta = np.concatenate([local_quanta, incoming_quanta])
-            if not self.quantization.is_minimum(int(pooled_quanta.min())):
-                self.stats.fastpath_hits += 1
-                pooled_columns = {
-                    name: np.concatenate([local_columns[name], incoming_columns[name]])
-                    for name in local_columns
-                }
-                return _Outcome(
-                    np.concatenate([local_ids, incoming_ids]), pooled_quanta, pooled_columns, 0
-                )
-        if self.merge_cache is not None:
-            outcome = self._try_certified_noop(
-                count, local_ids, local_quanta, incoming_ids, incoming_quanta, local_columns
+        incoming_ids = ids[start:stop]
+        incoming_quanta = quanta[start:stop]
+        if takes_fast_path(scheme, self.k, self.quantization, local_quanta, incoming_quanta):
+            self.stats.fastpath_hits += 1
+            return ReceiveRows(
+                np.concatenate([local_ids, incoming_ids]),
+                np.concatenate([local_quanta, incoming_quanta]),
+                {
+                    name: np.concatenate([local, columns[name][start:stop]])
+                    for name, local in local_columns.items()
+                },
+                (1,) * (count + stop - start),
             )
-            if outcome is not None:
-                self.stats.noop_hits += 1
-                return outcome
-        return None
+        cache = self.merge_cache
+        if cache is None:
+            return None
+        outcome = certified_noop(
+            cache,
+            scheme,
+            self.k,
+            self.quantization,
+            local_ids.tolist(),
+            local_quanta,
+            incoming_ids.tolist(),
+            incoming_quanta,
+            local_columns,
+            self._resolve,
+        )
+        if outcome is not None:
+            self.stats.noop_hits += 1
+        return outcome
 
     def _solve_queued(
         self,
-        queued: List[Tuple[int, int, int, int, _Outcome]],
+        queued: List[Tuple[int, int, int, int, ReceiveRows]],
         ids: np.ndarray,
         quanta: np.ndarray,
         columns: Dict[str, np.ndarray],
     ) -> None:
-        """Partition and merge a round's queued problems in one batch.
+        """Solve a round's queued problems together and fill their outcomes.
 
         Each queued ``(receiver, count, start, stop, outcome)`` pools the
         receiver's local rows with payload rows ``start:stop``.  Every
-        pooled set of the round is gathered into one block; the scheme
-        partitions them all in one ``partition_packed_batch`` call and
-        merges every multi-member group in one ``merge_groups_columns``
-        call (its groups merge row by row, so a group's bytes do not
-        depend on the others).  New summaries are interned problem by
-        problem, group by group: the order a one-at-a-time loop interns
-        them, so ids match it.
+        pooled set of the round is gathered into one block and the core
+        solves them all: one partition call, one merge call.  New
+        summaries are interned in the order the core names merged rows —
+        problem by problem, group by group, the order a one-at-a-time
+        loop interns them — so ids match it.
         """
         arena = self.arena
         receivers = np.array([entry[0] for entry in queued], dtype=np.intp)
@@ -630,13 +569,13 @@ class ReceiveSolver:
             rows[incoming_at] = incoming[incoming_rows]
             return rows
 
-        pooled_ids = pool(arena.ids, ids)
         pooled = PackedState(
             quanta=pool(arena.quanta, quanta),
             columns={name: pool(column, columns[name]) for name, column in arena.columns.items()},
         )
         bounds = offsets.tolist()
-        groupings = self.scheme.partition_packed_batch(
+        groupings = partition_pooled(
+            self.scheme,
             [
                 PackedState(
                     quanta=pooled.quanta[low:high],
@@ -647,195 +586,25 @@ class ReceiveSolver:
             self.k,
             self.quantization,
         )
-        # Output rows, problem by problem and group by group: a singleton
-        # keeps its pooled row, a multi-member group takes the next
-        # merged row (numbered after the pooled block).
-        source: List[int] = []
-        output_of = [0] * total
-        multi: List[List[int]] = []
-        cuts = [0]
-        merges: List[int] = []
-        for base, groups in zip(bounds, groupings):
-            merged_before = len(multi)
-            for group in groups:
-                members = [base + member for member in group]
-                for member in members:
-                    output_of[member] = len(source)
-                if len(members) == 1:
-                    source.append(members[0])
-                else:
-                    source.append(total + len(multi))
-                    multi.append(members)
-            cuts.append(len(source))
-            merges.append(len(multi) - merged_before)
-        out_quanta = np.zeros(len(source), dtype=np.int64)
-        np.add.at(out_quanta, np.asarray(output_of, dtype=np.intp), pooled.quanta)
-        rows_ids = pooled_ids
-        rows_columns = pooled.columns
-        if multi:
-            # merge_groups_columns is contractually byte-identical to
-            # packing merge_groups_packed's summaries; the summary object
-            # behind each new id materialises lazily in the interner when
-            # a certificate needs it.
-            merged = self.scheme.merge_groups_columns(pooled, multi)
-            intern_row = arena.interner.intern_row
-            merged_ids = [intern_row(merged, row) for row in range(len(multi))]
-            rows_ids = np.concatenate([pooled_ids, np.asarray(merged_ids, dtype=np.int64)])
-            rows_columns = {
-                name: np.concatenate([rows, merged[name]]) for name, rows in rows_columns.items()
-            }
-        sources = np.asarray(source, dtype=np.intp)
-        for entry, low, high, merge_count in zip(queued, cuts[:-1], cuts[1:], merges):
-            take = sources[low:high]
+        # merge_groups_columns is contractually byte-identical to packing
+        # merge_groups_packed's summaries; the summary object behind each
+        # new id materialises lazily in the interner when a certificate
+        # needs it.
+        solved = merge_pooled(
+            self.scheme,
+            pooled,
+            bounds,
+            groupings,
+            pool(arena.ids, ids).tolist(),
+            arena.interner.intern_row,
+        )
+        for entry, rows in zip(queued, solved):
             outcome = entry[4]
-            outcome.ids = rows_ids[take]
-            outcome.quanta = out_quanta[low:high].copy()
-            outcome.columns = {name: rows[take] for name, rows in rows_columns.items()}
-            outcome.merges = merge_count
-
-    def _noop_plan_for(
-        self, count: int, local_ids: np.ndarray
-    ) -> Optional[_NoopPlan]:
-        """The cached :class:`_NoopPlan` for one local id block (or None)."""
-        key = local_ids.tobytes()
-        plans = self._noop_plans
-        plan = plans.get(key, _MISSING)
-        if plan is not _MISSING:
-            return plan  # type: ignore[return-value]
-        plan = self._build_noop_plan(count, local_ids)
-        if len(plans) >= 65536:  # pre-convergence id churn guard
-            plans.clear()
-        plans[key] = plan
-        return plan
-
-    def _build_noop_plan(
-        self, count: int, local_ids: np.ndarray
-    ) -> Optional[_NoopPlan]:
-        cache = self.merge_cache
-        assert cache is not None
-        scheme = self.scheme
-        if count > self.k:
-            return None
-        id_list = [int(summary_id) for summary_id in local_ids]
-        local_index: Dict[int, int] = {}
-        for position, summary_id in enumerate(id_list):
-            local_index[summary_id] = position
-        if len(local_index) != count:
-            return None
-        style = scheme.identity_partition_style
-        if style is None:
-            return None
-        if style == "greedy" and count != self.k:
-            return None
-        interner = self.arena.interner
-        local_digests = [interner.digest(summary_id) for summary_id in id_list]
-        digest_position = {digest: i for i, digest in enumerate(local_digests)}
-        sorted_digests = tuple(sorted(local_digests))
-        certificate = cache.certificate_for(
-            scheme,
-            sorted_digests,
-            tuple(
-                interner.summary(id_list[digest_position[digest]])
-                for digest in sorted_digests
-            ),
-        )
-        if not certificate.valid:
-            return None
-        cert_of_pos = [certificate.index_of[digest] for digest in local_digests]
-        pos_of_cert = [digest_position[digest] for digest in certificate.locations]
-        return _NoopPlan(
-            local_index, certificate, cert_of_pos, pos_of_cert, style == "em"
-        )
-
-    def _try_certified_noop(
-        self,
-        count: int,
-        local_ids: np.ndarray,
-        local_quanta: np.ndarray,
-        incoming_ids: np.ndarray,
-        incoming_quanta: np.ndarray,
-        local_columns: Dict[str, np.ndarray],
-    ) -> Optional[_Outcome]:
-        """Mirror of ClassifierNode._absorb_noop on interned ids.
-
-        Within one interner an id bijects with a summary byte pattern and
-        hence with its content digest, so "incoming digest matches a
-        local collection" becomes an integer set lookup; the certificate
-        itself (seed order, margins) is shared with the per-node world
-        via the run's :class:`~repro.core.fingerprint.MergeCache`.  The
-        id-dependent setup lives on a per-block :class:`_NoopPlan`; this
-        path only does the quanta-dependent arithmetic.
-        """
-        incoming_list = incoming_ids.tolist()
-        if not set(local_ids.tolist()).issuperset(incoming_list):
-            return None  # an incoming summary is not local: not a no-op
-        plan = self._noop_plan_for(count, local_ids)
-        if plan is None:
-            return None
-        local_index = plan.local_index
-        if count + len(incoming_list) <= self.k:
-            return None
-        is_minimum = self.quantization.is_minimum
-        totals = local_quanta.tolist()
-        best_quanta = -1
-        best_position = 0
-        for position, quanta in enumerate(totals):
-            if is_minimum(quanta):
-                return None
-            if quanta > best_quanta:
-                best_quanta = quanta
-                best_position = position
-        members = [1] * count
-        for summary_id, incoming_q in zip(incoming_list, incoming_quanta.tolist()):
-            position = local_index.get(summary_id)
-            if position is None:
-                return None
-            if is_minimum(incoming_q):
-                return None
-            totals[position] += incoming_q
-            members[position] += 1
-            if incoming_q > best_quanta:
-                best_quanta = incoming_q
-                best_position = position
-        if plan.style_em:
-            certificate = plan.certificate
-            cert_of_pos = plan.cert_of_pos
-            log = math.log
-            log_totals = [0.0] * count
-            for position in range(count):
-                log_totals[cert_of_pos[position]] = log(totals[position])
-            if not certificate.margin_ok(log_totals):
-                return None
-            order_key = best_position
-        else:
-            order_key = -1
-        entry = plan.orders.get(order_key, _MISSING)
-        if entry is _MISSING:
-            if plan.style_em:
-                seed_order = plan.certificate.seed_order(
-                    plan.cert_of_pos[best_position], plan.ranks
-                )
-                if seed_order is None:
-                    plan.orders[order_key] = None
-                    return None
-                order = [plan.pos_of_cert[index] for index in seed_order]
-            else:
-                order = list(range(count))
-            take = np.asarray(order, dtype=np.intp)
-            entry = [
-                order,
-                local_ids[take],
-                {name: column[take] for name, column in local_columns.items()},
-            ]
-            plan.orders[order_key] = entry
-        elif entry is None:
-            return None
-        order, out_ids, out_columns = entry  # type: ignore[misc]
-        out_quanta = np.asarray(
-            [totals[position] for position in order], dtype=np.int64
-        )
-        merges = sum(1 for position in order if members[position] > 1)
-        return _Outcome(out_ids, out_quanta, out_columns, merges)
+            outcome.tokens = rows.tokens
+            outcome.quanta = rows.quanta
+            outcome.columns = rows.columns
+            outcome.group_sizes = rows.group_sizes
+            outcome.merges = rows.merges
 
 
 class ArenaEngine:

@@ -18,9 +18,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import receive
 from repro.core.fingerprint import MergeCache
+from repro.core.weights import Quantization
 from repro.mega import ArenaEngine
-from repro.mega.engine import ReceiveSolver
+from repro.mega.cli import build_values
 from repro.network.simulator import RoundRobinSelector
 from repro.network.topology import TOPOLOGY_BUILDERS
 from repro.protocols.classification import build_classification_network
@@ -86,6 +88,57 @@ def test_engine_matches_kernel(make_scheme, k, dimension, seed, memo_size):
     )
     engine.run(ROUNDS)
     assert _engine_states(engine) == expected
+
+
+CONVERGING = [
+    pytest.param(lambda: GaussianMixtureScheme(seed=0), "gm", True, id="gm"),
+    pytest.param(lambda: CentroidScheme(), "centroid", False, id="centroid"),
+    pytest.param(lambda: DiagonalGaussianScheme(seed=0), "diagonal", True, id="diagonal"),
+    pytest.param(
+        lambda: HistogramScheme(low=-12.0, high=12.0, bins=32),
+        "histogram",
+        False,
+        id="histogram",
+    ),
+]
+
+
+@pytest.mark.parametrize("make_scheme, name, swept", CONVERGING)
+def test_engine_matches_kernel_on_converging_inputs(make_scheme, name, swept):
+    """Exact centers converge byte for byte, so the no-op layers answer.
+
+    Normal inputs rarely pose a certified no-op; here most receives after
+    the first rounds are one, on the scalar path and (EM-style schemes
+    only) in the arena's vectorised sweep, and both must reproduce the
+    kernel's bytes and row order.
+    """
+    values = build_values("centers", 200, 11, name)
+    expected = _kernel_states(values, make_scheme(), 3, 11, 30)
+    engine = ArenaEngine(values, make_scheme(), 3, seed=11, use_cache=True)
+    engine.run(30)
+    assert _engine_states(engine) == expected
+    assert engine.stats.noop_hits > 0
+    if swept:
+        assert engine.stats.noop_sweep_hits > 0
+
+
+def test_noop_sweep_gathers_each_order_before_scattering_it():
+    """Receivers that share a local block can need different output orders.
+
+    The sweep writes one order at a time into the arena, so each order
+    must gather its rows from a receiver it has not rewritten yet.  At
+    400 nodes on exact centers some rounds pose such blocks (at 200 none
+    do); the cached run must equal the uncached one.
+    """
+    values = build_values("centers", 400, 11, "gm")
+    cached, uncached = (
+        ArenaEngine(values, GaussianMixtureScheme(seed=0), 3, seed=11, use_cache=use_cache)
+        for use_cache in (True, False)
+    )
+    cached.run(30)
+    uncached.run(30)
+    assert cached.stats.noop_sweep_hits > 0
+    assert _engine_states(cached) == _engine_states(uncached)
 
 
 @pytest.mark.parametrize("topology", ["ring", "star", "line"])
@@ -187,18 +240,18 @@ def test_noop_plan_only_for_local_incoming(monkeypatch, shared):
     may be built; with a shared value it is, and the plan is built.
     """
     built, certified = [], []
-    build = ReceiveSolver._build_noop_plan
+    build = receive.build_noop_plan
     certificate_for = MergeCache.certificate_for
 
-    def counting_build(self, *args):
+    def counting_build(*args):
         built.append(args)
-        return build(self, *args)
+        return build(*args)
 
     def counting_certificate(self, *args, **kwargs):
         certified.append(args)
         return certificate_for(self, *args, **kwargs)
 
-    monkeypatch.setattr(ReceiveSolver, "_build_noop_plan", counting_build)
+    monkeypatch.setattr(receive, "build_noop_plan", counting_build)
     monkeypatch.setattr(MergeCache, "certificate_for", counting_certificate)
     values = np.array([[0.0, 0.0], [0.0, 0.0] if shared else [8.0, 8.0]])
     engine = ArenaEngine(values, GaussianMixtureScheme(seed=0), 1, seed=0, use_cache=True)
@@ -208,3 +261,41 @@ def test_noop_plan_only_for_local_incoming(monkeypatch, shared):
     else:
         assert built == [] and certified == []
         assert engine.stats.full_solves == 2
+
+
+@pytest.mark.parametrize("engine", ["kernel", "arena"])
+def test_no_certificate_for_pooled_sets_within_k(monkeypatch, engine):
+    """A pooled set of at most k rows is never a certified no-op.
+
+    Two nodes with one value, k = 3, two quanta per unit: every receive
+    pools two one-quantum rows, which the fast path declines (conformance
+    rule 2 could fire), and the no-op must decline before it asks the
+    merge cache for a certificate.
+    """
+    certified = []
+    certificate_for = MergeCache.certificate_for
+
+    def counting_certificate(self, *args, **kwargs):
+        certified.append(args)
+        return certificate_for(self, *args, **kwargs)
+
+    monkeypatch.setattr(MergeCache, "certificate_for", counting_certificate)
+    values = np.zeros((2, 2))
+    if engine == "kernel":
+        kernel, _ = build_classification_network(
+            values,
+            GaussianMixtureScheme(seed=0),
+            3,
+            graph=TOPOLOGY_BUILDERS["complete"](2),
+            quantization=Quantization(2),
+            merge_cache=True,
+        )
+        kernel.run(3)
+        assert kernel.metrics.cache_misses > 0
+    else:
+        arena = ArenaEngine(
+            values, GaussianMixtureScheme(seed=0), 3, quantization=Quantization(2), use_cache=True
+        )
+        arena.run(3)
+        assert arena.stats.full_solves > 0
+    assert certified == []
