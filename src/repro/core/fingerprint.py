@@ -42,20 +42,19 @@ from __future__ import annotations
 
 import os
 from collections import OrderedDict
-from dataclasses import dataclass
 from hashlib import blake2b
 from typing import TYPE_CHECKING, Any, Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
+    from repro.core.receive import ReceiveRows
     from repro.core.scheme import SummaryScheme
 
 __all__ = [
     "digest_arrays",
     "combine_digests",
     "state_fingerprint_of",
-    "CachedReceive",
     "IdentityCertificate",
     "MergeCache",
     "merge_cache_default",
@@ -135,23 +134,6 @@ def state_fingerprint_of(pairs: Iterable[Tuple[bytes, int]]) -> bytes:
         hasher.update(digest)
         hasher.update(int(quanta).to_bytes(16, "big"))
     return hasher.digest()
-
-
-@dataclass(frozen=True)
-class CachedReceive:
-    """One memoised receive outcome, in output order.
-
-    ``columns`` are the producing node's packed column arrays for the
-    resulting rows (shared freely — packed columns are never mutated in
-    place), ``digests`` and ``quanta`` the rows' content digests and
-    weights.  ``group_sizes`` replays the ``merge`` events and stats
-    deltas: one merge per group of size > 1.
-    """
-
-    digests: Tuple[bytes, ...]
-    quanta: Tuple[int, ...]
-    group_sizes: Tuple[int, ...]
-    columns: Dict[str, np.ndarray]
 
 
 class IdentityCertificate:
@@ -364,8 +346,9 @@ class MergeCache:
     Owned by the :class:`~repro.network.kernel.SimulationKernel` (which
     folds its counters into :class:`~repro.network.metrics.NetworkMetrics`)
     and consulted by every :class:`~repro.core.node.ClassifierNode` of the
-    run from inside ``receive_packed`` (an arena's
+    run from inside ``defer_receive`` (an arena's
     :class:`~repro.mega.engine.ReceiveSolver` owns one the same way).
+    The memo's entries are :class:`~repro.core.receive.ReceiveRows`.
     Byte-identity contract: a cache hit — memo replay or certified no-op
     — produces exactly the packed rows, stats deltas and ``merge``
     events the uncached pipeline would have produced.  The parity and
@@ -381,7 +364,7 @@ class MergeCache:
         if max_entries < 1:
             raise ValueError(f"max_entries must be at least 1, got {max_entries}")
         self.max_entries = max_entries
-        self._memo: "OrderedDict[Any, CachedReceive]" = OrderedDict()
+        self._memo: "OrderedDict[Any, ReceiveRows]" = OrderedDict()
         self._certificates: "OrderedDict[Tuple[bytes, ...], IdentityCertificate]" = (
             OrderedDict()
         )
@@ -394,7 +377,7 @@ class MergeCache:
     def __len__(self) -> int:
         return len(self._memo)
 
-    def lookup(self, key: Any) -> Optional[CachedReceive]:
+    def lookup(self, key: Any) -> "Optional[ReceiveRows]":
         """Memo lookup; bumps the hit counter and LRU recency on success."""
         entry = self._memo.get(key)
         if entry is None:
@@ -403,8 +386,13 @@ class MergeCache:
         self.hits += 1
         return entry
 
-    def store(self, key: Any, entry: CachedReceive) -> None:
-        """Record a slow-path outcome; evicts the LRU entry at capacity."""
+    def store(self, key: Any, entry: "ReceiveRows") -> None:
+        """Record a slow-path outcome; evicts the LRU entry at capacity.
+
+        A node stores a full solve's rows when it queues the solve, before
+        they are filled (see :class:`~repro.core.receive.ReceiveBatch`), so
+        a later receive on the same key in the same round replays them.
+        """
         self.misses += 1
         if key in self._memo:
             self._memo.move_to_end(key)

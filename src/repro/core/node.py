@@ -11,9 +11,11 @@ atomic blocks of Algorithm 1:
 - :meth:`ClassifierNode.receive_packed` is the receipt handler (lines
   8-11): the incoming rows are pooled with the local ones, the scheme's
   ``partition_packed`` groups them into at most ``k`` sets, and each set
-  is merged into a single row.  :meth:`ClassifierNode.receive` takes a
-  collection list (a decoded wire frame, a test's hand-built input),
-  packs it and hands it on.
+  is merged into a single row.  It is :meth:`ClassifierNode.defer_receive`
+  run alone: a synchronous round calls that split form on every receiver,
+  so the round's partitions and merges run in one batch.
+  :meth:`ClassifierNode.receive` takes a collection list (a decoded wire
+  frame, a test's hand-built input), packs it and hands it on.
 
 The node is transport-agnostic: neighbour choice, fairness, and message
 delivery live in :mod:`repro.network` and :mod:`repro.protocols`.  This
@@ -25,24 +27,21 @@ setting of the convergence proof).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional, Sequence
+from functools import partial
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
 from repro.core.classification import Classification
 from repro.core.collection import Collection
-from repro.core.fingerprint import (
-    CachedReceive,
-    MergeCache,
-    combine_digests,
-    state_fingerprint_of,
-)
+from repro.core.fingerprint import MergeCache, combine_digests, state_fingerprint_of
 from repro.core.mixture import MixtureVector
 from repro.core.packed import PackedPayload, PackedState, unpack_collections
 from repro.core.receive import (
+    PendingSolve,
+    ReceiveBatch,
+    ReceiveRows,
     certified_noop,
-    merge_pooled,
-    partition_pooled,
     takes_fast_path,
 )
 from repro.core.scheme import SummaryScheme, validate_partition
@@ -52,6 +51,10 @@ from repro.obs.events import Event, EventSink
 from repro.obs.profiling import current_registry
 
 __all__ = ["ClassifierNode", "NodeStats"]
+
+
+def _unchanged() -> None:
+    """The completion of a receive with nothing left to do."""
 
 
 @dataclass(slots=True)
@@ -354,14 +357,35 @@ class ClassifierNode:
     def receive_packed(self, payloads: Sequence[PackedPayload]) -> None:
         """Pool the payloads' rows with local state, partition, and merge.
 
+        :meth:`defer_receive` run as a round of one: decide, solve what
+        was queued, complete.  One problem is posed, so a full solve runs
+        the scheme's scalar ``partition_packed``.
+        """
+        batch = ReceiveBatch()
+        complete = self.defer_receive(payloads, batch)
+        batch.solve()
+        complete()
+
+    def defer_receive(
+        self, payloads: Sequence[PackedPayload], batch: ReceiveBatch
+    ) -> Callable[[], None]:
+        """Decide one receive now; return the call that completes it.
+
         The decisions are :mod:`repro.core.receive`'s, taken in this
         order: the identity fast path (below the compression bound), the
         merge cache's memo replay, the certified no-op, then the full
-        solve (``partition_packed`` and the batched merge).  The node
-        adds its own work: the memo table, aux rows, ``validate``, stats
-        and events.  Every layer yields the bytes, stats deltas and
-        ``merge`` events the full solve would; the parity suites pin the
-        result against the test-side Algorithm 1 oracle.
+        solve, which is queued on ``batch`` and takes its memo slot at
+        once, so the memo hits, misses and evicts as a one-at-a-time
+        loop would and a later receive on the same key replays it.  The
+        fast path and a no-op need nothing from the batch: the node
+        adopts their rows here, and the returned call only emits their
+        events.  A memo replay (its rows may be a solve queued this
+        round) and a full solve are adopted by the returned call, after
+        ``batch.solve()``, with the node's own work: aux rows, stats and
+        events (``validate`` runs in the batch).  Every layer yields the
+        bytes, stats deltas and ``merge`` events the full solve would;
+        the parity suites pin the result against the test-side
+        Algorithm 1 oracle.
         """
         stats = self.stats
         stats.batches_received += 1
@@ -370,14 +394,14 @@ class ClassifierNode:
             total_in += len(payload)
         stats.collections_received += total_in
         if total_in == 0:
-            return
+            return _unchanged
         local = self._packed
         incoming: PackedState | PackedPayload = (
             payloads[0] if len(payloads) == 1 else PackedState.concat_many(payloads)
         )
         pooled_size = len(local) + total_in
-        registry = current_registry()
         scheme = self.scheme
+        registry = current_registry()
         if takes_fast_path(scheme, self.k, self.quantization, local.quanta, incoming.quanta):
             pooled = PackedState.concat_many((local, incoming))
             if self.validate:
@@ -387,135 +411,98 @@ class ClassifierNode:
             stats.fastpath_hits += 1
             if registry is not None:
                 registry.inc("partition.fastpath_hit")
-            if self.event_sink is not None:
-                self.event_sink.emit(
-                    Event(kind="fastpath", node=self.node_id, items=pooled_size)
-                )
-            return
+            return self._events_after((), "fastpath", pooled_size, None)
         stats.fastpath_misses += 1
         if registry is not None:
             registry.inc("partition.fastpath_miss")
         cache = self.merge_cache
-        key = None
-        if cache is not None:
-            local_digests = self._row_digests()
-            in_digests = incoming.row_digests
-            if in_digests is None:
-                digest_row = scheme.digest_row
-                in_digests = tuple(
-                    digest_row(incoming.columns, index) for index in range(total_in)
-                )
-                incoming.row_digests = in_digests
-            # The memo key is *order-sensitive* on both sides, deliberately
-            # stricter than the order-insensitive fingerprint: the EM
-            # reduction breaks argmax/argmin ties by pooled index, so two
-            # receipts over the same multiset but different row orders may
-            # legitimately produce differently ordered output.
-            key = (
-                id(scheme),
-                self.k,
-                self.quantization.unit,
-                tuple(zip(local_digests, local.quanta.tolist())),
-                tuple(zip(in_digests, incoming.quanta.tolist())),
+        if cache is None:
+            return partial(
+                self._adopt_solved,
+                batch.queue(scheme, self.k, self.quantization, self.validate, local, incoming),
             )
-            entry = cache.lookup(key)
-            if entry is not None:
-                self._replay(
-                    entry.digests,
-                    np.fromiter(entry.quanta, dtype=np.int64, count=len(entry.quanta)),
-                    entry.columns,
-                    entry.group_sizes,
-                    "memo",
-                    pooled_size,
-                )
-                return
-            noop = certified_noop(
-                cache,
-                scheme,
-                self.k,
-                self.quantization,
-                local_digests,
-                local.quanta,
-                in_digests,
-                incoming.quanta,
-                local.columns,
-                lambda digest, position: (digest, scheme.unpack_summary(local.columns, position)),
-            )
-            if noop is not None:
-                cache.record_noop()
-                self._replay(
-                    noop.tokens, noop.quanta, noop.columns, noop.group_sizes, "noop", pooled_size
-                )
-                return
-        pooled = PackedState.concat_many((local, incoming))
-        (groups,) = partition_pooled(scheme, (pooled,), self.k, self.quantization)
-        stats.partition_calls += 1
-        if self.validate:
-            validate_partition(groups, pooled, self.k, self.quantization)
-        (rows,) = merge_pooled(
-            scheme, pooled, (0,), (groups,), pooled.row_digests, scheme.digest_row
+        local_digests = self._row_digests()
+        in_digests = incoming.row_digests
+        if in_digests is None:
+            digest_row = scheme.digest_row
+            in_digests = tuple(digest_row(incoming.columns, index) for index in range(total_in))
+            incoming.row_digests = in_digests
+        # The memo key is *order-sensitive* on both sides, deliberately
+        # stricter than the order-insensitive fingerprint: the EM
+        # reduction breaks argmax/argmin ties by pooled index, so two
+        # receipts over the same multiset but different row orders may
+        # legitimately produce differently ordered output.
+        key = (
+            id(scheme),
+            self.k,
+            self.quantization.unit,
+            tuple(zip(local_digests, local.quanta.tolist())),
+            tuple(zip(in_digests, incoming.quanta.tolist())),
         )
-        digests = rows.tokens
-        self._record_merges(rows.group_sizes)
+        rows = cache.lookup(key)
+        if rows is not None:
+            return partial(self._replay_memo, rows, pooled_size)
+        rows = certified_noop(
+            cache,
+            scheme,
+            self.k,
+            self.quantization,
+            local_digests,
+            local.quanta,
+            in_digests,
+            incoming.quanta,
+            local.columns,
+            lambda digest, position: (digest, scheme.unpack_summary(local.columns, position)),
+        )
+        if rows is not None:
+            cache.record_noop()
+            self._adopt_replay(rows, "noop")
+            return self._events_after(rows.group_sizes, "cache", pooled_size, "noop")
+        pending = batch.queue(scheme, self.k, self.quantization, self.validate, local, incoming)
+        cache.store(key, pending.rows)
+        stats.cache_misses += 1
+        if registry is not None:
+            registry.inc("merge_cache.miss")
+        return partial(self._adopt_solved, pending)
+
+    def _adopt_solved(self, pending: PendingSolve) -> None:
+        """Complete a full solve once its batch has solved (and validated) it."""
+        rows = pending.rows
+        stats = self.stats
+        stats.partition_calls += 1
+        stats.merges += rows.merges
+        if self.event_sink is not None:
+            self._emit_receive(rows.group_sizes)
         out_aux = None
-        if pooled.aux is not None:
-            aux = pooled.aux
+        local_aux = pending.local.aux
+        if local_aux is not None:
+            aux = np.concatenate([local_aux, pending.incoming.aux])
             out_aux = np.stack(
                 [
                     aux[group[0]]
                     if len(group) == 1
                     else MixtureVector.sum_of(MixtureVector(aux[i]) for i in group).components
-                    for group in groups
+                    for group in pending.groups  # type: ignore[union-attr]
                 ]
             )
-        if key is not None:
-            assert cache is not None and digests is not None
-            cache.store(
-                key,
-                CachedReceive(
-                    digests=digests,
-                    quanta=tuple(rows.quanta.tolist()),
-                    group_sizes=rows.group_sizes,
-                    columns=rows.columns,
-                ),
-            )
-            stats.cache_misses += 1
-            if registry is not None:
-                registry.inc("merge_cache.miss")
         self._adopt(
             PackedState(
-                quanta=rows.quanta, columns=rows.columns, row_digests=digests, aux=out_aux
+                quanta=rows.quanta, columns=rows.columns, row_digests=rows.tokens, aux=out_aux
             )
         )
 
-    def _record_merges(self, group_sizes: Sequence[int]) -> None:
-        """One merge (stat and event) per output row built from several."""
-        sink = self.event_sink
-        for size in group_sizes:
-            if size > 1:
-                self.stats.merges += 1
-                if sink is not None:
-                    sink.emit(Event(kind="merge", node=self.node_id, items=size))
-
-    def _replay(
-        self,
-        digests: tuple[bytes, ...],
-        quanta: np.ndarray,
-        columns: dict[str, np.ndarray],
-        group_sizes: Sequence[int],
-        path: str,
-        pooled_size: int,
-    ) -> None:
-        """Adopt a cache layer's rows with the full solve's stats and events.
+    def _adopt_replay(self, rows: ReceiveRows, path: str) -> None:
+        """Adopt a cache layer's rows with the full solve's stats.
 
         ``path`` is the answering layer: ``"memo"`` (a stored outcome) or
-        ``"noop"`` (a certified no-op).  Columns are shared, never mutated
-        in place (splits rebuild only the quanta vector; receipts
-        assemble fresh rows).
+        ``"noop"`` (a certified no-op).  Arrays are shared, never mutated
+        in place (splits rebuild the quanta vector; receipts assemble
+        fresh rows).
         """
-        self._adopt(PackedState(quanta=quanta, columns=columns, row_digests=digests))
+        self._adopt(PackedState(quanta=rows.quanta, columns=rows.columns, row_digests=rows.tokens))
         stats = self.stats
         stats.partition_calls += 1
+        stats.merges += rows.merges
         if path == "memo":
             stats.cache_memo_hits += 1
         else:
@@ -523,10 +510,43 @@ class ClassifierNode:
         registry = current_registry()
         if registry is not None:
             registry.inc("merge_cache.hit" if path == "memo" else "merge_cache.noop")
-        self._record_merges(group_sizes)
+
+    def _replay_memo(self, rows: ReceiveRows, pooled_size: int) -> None:
+        """Complete a memo hit once the batch is solved: adopt, then emit."""
+        self._adopt_replay(rows, "memo")
         if self.event_sink is not None:
-            self.event_sink.emit(
-                Event(kind="cache", node=self.node_id, items=pooled_size, extra={"path": path})
+            self._emit_receive(rows.group_sizes, "cache", pooled_size, "memo")
+
+    def _events_after(
+        self, group_sizes: Sequence[int], kind: str, pooled_size: int, path: Optional[str]
+    ) -> Callable[[], None]:
+        """The completion of a receive adopted at once: its events, if anyone listens."""
+        if self.event_sink is None:
+            return _unchanged
+        return partial(self._emit_receive, group_sizes, kind, pooled_size, path)
+
+    def _emit_receive(
+        self,
+        group_sizes: Sequence[int],
+        kind: Optional[str] = None,
+        pooled_size: int = 0,
+        path: Optional[str] = None,
+    ) -> None:
+        """One ``merge`` event per output row built from several, then the
+        answering layer's ``kind`` event (``fastpath`` or ``cache``), if any."""
+        sink = self.event_sink
+        assert sink is not None
+        for size in group_sizes:
+            if size > 1:
+                sink.emit(Event(kind="merge", node=self.node_id, items=size))
+        if kind is not None:
+            sink.emit(
+                Event(
+                    kind=kind,
+                    node=self.node_id,
+                    items=pooled_size,
+                    extra=None if path is None else {"path": path},
+                )
             )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

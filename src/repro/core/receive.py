@@ -15,9 +15,13 @@ the engines holds because there is one decision to make:
   ones reduces, when an :class:`~repro.core.fingerprint.IdentityCertificate`
   proves it, to quanta arithmetic on a :class:`NoopPlan` kept on the
   run's :class:`~repro.core.fingerprint.MergeCache`;
-- :func:`partition_pooled` and :func:`merge_pooled` -- the full solve of
-  any number of pooled sets: one partition call, one merge call, and
-  the assembly of groups into output rows.
+- :func:`solve_block` -- the full solve of any number of pooled sets held
+  in one block (:func:`partition_pooled`, then :func:`merge_pooled`: one
+  partition call, one merge call, and the assembly of groups into
+  output rows), written into outcomes queued before the solve;
+- :class:`ReceiveBatch` -- the queue of a synchronous round's full
+  solves on :class:`~repro.core.node.ClassifierNode` receivers, solved
+  in one :func:`solve_block` call per scheme, ``k`` and lattice.
 
 Each engine keeps what is its own: its memo table (keyed by its own
 representation), the order in which it consults its layers, stats,
@@ -33,18 +37,21 @@ import numpy as np
 
 from repro.core.fingerprint import IdentityCertificate, MergeCache
 from repro.core.packed import PackedState
-from repro.core.scheme import SummaryScheme
+from repro.core.scheme import SummaryScheme, validate_partition
 from repro.core.weights import Quantization
 from repro.obs.profiling import span
 
 __all__ = [
     "NoopPlan",
+    "PendingSolve",
+    "ReceiveBatch",
     "ReceiveRows",
     "build_noop_plan",
     "certified_noop",
     "merge_pooled",
     "noop_plan",
     "partition_pooled",
+    "solve_block",
     "takes_fast_path",
 ]
 
@@ -53,6 +60,9 @@ __all__ = [
 _MAX_PLANS = 65536
 
 _MISSING = object()
+
+#: Placeholder arrays of a queued solve's rows (never mutated).
+_UNSOLVED = np.empty(0, dtype=np.int64)
 
 #: ``resolve(token, position) -> (digest, summary)`` for one local row.
 Resolver = Callable[[Hashable, int], Tuple[bytes, Any]]
@@ -66,7 +76,10 @@ class ReceiveRows:
     ``quanta`` weighs it, ``columns`` holds its packed summary, and
     ``group_sizes`` counts the pooled rows behind it; every group of more
     than one row is one merge.  Arrays are never mutated in place, so
-    one instance may serve every receive that produces it.
+    one instance may serve every receive that produces it -- the memo
+    tables of both engines store instances.  A full solve's instance is
+    :meth:`unsolved` until :func:`solve_block` fills it in place, so it
+    can take its memo slot when the solve is queued.
     """
 
     __slots__ = ("tokens", "quanta", "columns", "group_sizes", "merges")
@@ -83,6 +96,11 @@ class ReceiveRows:
         self.columns = columns
         self.group_sizes = group_sizes
         self.merges = len(group_sizes) - group_sizes.count(1)
+
+    @classmethod
+    def unsolved(cls) -> "ReceiveRows":
+        """A queued full solve's rows, empty until its block is solved."""
+        return cls(None, _UNSOLVED, {}, ())
 
 
 def takes_fast_path(
@@ -424,3 +442,140 @@ def merge_pooled(
             )
         )
     return out
+
+
+def solve_block(
+    scheme: SummaryScheme,
+    k: int,
+    quantization: Quantization,
+    pooled: PackedState,
+    bounds: Sequence[int],
+    outcomes: Sequence[ReceiveRows],
+    tokens: Optional[Sequence[Hashable]] = None,
+    new_token: Optional[Callable[[Dict[str, np.ndarray], int], Hashable]] = None,
+    validate: bool = False,
+) -> List[List[List[int]]]:
+    """The full solve of every pooled set in one block, written into its outcome.
+
+    Problem ``p`` pools rows ``bounds[p]:bounds[p+1]`` of ``pooled``;
+    ``outcomes[p]`` is the :meth:`ReceiveRows.unsolved` instance queued
+    for it, filled here in place.  One :func:`partition_pooled` call
+    groups every problem (with ``validate``, each grouping is checked
+    against Algorithm 1's rules before anything merges), and one
+    :func:`merge_pooled` call builds every output row; ``tokens`` and
+    ``new_token`` name rows as there.  Returns the groupings.
+    """
+    cuts = list(zip(bounds[:-1], bounds[1:]))
+
+    def problem(low: int, high: int) -> PackedState:
+        return PackedState(
+            quanta=pooled.quanta[low:high],
+            columns={name: rows[low:high] for name, rows in pooled.columns.items()},
+        )
+
+    # The problem views are dropped before the merge allocates its rows.
+    groupings = partition_pooled(
+        scheme, [problem(low, high) for low, high in cuts], k, quantization
+    )
+    if validate:
+        for (low, high), groups in zip(cuts, groupings):
+            validate_partition(groups, problem(low, high), k, quantization)
+    solved = merge_pooled(scheme, pooled, bounds, groupings, tokens, new_token)
+    for outcome, rows in zip(outcomes, solved):
+        outcome.tokens = rows.tokens
+        outcome.quanta = rows.quanta
+        outcome.columns = rows.columns
+        outcome.group_sizes = rows.group_sizes
+        outcome.merges = rows.merges
+    return groupings
+
+
+# ----------------------------------------------------------------------
+# A synchronous round's full solves on per-node receivers
+# ----------------------------------------------------------------------
+class PendingSolve:
+    """One receiver's full solve, queued on a :class:`ReceiveBatch`.
+
+    ``local`` and ``incoming`` are the pooled set's two parts;
+    ``rows`` is the :meth:`ReceiveRows.unsolved` outcome the batch
+    fills, and ``groups`` the grouping it found (``None`` until then).
+    """
+
+    __slots__ = ("local", "incoming", "rows", "groups")
+
+    def __init__(self, local: PackedState, incoming: Any) -> None:
+        self.local = local
+        self.incoming = incoming
+        self.rows = ReceiveRows.unsolved()
+        self.groups: Optional[List[List[int]]] = None
+
+
+class ReceiveBatch:
+    """The full solves of a synchronous round's receives, solved together.
+
+    In a round all sends precede all receives (Section 5.3), so the
+    receives of one round are independent problems.  Each receiver
+    decides its receive first and queues a full solve here
+    (:meth:`queue`); :meth:`solve` then solves every queued problem of
+    one scheme, ``k``, lattice and ``validate`` setting in one
+    :func:`solve_block` call: a stack of several runs the scheme's
+    ``partition_packed_batch``, a batch of one its scalar
+    ``partition_packed``.  Problems whose rows carry digests (or aux
+    rows) and problems whose rows do not are kept apart, so every output
+    row is named exactly when a one-at-a-time solve would name it.
+    """
+
+    __slots__ = ("_queues",)
+
+    def __init__(self) -> None:
+        self._queues: Dict[Tuple[Any, ...], Tuple[SummaryScheme, List[PendingSolve]]] = {}
+
+    def queue(
+        self,
+        scheme: SummaryScheme,
+        k: int,
+        quantization: Quantization,
+        validate: bool,
+        local: PackedState,
+        incoming: Any,
+    ) -> PendingSolve:
+        """Queue the full solve pooling ``local`` with ``incoming``."""
+        pending = PendingSolve(local, incoming)
+        key = (
+            id(scheme),
+            k,
+            quantization,
+            validate,
+            local.row_digests is not None and incoming.row_digests is not None,
+            local.aux is not None,
+        )
+        entry = self._queues.get(key)
+        if entry is None:
+            entry = self._queues[key] = (scheme, [])
+        entry[1].append(pending)
+        return pending
+
+    def solve(self) -> None:
+        """Solve every queued problem and fill its :class:`PendingSolve`."""
+        queues, self._queues = self._queues, {}
+        for (_, k, quantization, validate, _, _), (scheme, pending) in queues.items():
+            parts: List[Any] = []
+            bounds = [0]
+            for item in pending:
+                parts.append(item.local)
+                parts.append(item.incoming)
+                bounds.append(bounds[-1] + len(item.local) + len(item.incoming))
+            pooled = PackedState.concat_many(parts)
+            groupings = solve_block(
+                scheme,
+                k,
+                quantization,
+                pooled,
+                bounds,
+                [item.rows for item in pending],
+                pooled.row_digests,
+                scheme.digest_row,
+                validate,
+            )
+            for item, groups in zip(pending, groupings):
+                item.groups = groups

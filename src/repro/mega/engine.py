@@ -51,9 +51,8 @@ from repro.core.packed import PackedState
 from repro.core.receive import (
     ReceiveRows,
     certified_noop,
-    merge_pooled,
     noop_plan,
-    partition_pooled,
+    solve_block,
     takes_fast_path,
 )
 from repro.core.weights import Quantization
@@ -181,10 +180,6 @@ class ArenaStats:
         }
 
 
-#: Placeholder arrays of a queued full solve's outcome (never mutated).
-_UNSOLVED = np.empty(0, dtype=np.int64)
-
-
 def _ragged(lengths: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Flatten ragged ranges: each element's entry and its index in ``range(lengths[entry])``."""
     owner = np.repeat(np.arange(len(lengths)), lengths)
@@ -305,7 +300,7 @@ class ReceiveSolver:
                         receiver, count, local_ids, local_quanta, start, stop, ids, quanta, columns
                     )
                     if outcome is None:
-                        outcome = ReceiveRows(_UNSOLVED, _UNSOLVED, {}, ())
+                        outcome = ReceiveRows.unsolved()
                         queued.append((receiver, count, start, stop, outcome))
                         stats.full_solves += 1
                         if self.memo_size > 0:
@@ -540,8 +535,9 @@ class ReceiveSolver:
 
         Each queued ``(receiver, count, start, stop, outcome)`` pools the
         receiver's local rows with payload rows ``start:stop``.  Every
-        pooled set of the round is gathered into one block and the core
-        solves them all: one partition call, one merge call.  New
+        pooled set of the round is gathered into one block and the core's
+        :func:`~repro.core.receive.solve_block` solves them all: one
+        partition call, one merge call.  New
         summaries are interned in the order the core names merged rows —
         problem by problem, group by group, the order a one-at-a-time
         loop interns them — so ids match it.
@@ -573,38 +569,20 @@ class ReceiveSolver:
             quanta=pool(arena.quanta, quanta),
             columns={name: pool(column, columns[name]) for name, column in arena.columns.items()},
         )
-        bounds = offsets.tolist()
-        groupings = partition_pooled(
-            self.scheme,
-            [
-                PackedState(
-                    quanta=pooled.quanta[low:high],
-                    columns={name: rows[low:high] for name, rows in pooled.columns.items()},
-                )
-                for low, high in zip(bounds[:-1], bounds[1:])
-            ],
-            self.k,
-            self.quantization,
-        )
         # merge_groups_columns is contractually byte-identical to packing
         # merge_groups_packed's summaries; the summary object behind each
         # new id materialises lazily in the interner when a certificate
         # needs it.
-        solved = merge_pooled(
+        solve_block(
             self.scheme,
+            self.k,
+            self.quantization,
             pooled,
-            bounds,
-            groupings,
+            offsets.tolist(),
+            [entry[4] for entry in queued],
             pool(arena.ids, ids).tolist(),
             arena.interner.intern_row,
         )
-        for entry, rows in zip(queued, solved):
-            outcome = entry[4]
-            outcome.tokens = rows.tokens
-            outcome.quanta = rows.quanta
-            outcome.columns = rows.columns
-            outcome.group_sizes = rows.group_sizes
-            outcome.merges = rows.merges
 
 
 class ArenaEngine:

@@ -15,7 +15,8 @@ schedule-independent core:
   pipeline), while the kernel keeps
   the protocol interaction and the link-availability check
   (link availability → send → delay → deliver → receiver-side batched
-  merge);
+  merge, whose full solves a synchronous round poses together, see
+  :meth:`SimulationKernel.complete_deliveries`);
 - **failure injection** — a :class:`~repro.network.failures.FailureModel`
   consulted at the end of every round (synchronous schedule) or at every
   round-equivalent epoch boundary (asynchronous schedule);
@@ -44,6 +45,7 @@ from typing import Any, Callable, Mapping, Optional, Union
 import networkx as nx
 
 from repro.core.fingerprint import MergeCache
+from repro.core.receive import ReceiveBatch
 from repro.network.channel import Channel, InFlightMessage
 from repro.network.events import EventQueue
 from repro.network.failures import FailureModel, NoFailures
@@ -344,31 +346,52 @@ class SimulationKernel(Network):
     # ------------------------------------------------------------------
     # Delivery pipeline
     # ------------------------------------------------------------------
-    def _complete_delivery(
-        self, destination: int, sources: list[int], payloads: list[Any]
-    ) -> None:
-        """Terminal stage: drop at a crashed node, or batched merge.
+    def complete_deliveries(self, deliveries: list[tuple[int, list[int], list[Any]]]) -> None:
+        """Terminal stage: drop at crashed nodes, batched receives at live ones.
 
-        The transport has already taken ``payloads`` (sent by
-        ``sources``, in the same order) off their channels.
+        Each ``(destination, sources, payloads)`` entry is one
+        receiver's batch, in destination order; the transport has
+        already taken ``payloads`` (sent by ``sources``, in the same
+        order) off their channels.  Three passes: every live receiver
+        decides its receive (``defer_receive``), queueing any full solve
+        on one :class:`~repro.core.receive.ReceiveBatch`; the batch is
+        solved; then, destination by destination, the drops or
+        deliveries are recorded and emitted and the receiver completes
+        its receive.  Receivers are distinct and nothing they decide
+        depends on another's result, so the state is a one-at-a-time
+        loop's, and so is the event stream, which only the last pass
+        writes.
         """
         with span("kernel.receive"):
-            if not self.is_live(destination):
-                # Reliable channels deliver, but a crashed node never
-                # processes: the payloads' weight leaves the system.
+            batch = ReceiveBatch()
+            protocols = self.protocols
+            live = self.live
+            completions = [
+                protocols[destination].defer_receive(payloads, batch)
+                if destination in live
+                else None
+                for destination, _, payloads in deliveries
+            ]
+            batch.solve()
+            metrics = self.metrics
+            for (destination, sources, _), complete in zip(deliveries, completions):
+                if complete is None:
+                    # Reliable channels deliver, but a crashed node never
+                    # processes: the payloads' weight leaves the system.
+                    for source in sources:
+                        metrics.record_drop()
+                        self._emit("drop", node=source, peer=destination)
+                    continue
                 for source in sources:
-                    self.metrics.record_drop()
-                    self._emit("drop", node=source, peer=destination)
-                return
-            for source in sources:
-                self.metrics.record_delivery()
-                self._emit("deliver", node=source, peer=destination)
-            self.protocols[destination].receive_batch(payloads)
+                    metrics.record_delivery()
+                    self._emit("deliver", node=source, peer=destination)
+                complete()
 
     def flush_deliveries(self) -> None:
         """Deliver *everything* queued, batched per destination.
 
-        The synchronous scheduler's receive phase; see
+        The synchronous scheduler's receive phase: one
+        :meth:`complete_deliveries` call for the whole round; see
         :meth:`repro.network.transport.InMemoryTransport.flush_deliveries`.
         """
         self.transport.flush_deliveries()

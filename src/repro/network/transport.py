@@ -119,7 +119,7 @@ class SimulationTransport(Transport):
     What it does *not* own is protocol interaction, metrics and event
     emission — those stay on the kernel (its single observability site),
     reached through the delivery callback
-    :meth:`SimulationKernel._complete_delivery`.
+    :meth:`SimulationKernel.complete_deliveries`.
     """
 
     kernel: "SimulationKernel"
@@ -182,7 +182,9 @@ class InMemoryTransport(SimulationTransport):
 
     Delivery entries go onto the *kernel's* event queue (so deliveries
     stay time-ordered against scheduler fire events), and batches
-    complete through the kernel's delivery callback.  No serialisation
+    complete through the kernel's delivery callback: a synchronous
+    flush hands it the whole round at once, an event-driven dispatch
+    one receiver's batch.  No serialisation
     happens: payloads travel as Python objects, so ``stats.bytes_*`` stay
     zero and ``stats.peer_count`` counts the distinct directed edges used
     so far.
@@ -238,14 +240,16 @@ class InMemoryTransport(SimulationTransport):
         """The synchronous scheduler's receive phase: every message sent
         this round reaches its destination as one batch per receiver
         (the paper's "accumulate all the received collections and run EM
-        once for the entire set")."""
+        once for the entire set"), and the kernel completes the round's
+        batches in one call, in destination order."""
         kernel = self.kernel
         batches: dict[int, list[tuple[Channel, InFlightMessage]]] = defaultdict(list)
         while kernel.queue:
             _, entry = kernel.queue.pop()
             batches[entry.channel.destination].append((entry.channel, entry.message))
-        for destination in sorted(batches):
-            self._deliver(destination, batches[destination])
+        kernel.complete_deliveries(
+            [self._take(destination, batches.pop(destination)) for destination in sorted(batches)]
+        )
 
     def dispatch_delivery(
         self, channel: Channel, message: InFlightMessage, coalesce_at: Optional[float] = None
@@ -273,14 +277,15 @@ class InMemoryTransport(SimulationTransport):
                     break
                 kernel.queue.pop()
                 entries.append((entry.channel, entry.message))
-        self._deliver(channel.destination, entries)
+        kernel.complete_deliveries([self._take(channel.destination, entries)])
         return len(entries)
 
-    def _deliver(
+    def _take(
         self, destination: int, entries: list[tuple[Channel, InFlightMessage]]
-    ) -> None:
+    ) -> tuple[int, list[int], list[Any]]:
         """The one delivery path: take each message off its channel, drop
-        the channels left empty, and hand the batch to the kernel."""
+        the channels left empty, and return the receiver's batch as
+        ``(destination, sources, payloads)``."""
         channels = self.channels
         sources: list[int] = []
         payloads: list[Any] = []
@@ -290,7 +295,7 @@ class InMemoryTransport(SimulationTransport):
             if not channel:
                 del channels[(channel.source, channel.destination)]
         self.stats.frames_received += len(entries)
-        self.kernel._complete_delivery(destination, sources, payloads)
+        return destination, sources, payloads
 
     # ------------------------------------------------------------------
     # Pool inspection (Section 6.1)

@@ -11,7 +11,11 @@ aggregation" comparator under byte-identical network conditions.
 from __future__ import annotations
 
 import abc
-from typing import Any, Optional, Sequence
+from functools import partial
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.receive import ReceiveBatch
 
 __all__ = ["GossipProtocol"]
 
@@ -44,3 +48,17 @@ class GossipProtocol(abc.ABC):
         ("accumulate all the received collections and run EM once for the
         entire set"); asynchronous engines call with singleton batches.
         """
+
+    def defer_receive(
+        self, payloads: Sequence[Any], batch: "ReceiveBatch"
+    ) -> Callable[[], None]:
+        """Decide a delivered batch's receive; return the call that completes it.
+
+        The kernel's receive phase runs in three passes: every receiver
+        decides (this hook, queueing any full solve on ``batch``), the
+        kernel solves ``batch``, then, in destination order, the kernel
+        records each receiver's deliveries and runs the returned call.
+        The default defers :meth:`receive_batch` to that last pass, so a
+        protocol that solves nothing jointly need not know about it.
+        """
+        return partial(self.receive_batch, payloads)

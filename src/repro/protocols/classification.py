@@ -9,7 +9,7 @@ handful of knobs, it returns a ready-to-run engine.
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 import networkx as nx
 import numpy as np
@@ -17,6 +17,7 @@ import numpy as np
 from repro.core.fingerprint import MergeCache, merge_cache_default
 from repro.core.node import ClassifierNode
 from repro.core.packed import PackedPayload
+from repro.core.receive import ReceiveBatch
 from repro.core.scheme import SummaryScheme
 from repro.core.weights import Quantization
 from repro.network.factory import make_engine
@@ -53,6 +54,12 @@ class ClassificationProtocol(GossipProtocol):
         """Pool all delivered payloads and merge once (Section 5.3)."""
         with span("protocol.merge"):
             self.node.receive_packed(payloads)
+
+    def defer_receive(
+        self, payloads: Sequence[PackedPayload], batch: ReceiveBatch
+    ) -> Callable[[], None]:
+        """The node decides now and queues a full solve on the kernel's batch."""
+        return self.node.defer_receive(payloads, batch)
 
     # Convenience pass-throughs used pervasively by analysis code.
     @property

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core.fingerprint import (
-    CachedReceive,
     MergeCache,
     combine_digests,
     digest_arrays,
@@ -12,6 +11,7 @@ from repro.core.fingerprint import (
     merge_cache_size_default,
     state_fingerprint_of,
 )
+from repro.core.receive import ReceiveRows
 
 
 class TestDigestArrays:
@@ -84,13 +84,13 @@ class TestStateFingerprint:
         )
 
 
-def _entry(tag: float) -> CachedReceive:
+def _entry(tag: float) -> ReceiveRows:
     summary = np.array([tag])
-    return CachedReceive(
-        digests=(digest_arrays(summary),),
-        quanta=(1,),
-        group_sizes=(1,),
-        columns={"position": summary[None, :]},
+    return ReceiveRows(
+        (digest_arrays(summary),),
+        np.array([1], dtype=np.int64),
+        {"position": summary[None, :]},
+        (1,),
     )
 
 

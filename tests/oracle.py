@@ -11,6 +11,7 @@ oracle into ``build_classification_network`` inside a ``with`` block.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from functools import partial
 
 import numpy as np
 
@@ -89,6 +90,10 @@ class OracleNode:
     def receive_packed(self, payloads) -> None:
         """The protocol's entry point: every delivered payload in one batch."""
         self.receive([collection for payload in payloads for collection in payload])
+
+    def defer_receive(self, payloads, batch):
+        """The kernel's round hook: receive alone, when the kernel applies it."""
+        return partial(self.receive_packed, payloads)
 
 
 @contextmanager
