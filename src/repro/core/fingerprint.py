@@ -391,7 +391,8 @@ class MergeCache:
 
         A node stores a full solve's rows when it queues the solve, before
         they are filled (see :class:`~repro.core.receive.ReceiveBatch`), so
-        a later receive on the same key in the same round replays them.
+        a later receive on the same key in the same round replays them; a
+        batch that fails takes the slot back with :meth:`discard`.
         """
         self.misses += 1
         if key in self._memo:
@@ -401,6 +402,11 @@ class MergeCache:
             self._memo.popitem(last=False)
             self.evictions += 1
         self._memo[key] = entry
+
+    def discard(self, key: Any, entry: "ReceiveRows") -> None:
+        """Drop ``key`` if it still holds ``entry`` (a failed solve's slot)."""
+        if self._memo.get(key) is entry:
+            del self._memo[key]
 
     def record_noop(self) -> None:
         self.noop_hits += 1

@@ -431,13 +431,18 @@ class ClassifierNode:
         # stricter than the order-insensitive fingerprint: the EM
         # reduction breaks argmax/argmin ties by pooled index, so two
         # receipts over the same multiset but different row orders may
-        # legitimately produce differently ordered output.
+        # legitimately produce differently ordered output.  Each side is
+        # its digest tuple (which fixes its row count) and its int64
+        # quanta bytes: exact for digests of any length, and built
+        # without a Python object per row.
         key = (
             id(scheme),
             self.k,
             self.quantization.unit,
-            tuple(zip(local_digests, local.quanta.tolist())),
-            tuple(zip(in_digests, incoming.quanta.tolist())),
+            local_digests,
+            local.quanta.tobytes(),
+            in_digests,
+            incoming.quanta.tobytes(),
         )
         rows = cache.lookup(key)
         if rows is not None:
@@ -459,7 +464,7 @@ class ClassifierNode:
             self._adopt_replay(rows, "noop")
             return self._events_after(rows.group_sizes, "cache", pooled_size, "noop")
         pending = batch.queue(scheme, self.k, self.quantization, self.validate, local, incoming)
-        cache.store(key, pending.rows)
+        batch.memoize(cache, key, pending)
         stats.cache_misses += 1
         if registry is not None:
             registry.inc("merge_cache.miss")

@@ -499,15 +499,19 @@ class PendingSolve:
     ``local`` and ``incoming`` are the pooled set's two parts;
     ``rows`` is the :meth:`ReceiveRows.unsolved` outcome the batch
     fills, and ``groups`` the grouping it found (``None`` until then).
+    ``cache`` and ``key`` name the memo slot ``rows`` took
+    (:meth:`ReceiveBatch.memoize`), ``None`` when it took none.
     """
 
-    __slots__ = ("local", "incoming", "rows", "groups")
+    __slots__ = ("local", "incoming", "rows", "groups", "cache", "key")
 
     def __init__(self, local: PackedState, incoming: Any) -> None:
         self.local = local
         self.incoming = incoming
         self.rows = ReceiveRows.unsolved()
         self.groups: Optional[List[List[int]]] = None
+        self.cache: Optional[MergeCache] = None
+        self.key: Any = None
 
 
 class ReceiveBatch:
@@ -523,6 +527,11 @@ class ReceiveBatch:
     ``partition_packed``.  Problems whose rows carry digests (or aux
     rows) and problems whose rows do not are kept apart, so every output
     row is named exactly when a one-at-a-time solve would name it.
+
+    A queued solve's rows take their memo slot at once (:meth:`memoize`).
+    A batch that fails gives every slot it took back (:meth:`abandon`),
+    so a later receive on the same key misses and solves instead of
+    replaying rows that were never filled.
     """
 
     __slots__ = ("_queues",)
@@ -555,27 +564,49 @@ class ReceiveBatch:
         entry[1].append(pending)
         return pending
 
+    def memoize(self, cache: MergeCache, key: Any, pending: PendingSolve) -> None:
+        """Store a queued solve's rows under ``key`` in ``cache`` now."""
+        cache.store(key, pending.rows)
+        pending.cache = cache
+        pending.key = key
+
     def solve(self) -> None:
-        """Solve every queued problem and fill its :class:`PendingSolve`."""
+        """Solve every queued problem and fill its :class:`PendingSolve`.
+
+        If a solve raises, the batch is abandoned before the error
+        propagates.
+        """
+        try:
+            for (_, k, quantization, validate, _, _), (scheme, pending) in self._queues.items():
+                parts: List[Any] = []
+                bounds = [0]
+                for item in pending:
+                    parts.append(item.local)
+                    parts.append(item.incoming)
+                    bounds.append(bounds[-1] + len(item.local) + len(item.incoming))
+                pooled = PackedState.concat_many(parts)
+                groupings = solve_block(
+                    scheme,
+                    k,
+                    quantization,
+                    pooled,
+                    bounds,
+                    [item.rows for item in pending],
+                    pooled.row_digests,
+                    scheme.digest_row,
+                    validate,
+                )
+                for item, groups in zip(pending, groupings):
+                    item.groups = groups
+        except BaseException:
+            self.abandon()
+            raise
+        self._queues = {}
+
+    def abandon(self) -> None:
+        """Drop the queued solves and give back the memo slots they took."""
         queues, self._queues = self._queues, {}
-        for (_, k, quantization, validate, _, _), (scheme, pending) in queues.items():
-            parts: List[Any] = []
-            bounds = [0]
+        for _, pending in queues.values():
             for item in pending:
-                parts.append(item.local)
-                parts.append(item.incoming)
-                bounds.append(bounds[-1] + len(item.local) + len(item.incoming))
-            pooled = PackedState.concat_many(parts)
-            groupings = solve_block(
-                scheme,
-                k,
-                quantization,
-                pooled,
-                bounds,
-                [item.rows for item in pending],
-                pooled.row_digests,
-                scheme.digest_row,
-                validate,
-            )
-            for item, groups in zip(pending, groupings):
-                item.groups = groups
+                if item.cache is not None:
+                    item.cache.discard(item.key, item.rows)

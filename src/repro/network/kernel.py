@@ -360,18 +360,23 @@ class SimulationKernel(Network):
         its receive.  Receivers are distinct and nothing they decide
         depends on another's result, so the state is a one-at-a-time
         loop's, and so is the event stream, which only the last pass
-        writes.
+        writes.  If a decision or the solve raises, the batch is
+        abandoned (its memo slots given back) before the error propagates.
         """
         with span("kernel.receive"):
             batch = ReceiveBatch()
             protocols = self.protocols
             live = self.live
-            completions = [
-                protocols[destination].defer_receive(payloads, batch)
-                if destination in live
-                else None
-                for destination, _, payloads in deliveries
-            ]
+            try:
+                completions = [
+                    protocols[destination].defer_receive(payloads, batch)
+                    if destination in live
+                    else None
+                    for destination, _, payloads in deliveries
+                ]
+            except BaseException:
+                batch.abandon()
+                raise
             batch.solve()
             metrics = self.metrics
             for (destination, sources, _), complete in zip(deliveries, completions):

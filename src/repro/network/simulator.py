@@ -11,6 +11,7 @@ metrics.
 from __future__ import annotations
 
 import abc
+from bisect import bisect_left
 from typing import Mapping, Sequence
 
 import networkx as nx
@@ -86,6 +87,10 @@ class RoundRobinSelector(NeighborSelector):
 class Network:
     """Topology + protocols + liveness: the state both engines drive.
 
+    The topology is validated and kept only as :attr:`neighbors`, each
+    node's sorted neighbour tuple; the graph itself is not referenced
+    after construction, so it is freed when its caller drops it.
+
     Parameters
     ----------
     graph:
@@ -115,12 +120,12 @@ class Network:
         selector: NeighborSelector | None = None,
         event_sink: EventSink | None = None,
     ) -> None:
-        self.graph = validate_topology(graph)
+        validate_topology(graph)
         expected = set(range(graph.number_of_nodes()))
         if set(protocols.keys()) != expected:
             raise ValueError("protocols must cover exactly the topology's nodes")
         self.protocols = dict(protocols)
-        self.neighbors = neighbors_map(self.graph)
+        self.neighbors = neighbors_map(graph)
         self.rng = np.random.default_rng(seed)
         self.selector = selector if selector is not None else RandomSelector()
         self.live: set[int] = set(expected)
@@ -133,6 +138,16 @@ class Network:
     def _stamp(self) -> dict[str, int | float]:
         """Engine-specific event stamp; overridden per engine."""
         return {}
+
+    # ------------------------------------------------------------------
+    # Topology
+    # ------------------------------------------------------------------
+    def has_edge(self, source: int, destination: int) -> bool:
+        """Whether the topology links the two nodes (a bisect of the
+        source's sorted neighbour tuple)."""
+        neighbors = self.neighbors.get(source, ())
+        index = bisect_left(neighbors, destination)
+        return index < len(neighbors) and neighbors[index] == destination
 
     # ------------------------------------------------------------------
     # Liveness

@@ -133,9 +133,15 @@ def watts_strogatz(n: int, k: int = 4, rewire: float = 0.2, seed: int = 0) -> nx
     return validate_topology(nx.connected_watts_strogatz_graph(n, k, rewire, seed=seed))
 
 
-def neighbors_map(graph: nx.Graph) -> dict[int, list[int]]:
-    """Sorted adjacency lists, the form engines and nodes consume."""
-    return {node: sorted(graph.neighbors(node)) for node in graph.nodes}
+def neighbors_map(graph: nx.Graph) -> dict[int, tuple[int, ...]]:
+    """Sorted adjacency tuples, the form engines and nodes consume.
+
+    A selector picks a neighbour by its position here, so the order is
+    part of every run's bytes.  Tuples of ints leave the collector's
+    tracking after its first pass over them, so a long run's full
+    collections do not walk the topology again.
+    """
+    return {node: tuple(sorted(graph.neighbors(node))) for node in graph.nodes}
 
 
 #: Name -> builder registry used by the topology ablation benchmark.

@@ -180,6 +180,11 @@ class InMemoryTransport(SimulationTransport):
     due at or before the current clock, and no message is due before it
     is sent.
 
+    An edge is checked against the topology on its first use, with
+    :meth:`~repro.network.simulator.Network.has_edge` (a bisect of the
+    kernel's sorted neighbour tuples; the kernel keeps no graph object),
+    and a send on a non-edge raises :class:`KeyError`.
+
     Delivery entries go onto the *kernel's* event queue (so deliveries
     stay time-ordered against scheduler fire events), and batches
     complete through the kernel's delivery callback: a synchronous
@@ -209,7 +214,7 @@ class InMemoryTransport(SimulationTransport):
         found = self.channels.get(key)
         if found is not None:
             return found
-        if key not in self._edges and not self.kernel.graph.has_edge(source, destination):
+        if key not in self._edges and not self.kernel.has_edge(source, destination):
             raise KeyError(f"no edge {source}->{destination} in the topology")
         return Channel(source, destination, fifo=self.kernel.fifo)
 

@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 
 from repro.core.collection import Collection
+from repro.core.fingerprint import MergeCache
 from repro.core.node import ClassifierNode
+from repro.core.packed import PackedPayload
+from repro.core.scheme import PartitionError
 from repro.core.weights import Quantization
 from repro.schemes.centroid import CentroidScheme
+from repro.schemes.gm import GaussianMixtureScheme
 
 
 def make_node(value, k=3, quantization=None, **kwargs):
@@ -190,3 +194,93 @@ class TestReceive:
         node = make_node([0.0], k=2, validate=True)
         node.receive([Collection(summary=np.array([1.0]), quanta=16)])
         assert node.total_quanta == 32
+
+
+def _payload(scheme, values, quanta):
+    """A message carrying one row per value, with the given quanta."""
+    return PackedPayload(
+        scheme=scheme,
+        quanta=np.asarray(quanta, dtype=np.int64),
+        columns=scheme.pack_summaries(
+            [scheme.val_to_summary(np.asarray(value, dtype=float)) for value in values]
+        ),
+    )
+
+
+class TestMemoKey:
+    """Receives that pose different problems never share a memo entry.
+
+    Every node below ends with the pooled rows ``a``, ``b``, ``c`` (in
+    some order and split) against ``k = 2``, so each receive is a full
+    solve that stores its outcome in the one shared cache.
+    """
+
+    a, b, c = [0.0], [1.0], [5.0]
+
+    def _node(self, scheme, cache, value):
+        return ClassifierNode(
+            0, np.asarray(value), scheme, k=2, quantization=Quantization(16), merge_cache=cache
+        )
+
+    def _local_a_b(self, scheme, cache):
+        """A node whose local rows are ``a`` (16 quanta) then ``b`` (8)."""
+        node = self._node(scheme, cache, self.a)
+        node.receive_packed([_payload(scheme, [self.b], [8])])
+        return node
+
+    def test_same_problem_shares_the_entry(self):
+        scheme, cache = CentroidScheme(), MergeCache()
+        first = self._local_a_b(scheme, cache)
+        first.receive_packed([_payload(scheme, [self.c], [4])])
+        again = self._local_a_b(scheme, cache)
+        again.receive_packed([_payload(scheme, [self.c], [4])])
+        assert (first.stats.cache_misses, again.stats.cache_memo_hits) == (1, 1)
+
+    def test_rows_split_differently_do_not_share(self):
+        scheme, cache = CentroidScheme(), MergeCache()
+        first = self._local_a_b(scheme, cache)
+        first.receive_packed([_payload(scheme, [self.c], [4])])
+        second = self._node(scheme, cache, self.a)
+        second.receive_packed([_payload(scheme, [self.b, self.c], [8, 4])])
+        assert second.stats.cache_misses == 1
+        assert second.stats.cache_memo_hits == 0
+        assert cache.hits == 0 and len(cache) == 2
+
+    def test_rows_in_another_order_do_not_share(self):
+        scheme, cache = CentroidScheme(), MergeCache()
+        first = self._local_a_b(scheme, cache)
+        first.receive_packed([_payload(scheme, [self.c], [4])])
+        second = self._node(scheme, cache, self.b)
+        second.make_message()  # b keeps 8 of its 16 quanta
+        second.receive_packed([_payload(scheme, [self.a], [16])])
+        assert [c.quanta for c in second.classification] == [8, 16]
+        second.receive_packed([_payload(scheme, [self.c], [4])])
+        assert second.stats.cache_misses == 1
+        assert second.stats.cache_memo_hits == 0
+        assert cache.hits == 0 and len(cache) == 2
+
+
+class TestFailedSolve:
+    def test_failed_solve_gives_its_memo_slot_back(self, monkeypatch):
+        """A solve that raises leaves no entry for a later receive to replay."""
+        scheme, cache = GaussianMixtureScheme(seed=0), MergeCache()
+        sender, first, second = (
+            ClassifierNode(node, np.asarray(value), scheme, k=1, merge_cache=cache)
+            for node, value in ((0, [5.0, 5.0]), (1, [0.0, 0.0]), (2, [0.0, 0.0]))
+        )
+        payload = sender.make_message()
+        original = GaussianMixtureScheme.partition_packed
+
+        def fail_once(self, *args, **kwargs):
+            monkeypatch.setattr(GaussianMixtureScheme, "partition_packed", original)
+            raise PartitionError("injected")
+
+        monkeypatch.setattr(GaussianMixtureScheme, "partition_packed", fail_once)
+        with pytest.raises(PartitionError, match="injected"):
+            first.receive_packed([payload])
+        assert len(cache) == 0
+        second.receive_packed([payload])
+        assert second.stats.cache_memo_hits == 0
+        assert second.stats.cache_misses == 1
+        unit = second.quantization.unit
+        assert [c.quanta for c in second.classification] == [unit + unit // 2]

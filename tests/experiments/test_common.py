@@ -54,4 +54,6 @@ class TestRunner:
         engine, _, _ = run_until_convergence(
             values, CentroidScheme(), k=2, scale=scale, seed=0, graph=complete(12)
         )
-        assert engine.graph.number_of_nodes() == 12
+        assert engine.neighbors == {
+            node: tuple(peer for peer in range(12) if peer != node) for node in range(12)
+        }

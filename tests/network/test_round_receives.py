@@ -12,6 +12,7 @@ one problem per call.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from oracle import state_bytes
 
 from repro.network.topology import TOPOLOGY_BUILDERS
@@ -138,3 +139,25 @@ def test_round_solves_in_one_call_and_poisson_solves_one_per_call(monkeypatch):
     assert solves >= 2
     assert calls.counts["partition_packed"] == solves
     assert calls.counts["partition_packed_batch"] == 0
+
+
+def test_round_whose_decision_raises_gives_back_its_memo_slots():
+    """Receiver 0 queues a solve and takes a memo slot; receiver 1's
+    decision then raises.  The round's batch is abandoned: no entry is
+    left for a later receive to replay unsolved, so receiver 0's retry
+    misses and solves."""
+    kernel, nodes, _ = _four_nodes()
+    payloads = [nodes[2].make_message(), nodes[3].make_message()]
+
+    def refuse(payloads, batch):
+        raise RuntimeError("refused")
+
+    nodes[1].defer_receive = refuse
+    with pytest.raises(RuntimeError, match="refused"):
+        kernel.complete_deliveries([(0, [2], [payloads[0]]), (1, [3], [payloads[1]])])
+    cache = kernel.merge_cache
+    assert len(cache) == 0
+    kernel.complete_deliveries([(0, [2], [payloads[0]])])
+    assert nodes[0].stats.cache_memo_hits == 0
+    assert nodes[0].stats.cache_misses == 2
+    assert sum(c.quanta for c in nodes[0].classification) == nodes[0].quantization.unit * 3 // 2

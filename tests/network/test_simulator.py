@@ -39,6 +39,18 @@ class TestConstruction:
         assert network.live_nodes == [0, 1, 2, 3, 4]
 
 
+class TestTopology:
+    def test_has_edge_follows_the_graph(self):
+        graph = ring(6)
+        network = make_network(graph=graph)
+        for source in range(6):
+            for destination in range(-1, 8):
+                assert network.has_edge(source, destination) == graph.has_edge(
+                    source, destination
+                )
+        assert not network.has_edge(9, 0)
+
+
 class TestLiveness:
     def test_crash_removes_node(self):
         network = make_network(4)

@@ -105,8 +105,8 @@ class TestValidationErrors:
 class TestNeighborsMap:
     def test_sorted_adjacency(self):
         mapping = topology.neighbors_map(topology.ring(5))
-        assert mapping[0] == [1, 4]
-        assert mapping[2] == [1, 3]
+        assert mapping[0] == (1, 4)
+        assert mapping[2] == (1, 3)
 
     def test_covers_all_nodes(self):
         mapping = topology.neighbors_map(topology.complete(6))

@@ -1,5 +1,9 @@
 """The transport seam: kernel delegation, stats mirroring, frame transports."""
 
+import gc
+import weakref
+
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -79,6 +83,36 @@ class TestInMemorySeam:
         snapshot = kernel.metrics.as_dict()
         for key in ("frames_sent", "frames_received", "bytes_sent", "reconnects"):
             assert key in snapshot
+
+    @pytest.mark.parametrize(
+        "build, edge, non_edge",
+        [(topology.ring, (0, 5), (0, 3)), (topology.star, (4, 0), (1, 2))],
+        ids=["ring", "star"],
+    )
+    def test_non_edge_is_refused(self, build, edge, non_edge):
+        kernel, _ = build_classification_network(
+            _values(6), CentroidScheme(), k=2, graph=build(6)
+        )
+        with pytest.raises(KeyError, match="no edge"):
+            kernel.channel(*non_edge)
+        with pytest.raises(KeyError, match="no edge"):
+            kernel.transmit(*non_edge)
+        channel = kernel.channel(*edge)
+        assert (channel.source, channel.destination) == edge
+        assert kernel.transmit(*edge) == 1
+        assert kernel.in_flight_payloads() != []
+        kernel.flush_deliveries()
+        assert kernel.metrics.messages_delivered == 1
+
+    def test_kernel_keeps_no_reference_to_its_graph(self):
+        graph = nx.complete_graph(6)
+        kernel, _ = build_classification_network(_values(6), CentroidScheme(), k=2, graph=graph)
+        dropped = weakref.ref(graph)
+        del graph
+        gc.collect()
+        assert dropped() is None
+        kernel.run(2)
+        assert kernel.metrics.messages_delivered == 12
 
     def test_frame_transport_is_rejected_by_the_kernel(self):
         from repro.network.factory import make_engine
