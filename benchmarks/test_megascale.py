@@ -8,11 +8,10 @@ shard-scaling sweep over the :class:`repro.mega.ShardedArenaEngine`
 shared-memory exchange, and writes everything to
 ``benchmarks/results/BENCH_megascale.json``.  Results are *merged* into
 the existing JSON — curve entries by node count, shard-scaling entries
-by ``(nodes, shards, exchange)`` — so a ``fast``-scale CI run refreshes
-its own points without clobbering the recorded 100k / million-node
-entries.
+by ``(nodes, shards)`` — so a ``fast``-scale CI run refreshes its own
+points without clobbering the recorded 100k / million-node entries.
 
-Three gates ride along:
+Four gates ride along:
 
 - **parity** — at 1,000 nodes the arena's final classifications must be
   byte-identical to the per-node ``SimulationKernel``'s (same seed, same
@@ -23,7 +22,12 @@ Three gates ride along:
   4-shard shared-memory run must be no slower than single-process at
   the sweep size (target >= 1.5x).  On smaller machines the gate is
   recorded as skipped with the core count — workers would time-slice
-  one core, which measures the scheduler, not the exchange.
+  one core, which measures the scheduler, not the exchange;
+- **two shards** — with at least 2 cores and the 100k sweep size, the
+  median of three 2-shard runs, alternated with three single-process
+  runs, must be no slower than the single-process median.  Below 100k
+  nodes or 2 cores the gate is recorded as skipped.  It is checked
+  after the JSON is written, so a failing run still leaves its numbers.
 
 Scale presets via ``REPRO_BENCH_SCALE``: ``fast`` stops at 10k (the CI
 ``megascale-smoke`` configuration), the default ``bench`` carries the
@@ -40,6 +44,7 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import statistics
 import time
 
 import numpy as np
@@ -59,6 +64,8 @@ BUDGET_S = 600.0
 MILLION_N = 1_000_000
 MILLION_BUDGET_S = 3600.0
 SPEEDUP_TARGET = 1.5
+TWO_SHARD_GATE_N = 100000
+TWO_SHARD_GATE_REPEATS = 3
 CENTERS = np.array([[0.0, 0.0], [8.0, 8.0], [-8.0, 8.0]])
 
 CURVE_SIZES = {
@@ -91,13 +98,13 @@ def _values(n: int) -> np.ndarray:
     return CENTERS[rng.integers(0, 3, size=n)]
 
 
-def _arena_run(n: int, shards: int = 0, use_shm: bool = True) -> dict:
+def _arena_run(n: int, shards: int = 0) -> dict:
     values = _values(n)
     start = time.perf_counter()
     if shards:
         engine = ShardedArenaEngine(
             values, GaussianMixtureScheme(seed=0), K, seed=SEED,
-            shards=shards, use_cache=True, use_shm=use_shm,
+            shards=shards, use_cache=True,
         )
     else:
         engine = ArenaEngine(
@@ -112,7 +119,6 @@ def _arena_run(n: int, shards: int = 0, use_shm: bool = True) -> dict:
     record = {
         "nodes": n,
         "shards": shards,
-        "exchange": engine.exchange if shards else "single",
         "rounds": executed,
         "quiescent_at": engine.quiescent_at,
         "wall_s": wall_s,
@@ -134,7 +140,7 @@ def _merge_records(new: dict) -> dict:
     """Merge this run's records into the existing benchmark JSON.
 
     Curve points merge by node count and shard-scaling points by
-    ``(nodes, shards, exchange)``; the ``million_node`` entry survives
+    ``(nodes, shards)``; the ``million_node`` entry survives
     runs that did not regenerate it.  The legacy ``sharded_10k`` key is
     dropped — ``shard_scaling`` supersedes it.
     """
@@ -153,17 +159,38 @@ def _merge_records(new: dict) -> dict:
     curve.update({entry["nodes"]: entry for entry in new.get("curve", [])})
     merged["curve"] = [curve[nodes] for nodes in sorted(curve)]
     scaling = {
-        (entry["nodes"], entry["shards"], entry.get("exchange", "shm")): entry
-        for entry in old.get("shard_scaling", [])
+        (entry["nodes"], entry["shards"]): entry
+        for entry in old.get("shard_scaling", []) + new.get("shard_scaling", [])
     }
-    scaling.update(
-        {
-            (entry["nodes"], entry["shards"], entry["exchange"]): entry
-            for entry in new.get("shard_scaling", [])
-        }
-    )
     merged["shard_scaling"] = [scaling[key] for key in sorted(scaling)]
     return merged
+
+
+def _two_shard_gate(nodes: int, cores: int) -> dict:
+    """2 shards against one process, median of alternating runs."""
+    if nodes < TWO_SHARD_GATE_N or cores < 2:
+        return {
+            "status": "skipped",
+            "available_cores": cores,
+            "reason": (
+                f"needs >= 2 cores and the {TWO_SHARD_GATE_N}-node sweep size, "
+                f"have {cores} cores and {nodes} nodes"
+            ),
+        }
+    single, two_shard = [], []
+    for _ in range(TWO_SHARD_GATE_REPEATS):
+        single.append(_arena_run(nodes)["wall_s"])
+        two_shard.append(_arena_run(nodes, shards=2)["wall_s"])
+    return {
+        "status": "enforced",
+        "available_cores": cores,
+        "nodes": nodes,
+        "single_wall_s": [round(value, 3) for value in single],
+        "two_shard_wall_s": [round(value, 3) for value in two_shard],
+        "median_single_s": round(statistics.median(single), 3),
+        "median_two_shard_s": round(statistics.median(two_shard), 3),
+        "passed": statistics.median(two_shard) <= statistics.median(single),
+    }
 
 
 def test_megascale_curve():
@@ -199,8 +226,7 @@ def test_megascale_curve():
     curve = [_arena_run(n) for n in sizes]
 
     # Shard-scaling sweep: single-process baseline plus 1/2/4/... shard
-    # shared-memory runs at one size, and a 4-shard pipe point so the
-    # exchange-tier gap itself is on record.
+    # runs at one size.
     sweep_nodes, shard_counts = SHARD_SWEEP.get(scale, SHARD_SWEEP["bench"])
     baseline = next(
         (point for point in curve if point["nodes"] == sweep_nodes), None
@@ -209,16 +235,11 @@ def test_megascale_curve():
         baseline = _arena_run(sweep_nodes)
     shard_scaling = [baseline]
     shard_scaling += [_arena_run(sweep_nodes, shards=s) for s in shard_counts]
-    if 4 in shard_counts:
-        shard_scaling.append(_arena_run(sweep_nodes, shards=4, use_shm=False))
 
     # Speedup gate: only meaningful when 4 workers can actually run in
     # parallel; on fewer cores record the skip instead of measuring the
     # scheduler.
-    four_shard = next(
-        (p for p in shard_scaling if p["shards"] == 4 and p["exchange"] == "shm"),
-        None,
-    )
+    four_shard = next((p for p in shard_scaling if p["shards"] == 4), None)
     if four_shard is not None and cores >= 4:
         speedup = baseline["wall_s"] / four_shard["wall_s"]
         gate = {
@@ -228,7 +249,7 @@ def test_megascale_curve():
             "target": SPEEDUP_TARGET,
         }
         assert four_shard["wall_s"] <= baseline["wall_s"], (
-            f"4-shard shm run ({four_shard['wall_s']:.1f}s) slower than "
+            f"4-shard run ({four_shard['wall_s']:.1f}s) slower than "
             f"single-process ({baseline['wall_s']:.1f}s) on {cores} cores"
         )
     else:
@@ -256,6 +277,7 @@ def test_megascale_curve():
         "curve": curve,
         "shard_scaling": shard_scaling,
         "shard_speedup_gate": gate,
+        "two_shard_gate": _two_shard_gate(sweep_nodes, cores),
     }
 
     if scale == "mega":
@@ -279,3 +301,9 @@ def test_megascale_curve():
             f"n={point['nodes']}: {point['wall_s']:.1f}s exceeds the "
             f"{BUDGET_S:.0f}s budget"
         )
+    two_shard = records["two_shard_gate"]
+    assert two_shard["status"] == "skipped" or two_shard["passed"], (
+        f"2 shards (median {two_shard['median_two_shard_s']:.1f}s) slower than "
+        f"single-process (median {two_shard['median_single_s']:.1f}s) "
+        f"on {cores} cores"
+    )

@@ -235,9 +235,10 @@ class SummaryScheme(abc.ABC, Generic[S]):
         Returns the scheme's packed columns holding one merged row per
         group, in group order — byte-identical to packing the summaries
         ``merge_groups_packed`` would return.  The default does exactly
-        that; schemes with array-native merges override it with the
-        batched kernels in :mod:`repro.native.kernels` so a receiving
-        node never constructs summary objects at all.
+        that; schemes with array-native merges override it with batched
+        kernels (:func:`repro.ml.gaussian.pool_moments_groups`,
+        :func:`repro.schemes.centroid.weighted_average_groups`) so a
+        receiving node never constructs summary objects at all.
         """
         return self.pack_summaries(self.merge_groups_packed(packed, groups))
 

@@ -14,10 +14,11 @@ split, one stable sort routing every payload to its receiver, and a
 content-addressed receive solver that collapses the post-convergence
 tail into dictionary lookups across the whole population.  For runs that
 outgrow one process, :mod:`repro.mega.shard` splits the arena across
-worker processes with a deterministic, seed-keyed cross-shard exchange —
+worker processes with a deterministic, seed-keyed cross-shard exchange:
 payload rows travel through double-buffered shared-memory slabs
-(:mod:`repro.mega.shm`) by default, with a pickled-pipe fallback
-(``REPRO_MEGA_SHM=0``).
+(:mod:`repro.mega.shm`), and both engines run the same round body (the
+arena's split, the solver's routed delivery, the structural-quiescence
+test).
 
 The correctness contract is byte-parity: at overlapping sizes and equal
 seeds an arena run produces exactly the per-node kernel's classifications

@@ -262,6 +262,39 @@ class NetworkArena:
         )
 
     # ------------------------------------------------------------------
+    # The round
+    # ------------------------------------------------------------------
+    def split(self) -> Tuple[int, np.ndarray, np.ndarray, np.ndarray, Dict[str, np.ndarray]]:
+        """Every node sends half of each collection's quanta, rounded down.
+
+        Returns ``(messages, sender, quanta, ids, columns)``: the sent
+        rows in ``np.nonzero`` row-major order, ascending (sender, slot),
+        which is the concatenation of every node's ``make_message``
+        payload, and the number of distinct senders (the kernel's
+        message count).  ``sender`` indexes this arena's rows.
+        """
+        quanta = self.quanta
+        sent = quanta // 2
+        self.quanta = quanta - sent
+        sender, slot = np.nonzero(sent)
+        messages = int(np.count_nonzero(np.diff(sender)) + 1) if len(sender) else 0
+        columns = {name: column[sender, slot] for name, column in self.columns.items()}
+        return messages, sender, sent[sender, slot], self.ids[sender, slot], columns
+
+    def structurally_converged(self) -> bool:
+        """Does every node hold the same summary-id multiset?
+
+        The structural-quiescence test: between synchronous rounds
+        nothing is in flight, so equal multisets are the whole condition.
+        """
+        counts = self.counts
+        first = int(counts[0])
+        if not bool(np.all(counts == first)):
+            return False
+        block = np.sort(self.ids[:, :first], axis=1)
+        return bool(np.all(block == block[0]))
+
+    # ------------------------------------------------------------------
     # Observation (parity-facing views into the object world)
     # ------------------------------------------------------------------
     def node_collections(self, node: int) -> List[Collection]:

@@ -5,16 +5,14 @@ Usage::
     python -m repro.mega --nodes 100000 --scheme gm --stop-on-quiescence
     python -m repro.mega --nodes 250000 --shards 4 --rounds 40 --json run.json
     python -m repro.mega --nodes 1000000 --shards 8 --stop-on-quiescence
-    python -m repro.mega --nodes 10000 --shards 2 --no-shm --rounds 20
     python -m repro.mega --nodes 1000 --data normal --scheme centroid
 
 Runs one whole-network arena simulation — single-process
 :class:`~repro.mega.engine.ArenaEngine` by default, the multi-process
 :class:`~repro.mega.shard.ShardedArenaEngine` with ``--shards N`` — and
-prints a round/time/cache summary plus the exchange tier in use
-(optionally as JSON for scripting).  Sharded runs move payload rows
-through shared-memory slabs by default; ``--no-shm`` (or
-``REPRO_MEGA_SHM=0``) selects the pickled-pipe fallback.
+prints a round/time/cache summary (optionally as JSON for scripting).
+Sharded runs move payload rows through shared-memory slabs; the summary
+names the segments' count and the exchange's per-phase seconds.
 
 ``--data centers`` (the default) draws each node's value from three
 well-separated cluster centers: merges are float-exact, so the
@@ -101,11 +99,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         "--shards", type=int, default=0,
         help="worker processes (0 = single-process engine, the default)",
     )
-    parser.add_argument(
-        "--shm", action=argparse.BooleanOptionalAction, default=None,
-        help="cross-shard exchange via shared-memory slabs "
-        "(default: REPRO_MEGA_SHM, on; --no-shm pickles bundles over pipes)",
-    )
     parser.add_argument("--topology", default="complete")
     parser.add_argument(
         "--stop-on-quiescence", action="store_true",
@@ -134,7 +127,6 @@ def main(argv: Optional[list[str]] = None) -> int:
                 seed=args.seed,
                 topology=args.topology,
                 use_cache=use_cache,
-                use_shm=args.shm,
                 checkpoint_every=args.checkpoint_every,
             )
         else:
@@ -157,14 +149,8 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     stats = engine.stats.as_dict()
     if args.shards > 0:
-        exchange = engine.exchange
-        tier = (
-            f"shared-memory slabs ({len(engine.segment_names)} segments)"
-            if exchange == "shm"
-            else "pickled pipes"
-        )
+        tier = f"shared-memory slabs ({len(engine.segment_names)} segments)"
     else:
-        exchange = "single"
         tier = "in-process (single arena)"
     summary = {
         "nodes": args.nodes,
@@ -174,7 +160,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         "data": args.data,
         "topology": args.topology,
         "shards": args.shards,
-        "exchange": exchange,
         "rounds_executed": executed,
         "quiescent_at": engine.quiescent_at,
         "wall_s": round(elapsed, 3),

@@ -233,8 +233,35 @@ class ReceiveSolver:
         )
 
     # ------------------------------------------------------------------
-    # Batch entry point
+    # Batch entry points
     # ------------------------------------------------------------------
+    def deliver(
+        self,
+        dest: np.ndarray,
+        ids: np.ndarray,
+        quanta: np.ndarray,
+        columns: Dict[str, np.ndarray],
+    ) -> None:
+        """Route one round's payload rows to their receivers and apply them.
+
+        ``dest`` holds each row's arena-local receiver; rows come in
+        ascending-sender order.  The stable sort by destination keeps
+        that order within each receiver, which is the in-memory
+        transport's batch order that byte parity rests on.
+        """
+        if not len(dest):
+            return
+        order = np.argsort(dest, kind="stable")
+        sorted_dest = dest[order]
+        dests, starts = np.unique(sorted_dest, return_index=True)
+        self.receive_slab(
+            dests,
+            np.append(starts, len(sorted_dest)),
+            ids[order],
+            quanta[order],
+            {name: rows[order] for name, rows in columns.items()},
+        )
+
     def receive_slab(
         self,
         dests: np.ndarray,
@@ -253,9 +280,10 @@ class ReceiveSolver:
         Three passes.  The first resolves every receiver in order from
         the memos, the fast path or a certified no-op, and queues the
         rest as distinct problems; a queued problem takes its memo slot
-        at once, so the LRU evicts exactly as a one-at-a-time loop would.
-        The second solves the queue in one batch (:meth:`_solve_queued`),
-        interning new summaries in queue order.  The third scatters.
+        at once, so the LRU evicts exactly as a one-at-a-time loop would,
+        and gives it back if the batch raises.  The second solves the
+        queue in one batch (:meth:`_solve_queued`), interning new
+        summaries in queue order.  The third scatters.
         Receivers are distinct, so no receiver reads another's new rows.
         """
         arena = self.arena
@@ -310,7 +338,15 @@ class ReceiveSolver:
                 round_memo[key] = outcome
             resolved.append((receiver, outcome))
         if queued:
-            self._solve_queued(queued, ids, quanta, columns)
+            try:
+                self._solve_queued(queued, ids, quanta, columns)
+            except BaseException:
+                # Give back the memo slots the queued problems took, so
+                # no later receive replays an unsolved outcome.
+                unsolved = {id(entry[4]) for entry in queued}
+                for key in [key for key, rows in memo.items() if id(rows) in unsolved]:
+                    del memo[key]
+                raise
         for receiver, outcome in resolved:
             stats.receivers += 1
             stats.merges += outcome.merges
@@ -667,32 +703,9 @@ class ArenaEngine:
     # ------------------------------------------------------------------
     def run_round(self) -> int:
         """Execute one synchronous round; returns the message count."""
-        arena = self.arena
         peers = self.pairing.draw()
-        quanta = arena.quanta
-        sent = quanta // 2
-        arena.quanta = quanta - sent
-        sender, slot = np.nonzero(sent)
-        messages = 0
-        if len(sender):
-            payload_quanta = sent[sender, slot]
-            payload_ids = arena.ids[sender, slot]
-            payload_dest = peers[sender]
-            payload_columns = {
-                name: column[sender, slot] for name, column in arena.columns.items()
-            }
-            messages = int(np.count_nonzero(np.diff(sender)) + 1)
-            order = np.argsort(payload_dest, kind="stable")
-            sorted_dest = payload_dest[order]
-            dests, starts = np.unique(sorted_dest, return_index=True)
-            bounds = np.append(starts, len(sorted_dest))
-            self.solver.receive_slab(
-                dests,
-                bounds,
-                payload_ids[order],
-                payload_quanta[order],
-                {name: rows[order] for name, rows in payload_columns.items()},
-            )
+        messages, sender, quanta, ids, columns = self.arena.split()
+        self.solver.deliver(peers[sender], ids, quanta, columns)
         self.round_index += 1
         self.stats.rounds += 1
         self.stats.messages += messages
@@ -717,7 +730,7 @@ class ArenaEngine:
             self.run_round()
             executed += 1
             if stop_on_quiescence:
-                if self._probe_quiescence():
+                if self.arena.structurally_converged():
                     self._quiescent_streak += 1
                     if self._quiescent_streak >= quiescence_patience:
                         if self.quiescent_at is None:
@@ -730,15 +743,6 @@ class ArenaEngine:
     @property
     def quiescent(self) -> bool:
         return self.quiescent_at is not None
-
-    def _probe_quiescence(self) -> bool:
-        arena = self.arena
-        counts = arena.counts
-        first = int(counts[0])
-        if not bool(np.all(counts == first)):
-            return False
-        block = np.sort(arena.ids[:, :first], axis=1)
-        return bool(np.all(block == block[0]))
 
     # ------------------------------------------------------------------
     # Observation

@@ -4,40 +4,33 @@
 shards (``np.array_split`` boundaries), gives each worker process an
 owned :class:`~repro.mega.arena.NetworkArena` slice plus a *full*
 replica of the :class:`~repro.mega.engine.GossipPairing` draw, and runs
-each round as a two-phase barrier protocol over pipes:
+each round as a two-phase barrier protocol:
 
 1. **split** — every worker draws the whole population's peers vector
    from the shared seed (identical across workers: same stream, same
-   selector), splits its own rows, and emits the payload bundles bound
-   for *other* shards.  The portion addressed to its own shard never
-   leaves the process.
-2. **deliver** — each worker applies its inbound payloads through the
-   shared :class:`~repro.mega.engine.ReceiveSolver`, assembling rows in
+   selector), splits its own rows with the arena's
+   :meth:`~repro.mega.arena.NetworkArena.split`, and writes the payload
+   rows bound for *other* shards into double-buffered
+   :mod:`multiprocessing.shared_memory` outbox slabs
+   (:mod:`repro.mega.shm`).  The portion addressed to its own shard
+   never leaves the process.
+2. **deliver** — each worker reads its inbound rows as zero-copy slab
+   views and applies them through the shared
+   :meth:`~repro.mega.engine.ReceiveSolver.deliver`, assembling rows in
    ascending source-shard order so the concatenation reproduces the
    in-memory transport's ascending-sender delivery order exactly.
 
-Payload rows move through one of two exchange tiers:
-
-- **shared memory** (the default; disable with ``REPRO_MEGA_SHM=0``) —
-  workers write packed dest/quanta/column rows directly into
-  double-buffered :mod:`multiprocessing.shared_memory` outbox slabs
-  (:mod:`repro.mega.shm`); only tiny ``(target, rows)`` control tuples
-  cross the pipes, and receivers read zero-copy views.  Nothing is
-  pickled on the data path.
-- **pipes** — the historical parent-routed star: bundles are pickled
-  worker → parent → worker.  Kept as the portable fallback and as the
-  parity reference for the shm tier.
-
-Both tiers post all of a phase's messages before draining any reply and
-collect replies concurrently (``multiprocessing.connection.wait``), so
-a round costs the *slowest* worker, not the sum of workers.
+Only tiny ``(target, rows)`` control tuples cross the pipes; nothing is
+pickled on the data path.  The parent posts all of a phase's messages
+before draining any reply and collects replies concurrently
+(``multiprocessing.connection.wait``), so a round costs the *slowest*
+worker, not the sum of workers.
 
 Because pairing is replicated rather than communicated, the exchange is
 deterministic and byte-parity with the single-process
 :class:`~repro.mega.engine.ArenaEngine` (and hence with the per-node
-kernel) holds shard-count- and exchange-tier-independently;
-``tests/mega/`` pins ``shards=1`` against ``shards=4`` against the
-unsharded engine, shm against pipes.
+kernel) holds shard-count-independently; ``tests/mega/`` pins
+``shards=1`` against ``shards=4`` against the unsharded engine.
 
 Fault tolerance reuses the sweep runner's worker-pool discipline
 (:mod:`repro.sweep.runner`): rounds are atomic — the parent distributes
@@ -45,8 +38,8 @@ nothing until every worker's ``sent`` reply is in — so a worker death
 only ever loses state the parent can reconstruct.  Workers piggyback
 checkpoint slabs (counts/quanta/columns; ids are re-interned on load)
 every ``checkpoint_every`` rounds, the parent buffers each shard's
-inbound bundles since its last checkpoint (under shared memory it
-snapshots the slab contents before the double buffer is reused), and a
+inbound bundles since its last checkpoint (snapshotting the slab
+contents before the double buffer is reused), and a
 respawned worker rebuilds its arena, re-attaches to the shm segments,
 fast-forwards the pairing stream by discarding draws, and replays the
 buffered rounds — regenerating its own splits, which cost nothing to
@@ -85,8 +78,6 @@ __all__ = [
     "ShardedArenaEngine",
     "CRASH_FLAG_ENV",
     "CRASH_SHARD_ENV",
-    "SHM_ENV",
-    "shm_default",
 ]
 
 #: ``"<shard>:<round>"`` (split) or ``"<shard>:<round>:deliver"`` —
@@ -94,17 +85,9 @@ __all__ = [
 CRASH_SHARD_ENV = "REPRO_MEGA_CRASH_SHARD"
 #: Flag-file path; ``O_EXCL`` creation makes the crash once-only.
 CRASH_FLAG_ENV = "REPRO_MEGA_CRASH_FLAG"
-#: ``"0"`` selects the pickled-pipe exchange; anything else (or unset)
-#: keeps the shared-memory tier.
-SHM_ENV = "REPRO_MEGA_SHM"
 
 #: Exit code of an injected worker crash (visible in worker exitcodes).
 _CRASH_EXIT = 23
-
-
-def shm_default() -> bool:
-    """The ambient exchange-tier default (``REPRO_MEGA_SHM``, on)."""
-    return os.environ.get(SHM_ENV, "1").strip().lower() not in ("0", "false", "off")
 
 
 def _maybe_inject_crash(shard: int, round_index: int, phase: str = "split") -> None:
@@ -168,8 +151,7 @@ class _ShardConfig:
     use_cache: bool
     memo_size: int
     checkpoint_every: int
-    #: Shared-memory exchange geometry; ``None`` selects the pipe tier.
-    exchange: Optional[SlabExchangeSpec] = None
+    exchange: SlabExchangeSpec
 
     @property
     def lo(self) -> int:
@@ -214,7 +196,7 @@ class _ShardState:
         self.solver = ReceiveSolver(
             self.arena, merge_cache=cache, memo_size=config.memo_size, stats=self.stats
         )
-        self._pending_internal: Optional[Tuple[np.ndarray, ...]] = None
+        self._pending_internal: Optional[Tuple[Any, ...]] = None
 
     # ------------------------------------------------------------------
     # Round phases
@@ -228,43 +210,25 @@ class _ShardState:
         columns)`` — rows in ascending (sender, slot) order within each
         bundle — and the shard's message count (distinct senders, the
         kernel's metric).  The own-shard portion is parked for
-        :meth:`apply_round`.
+        :meth:`apply_round`, ids included: they stay valid in this
+        interner.
         """
         config = self.config
         peers = self.pairing.draw()
-        arena = self.arena
-        quanta = arena.quanta
-        sent = quanta // 2
-        arena.quanta = quanta - sent
-        sender, slot = np.nonzero(sent)
-        self._pending_internal = None
-        if not len(sender):
-            return [], 0
-        messages = int(np.count_nonzero(np.diff(sender)) + 1)
-        payload_quanta = sent[sender, slot]
-        payload_ids = arena.ids[sender, slot]
-        payload_dest = peers[sender + config.lo]
-        payload_columns = {
-            name: column[sender, slot] for name, column in arena.columns.items()
-        }
-        dest_shard = np.searchsorted(config.bounds, payload_dest, side="right") - 1
-        outgoing: List[Tuple[int, np.ndarray, np.ndarray, Dict[str, np.ndarray]]] = []
-        for target in np.unique(dest_shard):
-            target = int(target)
-            mask = dest_shard == target
-            bundle_dest = payload_dest[mask]
-            bundle_quanta = payload_quanta[mask]
-            bundle_columns = {name: rows[mask] for name, rows in payload_columns.items()}
-            if target == config.shard:
-                # Own rows: ids stay valid in this interner, keep them.
-                self._pending_internal = (
-                    bundle_dest,
-                    payload_ids[mask],
-                    bundle_quanta,
-                    bundle_columns,
-                )
-            else:
-                outgoing.append((target, bundle_dest, bundle_quanta, bundle_columns))
+        messages, sender, quanta, ids, columns = self.arena.split()
+        dest = peers[sender + config.lo]
+        dest_shard = np.searchsorted(config.bounds, dest, side="right") - 1
+
+        def bundle(mask: np.ndarray) -> Tuple[np.ndarray, np.ndarray, Dict[str, np.ndarray]]:
+            return dest[mask], quanta[mask], {name: rows[mask] for name, rows in columns.items()}
+
+        own = dest_shard == config.shard
+        own_dest, own_quanta, own_columns = bundle(own)
+        self._pending_internal = (own_dest, ids[own], own_quanta, own_columns)
+        outgoing = [
+            (int(target), *bundle(dest_shard == target))
+            for target in np.unique(dest_shard[~own])
+        ]
         return outgoing, messages
 
     def apply_round(
@@ -279,48 +243,26 @@ class _ShardState:
         global delivery order.
         """
         config = self.config
-        arena = self.arena
-        by_source: Dict[int, Tuple[np.ndarray, np.ndarray, Dict[str, np.ndarray]]] = {}
-        for source, dest, quanta, columns in external:
-            by_source[int(source)] = (dest, quanta, columns)
-        dest_parts: List[np.ndarray] = []
-        id_parts: List[np.ndarray] = []
-        quanta_parts: List[np.ndarray] = []
-        column_parts: List[Dict[str, np.ndarray]] = []
+        interner = self.arena.interner
+        internal, self._pending_internal = self._pending_internal, None
+        assert internal is not None, "apply_round runs after split_round"
+        inbound = {int(source): bundle for source, *bundle in external}
+        parts: List[Tuple[Any, ...]] = []
         for source in range(config.shards):
             if source == config.shard:
-                if self._pending_internal is None:
-                    continue
-                dest, ids, quanta, columns = self._pending_internal
-            elif source in by_source:
-                dest, quanta, columns = by_source[source]
-                ids = arena.interner.intern_rows(columns, len(dest))
-            else:
-                continue
-            dest_parts.append(dest)
-            id_parts.append(ids)
-            quanta_parts.append(quanta)
-            column_parts.append(columns)
-        self._pending_internal = None
-        if dest_parts:
-            payload_dest = np.concatenate(dest_parts) - config.lo
-            payload_ids = np.concatenate(id_parts)
-            payload_quanta = np.concatenate(quanta_parts)
-            payload_columns = {
-                name: np.concatenate([part[name] for part in column_parts])
-                for name in column_parts[0]
-            }
-            order = np.argsort(payload_dest, kind="stable")
-            sorted_dest = payload_dest[order]
-            dests, starts = np.unique(sorted_dest, return_index=True)
-            bounds = np.append(starts, len(sorted_dest))
-            self.solver.receive_slab(
-                dests,
-                bounds,
-                payload_ids[order],
-                payload_quanta[order],
-                {name: rows[order] for name, rows in payload_columns.items()},
-            )
+                parts.append(internal)
+            elif source in inbound:
+                dest, quanta, columns = inbound[source]
+                parts.append((dest, interner.intern_rows(columns, len(dest)), quanta, columns))
+        self.solver.deliver(
+            np.concatenate([part[0] for part in parts]) - config.lo,
+            np.concatenate([part[1] for part in parts]),
+            np.concatenate([part[2] for part in parts]),
+            {
+                name: np.concatenate([part[3][name] for part in parts])
+                for name in self.arena.columns
+            },
+        )
         self.rounds_done += 1
 
     # ------------------------------------------------------------------
@@ -335,13 +277,9 @@ class _ShardState:
         internally equal and all hashes agree.
         """
         arena = self.arena
-        counts = arena.counts
-        first = int(counts[0])
-        if not bool(np.all(counts == first)):
+        if not arena.structurally_converged():
             return False, b""
-        block = np.sort(arena.ids[:, :first], axis=1)
-        if not bool(np.all(block == block[0])):
-            return False, b""
+        first = int(arena.counts[0])
         interner = arena.interner
         digest = hashlib.blake2b(digest_size=16)
         digest.update(first.to_bytes(8, "little"))
@@ -372,16 +310,14 @@ def _shard_worker_main(
     replay: List[Tuple[int, List[Any]]],
 ) -> None:
     """Worker entry point: rebuild, replay, then serve the round protocol."""
-    exchange: Optional[SlabExchange] = None
+    exchange = SlabExchange(config.exchange, create=False)
     try:
-        if config.exchange is not None:
-            exchange = SlabExchange(config.exchange, create=False)
         state = _ShardState(config, values, checkpoint)
         for _, external in replay:
             # Regenerate own splits (already routed by the parent — the
             # draw both advances the stream and recreates the quanta
             # halving) and re-apply the buffered inbound bundles.  The
-            # outgoing bundles are discarded, *not* written to the shm
+            # outgoing bundles are discarded, *not* written to the
             # slabs: other shards may still be reading this worker's
             # pre-crash round content, which determinism makes
             # byte-identical to what a rewrite would produce.
@@ -395,37 +331,26 @@ def _shard_worker_main(
                 round_index = message[1]
                 _maybe_inject_crash(config.shard, round_index, "split")
                 outgoing, messages = state.split_round()
-                if exchange is not None:
-                    # Data rows go straight into the outbox slabs; the
-                    # pipe carries only (target, rows) control tuples.
-                    parity = round_index & 1
-                    counts: List[Tuple[int, int]] = []
-                    for target, dest, quanta, columns in outgoing:
-                        exchange.write(
-                            config.shard, parity, target, round_index,
-                            dest, quanta, columns,
-                        )
-                        counts.append((target, len(dest)))
-                    conn.send(("sent", round_index, counts, messages))
-                else:
-                    conn.send(("sent", round_index, outgoing, messages))
+                # Data rows go straight into the outbox slabs; the pipe
+                # carries only (target, rows) control tuples.
+                parity = round_index & 1
+                for target, dest, quanta, columns in outgoing:
+                    exchange.write(
+                        config.shard, parity, target, round_index, dest, quanta, columns
+                    )
+                counts = [(target, len(dest)) for target, dest, _, _ in outgoing]
+                conn.send(("sent", round_index, counts, messages))
             elif kind == "deliver":
                 round_index, inbound, want_probe = message[1], message[2], message[3]
                 _maybe_inject_crash(config.shard, round_index, "deliver")
-                if exchange is not None:
-                    # Zero-copy views into the source shards' outboxes;
-                    # consumed (and copied where needed) inside
-                    # apply_round, before the buffers can be reused.
-                    parity = round_index & 1
-                    external = [
-                        (source,)
-                        + exchange.read(
-                            source, parity, config.shard, round_index, rows
-                        )
-                        for source, rows in inbound
-                    ]
-                else:
-                    external = inbound
+                # Zero-copy views into the source shards' outboxes;
+                # consumed (and copied where needed) inside apply_round,
+                # before the buffers can be reused.
+                parity = round_index & 1
+                external = [
+                    (source,) + exchange.read(source, parity, config.shard, round_index, rows)
+                    for source, rows in inbound
+                ]
                 state.apply_round(external)
                 # Drop the slab views before replying: the buffers may
                 # be rewritten two rounds on, and lingering exports
@@ -448,8 +373,7 @@ def _shard_worker_main(
     except (EOFError, KeyboardInterrupt, BrokenPipeError):  # pragma: no cover
         pass
     finally:
-        if exchange is not None:
-            exchange.close()
+        exchange.close()
 
 
 class _WorkerHandle:
@@ -469,12 +393,10 @@ class ShardedArenaEngine:
         Worker-process count; each owns a contiguous node range (the
         ``np.array_split`` partition of ``range(n)``).
     use_shm:
-        Exchange tier: ``True`` moves payload rows through the
-        shared-memory slab exchange (:mod:`repro.mega.shm`), ``False``
-        pickles bundles through the parent-routed pipes; ``None`` (the
-        default) defers to ``REPRO_MEGA_SHM`` (on).  With one shard no
-        payload ever crosses processes and the pipe tier is used
-        degenerately.  Byte parity holds across tiers.
+        Payload rows always cross shards through the shared-memory slab
+        exchange (:mod:`repro.mega.shm`); only ``True``, the default, is
+        accepted.  With one shard no payload crosses processes and no
+        segment is created.
     checkpoint_every:
         Rounds between piggybacked worker checkpoints.  Bounds both the
         replay a respawn performs and the bundle history the parent
@@ -504,7 +426,7 @@ class ShardedArenaEngine:
         selector: Optional[NeighborSelector] = None,
         variant: str = "push",
         use_cache: Optional[bool] = None,
-        use_shm: Optional[bool] = None,
+        use_shm: bool = True,
         memo_size: int = 65536,
         checkpoint_every: int = 4,
         max_restarts: int = 3,
@@ -521,6 +443,11 @@ class ShardedArenaEngine:
             raise ValueError(f"shards must be at least 1, got {shards}")
         if shards > n:
             raise ValueError(f"cannot split {n} nodes across {shards} shards")
+        if not use_shm:
+            raise ValueError(
+                "use_shm must be True: payload rows cross shards only through "
+                "the shared-memory slab exchange"
+            )
         if not scheme.supports_packed:
             raise ValueError(
                 f"{type(scheme).__name__} does not implement the packed hot "
@@ -538,25 +465,18 @@ class ShardedArenaEngine:
         self.worker_timeout = worker_timeout
         if use_cache is None:
             use_cache = merge_cache_default()
-        if use_shm is None:
-            use_shm = shm_default()
         selector = selector if selector is not None else RandomSelector()
         # Validate the topology/selector combination eagerly, in-process.
         GossipPairing(n, topology, selector, seed)
         sizes = [len(chunk) for chunk in np.array_split(np.arange(n), shards)]
         bounds = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
-        self.exchange = "shm" if (use_shm and shards > 1) else "pipe"
-        self._slabs: Optional[SlabExchange] = None
-        self._segment_names: List[str] = []
-        spec: Optional[SlabExchangeSpec] = None
-        if self.exchange == "shm":
-            # Region sizes need the scheme's packed column shapes; one
-            # probe row is enough (pack_values is shape-stable in n).
-            probe = scheme.pack_values(values[:1])
-            column_specs = {name: array.shape[1:] for name, array in probe.items()}
-            spec = SlabExchangeSpec(bounds, k, column_specs, uuid.uuid4().hex[:16])
-            self._slabs = SlabExchange(spec, create=True)
-            self._segment_names = list(self._slabs.segment_names)
+        # Region sizes need the scheme's packed column shapes; one probe
+        # row is enough (pack_values is shape-stable in n).
+        probe = scheme.pack_values(values[:1])
+        column_specs = {name: array.shape[1:] for name, array in probe.items()}
+        spec = SlabExchangeSpec(bounds, k, column_specs, uuid.uuid4().hex[:16])
+        self._slabs: Optional[SlabExchange] = SlabExchange(spec, create=True)
+        self._segment_names = list(self._slabs.segment_names)
         self._configs = [
             _ShardConfig(
                 shard=shard,
@@ -601,8 +521,8 @@ class ShardedArenaEngine:
 
     @property
     def segment_names(self) -> List[str]:
-        """Names of this engine's shared-memory segments (empty on the
-        pipe tier).  The list is a creation-time snapshot, so it stays
+        """Names of this engine's shared-memory segments (empty with one
+        shard).  The list is a creation-time snapshot, so it stays
         readable after ``collect()``/``close()`` unlink the segments —
         reporting and leak-guard tests both want the names then.
         """
@@ -733,17 +653,18 @@ class ShardedArenaEngine:
         """One synchronous round; returns (messages, globally quiescent)."""
         if self._closed:
             raise RuntimeError("engine already collected/closed")
+        slabs = self._slabs
+        assert slabs is not None
         round_index = self.round_index
         parity = round_index & 1
-        shm = self._slabs is not None
         t_start = time.perf_counter()
         # Phase 1: split.  Broadcast first so workers compute in
-        # parallel; under shm the replies are (target, rows) tuples and
-        # the payload rows are already sitting in the outbox slabs.
+        # parallel; the replies are (target, rows) tuples and the
+        # payload rows are already sitting in the outbox slabs.
         replies = self._broadcast_collect(
             [("split", round_index)] * self.shards
         )
-        outgoing_by_shard: List[List[Any]] = [[] for _ in range(self.shards)]
+        outgoing_by_shard: List[List[Tuple[int, int]]] = [[] for _ in range(self.shards)]
         messages = 0
         for shard in range(self.shards):
             reply = replies[shard]
@@ -759,20 +680,12 @@ class ShardedArenaEngine:
             outgoing_by_shard[shard] = outgoing
             messages += shard_messages
         t_split = time.perf_counter()
-        # Route: destination shard <- inbound descriptors in ascending
-        # source order (the global ascending-sender order).  Under shm a
-        # descriptor is (source, rows); on pipes it carries the bundle.
-        inbound: List[List[Any]] = [[] for _ in range(self.shards)]
-        if shm:
-            for source in range(self.shards):
-                for target, rows in outgoing_by_shard[source]:
-                    inbound[int(target)].append((source, int(rows)))
-        else:
-            for source in range(self.shards):
-                for target, dest, quanta, columns in outgoing_by_shard[source]:
-                    inbound[int(target)].append((source, dest, quanta, columns))
-            for shard in range(self.shards):
-                self._history[shard].append((round_index, inbound[shard]))
+        # Route: destination shard <- (source, rows) descriptors in
+        # ascending source order (the global ascending-sender order).
+        inbound: List[List[Tuple[int, int]]] = [[] for _ in range(self.shards)]
+        for source in range(self.shards):
+            for target, rows in outgoing_by_shard[source]:
+                inbound[int(target)].append((source, int(rows)))
         # Phase 2: deliver.  Post every notification before draining any
         # done reply — the notifications are tiny, so the broadcast
         # cannot block on pipe backpressure and all workers apply
@@ -784,20 +697,16 @@ class ShardedArenaEngine:
                 handle.conn.send(("deliver", round_index, inbound[shard], want_probe))
             except (BrokenPipeError, OSError):
                 pass  # detected at the reply collection below
-        if shm:
-            # Snapshot this round's slab contents into the replay
-            # history while the workers apply: buffer ``parity`` is
-            # rewritten at round + 2, and a respawn during this deliver
-            # phase replays *through* this round from the history.
-            slabs = self._slabs
-            assert slabs is not None
-            for target in range(self.shards):
-                bundles = [
-                    (source,)
-                    + slabs.read(source, parity, target, round_index, rows, copy=True)
-                    for source, rows in inbound[target]
-                ]
-                self._history[target].append((round_index, bundles))
+        # Snapshot this round's slab contents into the replay history
+        # while the workers apply: buffer ``parity`` is rewritten at
+        # round + 2, and a respawn during this deliver phase replays
+        # *through* this round from the history.
+        for target in range(self.shards):
+            bundles = [
+                (source,) + slabs.read(source, parity, target, round_index, rows, copy=True)
+                for source, rows in inbound[target]
+            ]
+            self._history[target].append((round_index, bundles))
         t_route = time.perf_counter()
         done = self._collect_replies(set(range(self.shards)))
         probes: List[Optional[Tuple[bool, bytes]]] = [None] * self.shards

@@ -1,15 +1,14 @@
 """Shared-memory slab exchange for the sharded arena.
 
-The pipe-era cross-shard data path pickled every payload bundle twice
-(worker → parent → worker) through a parent-routed star.  This module
-replaces it with double-buffered ``multiprocessing.shared_memory``
-outbox slabs: each shard owns, per buffer parity, one segment holding a
-contiguous slab region per *target* shard (layout and pack/unpack in
-:mod:`repro.core.packed`).  During ``split`` a worker writes its payload
-rows straight into the regions; only tiny ``(target, rows)`` control
-tuples cross the pipes, and receivers assemble inbound bundles as
-zero-copy views in ascending source-shard order, so the delivery order
-— and hence byte parity — is exactly the pipe path's.
+The sharded arena's cross-shard data path: double-buffered
+``multiprocessing.shared_memory`` outbox slabs.  Each shard owns, per
+buffer parity, one segment holding a contiguous slab region per *target*
+shard (layout and pack/unpack in :mod:`repro.core.packed`).  During
+``split`` a worker writes its payload rows straight into the regions;
+only tiny ``(target, rows)`` control tuples cross the pipes, and
+receivers assemble inbound bundles as zero-copy views in ascending
+source-shard order, so the delivery order — and hence byte parity — is
+the single-process engine's.  Nothing is pickled on the data path.
 
 Double buffering (segment parity = ``round % 2``) is what lets the
 round protocol overlap: shard A may already be writing round ``r+1``

@@ -23,6 +23,7 @@ __all__ = [
     "sample",
     "kl_divergence",
     "pool_moments",
+    "pool_moments_groups",
     "expected_log_density",
 ]
 
@@ -151,3 +152,60 @@ def pool_moments(
     within = np.einsum("i,ijk->jk", weights, covs)
     cov = symmetrize((within + scatter) / total)
     return mean, cov
+
+
+def pool_moments_groups(
+    quanta: np.ndarray,
+    means: np.ndarray,
+    covs: np.ndarray,
+    groups: Sequence[Sequence[int]],
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`pool_moments` over many row groups at once (the GM merge).
+
+    Byte-parity contract with :func:`pool_moments` applied per group:
+    identical components short-circuit to ``(mean[0],
+    symmetrize(cov[0]))``; otherwise the weighted mean, scatter and
+    within-group terms are computed with the same lane lengths and the
+    same sequential einsum contractions, so every intermediate rounds
+    identically.  numpy's pairwise summation splits a reduction by its
+    lane length only, so groups are bucketed by size and each bucket's
+    ``(G, m, ...)`` block is reduced over axis 1 in one shot.
+    """
+    d = means.shape[1]
+    by_size: dict[int, list[int]] = {}
+    for gi, group in enumerate(groups):
+        by_size.setdefault(len(group), []).append(gi)
+    single_bucket = len(by_size) == 1
+    out_means = out_covs = None
+    if not single_bucket:
+        out_means = np.empty((len(groups), d))
+        out_covs = np.empty((len(groups), d, d))
+    for m, gids in by_size.items():
+        idx = np.array([groups[gi] for gi in gids], dtype=np.intp)
+        sub_means = means[idx]  # (G, m, d)
+        sub_covs = covs[idx]  # (G, m, d, d)
+        if m == 1:
+            mean = sub_means[:, 0].copy()
+            cov = symmetrize(sub_covs[:, 0])
+        else:
+            identical = (sub_means == sub_means[:, :1]).all(axis=(1, 2)) & (
+                sub_covs == sub_covs[:, :1]
+            ).all(axis=(1, 2, 3))
+            w = quanta[idx].astype(float)
+            total = w.sum(axis=1)
+            mean = (w[:, :, None] * sub_means).sum(axis=1) / total[:, None]
+            centered = sub_means - mean[:, None, :]
+            scatter = np.einsum("gi,gij,gik->gjk", w, centered, centered)
+            within = np.einsum("gi,gijk->gjk", w, sub_covs)
+            cov = symmetrize((within + scatter) / total[:, None, None])
+            if identical.any():
+                mean = np.where(identical[:, None], sub_means[:, 0], mean)
+                cov = np.where(
+                    identical[:, None, None], symmetrize(sub_covs[:, 0]), cov
+                )
+        if single_bucket:
+            return mean, cov
+        assert out_means is not None and out_covs is not None
+        out_means[gids] = mean
+        out_covs[gids] = cov
+    return out_means, out_covs

@@ -41,11 +41,6 @@ from repro.ml.linalg import (
     regularize_covariance,
     triangular_inverse_batch,
 )
-from repro.native.kernels import (
-    compact_labels,
-    maximin_seed_walk,
-    pairwise_sq_matrix,
-)
 from repro.obs.profiling import span
 
 __all__ = [
@@ -282,6 +277,53 @@ def _score_stack(
     return features @ coefficients.reshape(problems, count, -1).swapaxes(1, 2)
 
 
+def pairwise_sq_matrix(points: np.ndarray) -> np.ndarray:
+    """Full squared-distance matrix with byte-parity to the row form.
+
+    Computed as ``(deltas ** 2).sum(axis=2)`` so each entry reduces a
+    length-``d`` lane exactly like the per-row reference
+    ``np.sum((points - points[i]) ** 2, axis=1)`` — same lane length,
+    same pairwise splits, same bytes, for any ``d``.
+    """
+    deltas = points[:, None, :] - points[None, :, :]
+    return (deltas**2).sum(axis=2)
+
+
+def maximin_seed_walk(
+    weights: np.ndarray, distance_matrix: np.ndarray, k: int
+) -> list[int]:
+    """:func:`_maximin_seeds` on a precomputed distance matrix.
+
+    The same walk, byte for byte: heaviest component first, then greedy
+    farthest-point, ties to the lowest index, stopping early when every
+    remaining point coincides with a seed.  Returns the chosen component
+    indices (callers take ``distance_matrix[:, chosen]`` as the seed
+    distances).
+    """
+    first = int(weights.argmax())
+    chosen = [first]
+    closest_sq = distance_matrix[first]
+    for _ in range(1, k):
+        candidate = int(closest_sq.argmax())
+        if closest_sq[candidate] <= 0.0:
+            break
+        chosen.append(candidate)
+        closest_sq = np.minimum(closest_sq, distance_matrix[candidate])
+    return chosen
+
+
+def compact_labels(assignment: np.ndarray) -> tuple[np.ndarray, int]:
+    """Relabel an assignment to compact labels ``0..occupied-1``.
+
+    Byte-equal to ``np.searchsorted(np.unique(a), a)`` (occupied labels
+    keep their sorted order) without the sort: one bincount over the
+    small label space and a cumulative-sum lookup.
+    """
+    occupied = np.bincount(assignment) > 0
+    lookup = np.cumsum(occupied) - 1
+    return lookup[assignment], int(lookup[-1]) + 1
+
+
 def _maximin_seeds(weights: np.ndarray, means: np.ndarray, k: int) -> np.ndarray:
     """Deterministic seed selection: heaviest first, then farthest-point.
 
@@ -327,7 +369,7 @@ def _seed_stack(weights: np.ndarray, means: np.ndarray, k: int) -> np.ndarray:
 
 
 def _compact_stack(assignment: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row :func:`~repro.native.kernels.compact_labels` of a ``(P, l)`` stack.
+    """Per-row :func:`compact_labels` of a ``(P, l)`` stack.
 
     Returns the compact labels and each row's occupied-group count.
     """

@@ -319,14 +319,19 @@ class SimulationKernel(Network):
     ) -> int:
         """Run the send half of the pipeline; returns messages sent (0 or 1).
 
-        Asks ``source``'s protocol for a payload (which may legally be
-        ``None`` — nothing sendable), wraps it in an envelope on the
-        directed channel, schedules its delivery, and counts and emits
-        the ``send``.  ``deliver_time`` may be an absolute time or a
-        thunk; the thunk is only evaluated once a payload exists, so
-        random delay draws never happen for skipped transmissions.
+        Checks the edge first (a non-edge raises :class:`KeyError` before
+        anything changes), then asks ``source``'s protocol for a payload
+        (which may legally be ``None`` — nothing sendable), wraps it in
+        an envelope on the directed channel, schedules its delivery, and
+        counts and emits the ``send``.  ``deliver_time`` may be an
+        absolute time or a thunk; the thunk is only evaluated once a
+        payload exists, so random delay draws never happen for skipped
+        transmissions.
         """
         with span("kernel.transport"):
+            # Making the payload splits the source's weight, so a refused
+            # send must be refused before it.
+            self.transport.channel(source, destination)
             payload = self.protocols[source].make_payload()
             if payload is None:
                 return 0

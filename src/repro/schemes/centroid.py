@@ -18,10 +18,135 @@ from repro.core.fingerprint import digest_arrays
 from repro.core.packed import PackedState
 from repro.core.scheme import SummaryScheme
 from repro.core.weights import Quantization
-from repro.native.kernels import greedy_partition, weighted_average_groups
 from repro.obs.profiling import span
 
-__all__ = ["CentroidScheme", "greedy_closest_pair_partition"]
+__all__ = ["CentroidScheme", "greedy_closest_pair_partition", "weighted_average_groups"]
+
+
+def greedy_partition(
+    positions: np.ndarray,
+    weights: np.ndarray,
+    heavy: np.ndarray,
+    k: int,
+) -> list[list[int]]:
+    """Masked greedy closest-pair partition.
+
+    Same greedy merge sequence as the incremental delete-based loop it
+    replaces, but dead groups are masked with ``inf`` rows/columns
+    instead of physically deleted, so each merge costs one recomputed
+    row instead of an O(l^2) matrix copy.  Row-major ``argmin`` over
+    the masked matrix visits surviving entries in the same order the
+    compacted matrix would, so exact ties break identically.
+
+    ``heavy[i]`` is False when collection ``i`` carries the minimum
+    weight (rule 2: such singletons merge into their nearest group
+    first).  Returns groups of original indices, survivors in
+    original-index order.
+    """
+    n = positions.shape[0]
+    if n == 0:
+        raise ValueError("cannot partition zero collections")
+    groups: list[list[int] | None] = [[i] for i in range(n)]
+    points = positions.copy()
+    masses = weights.astype(float, copy=True)
+    has_heavy = heavy.astype(bool, copy=True)
+    dead = np.zeros(n, dtype=bool)
+    deltas = points[:, None, :] - points[None, :, :]
+    distances_sq = np.einsum("abd,abd->ab", deltas, deltas)
+    np.fill_diagonal(distances_sq, np.inf)
+    alive = n
+
+    def merge(a: int, b: int) -> None:
+        """Fold group ``b`` into group ``a`` (requires ``a < b``)."""
+        nonlocal alive
+        total = masses[a] + masses[b]
+        if not np.array_equal(points[a], points[b]):
+            # Coincident points average to themselves; skipping the
+            # arithmetic keeps the result byte-exact (no float dust),
+            # which converged states rely on for content addressing.
+            points[a] = (masses[a] * points[a] + masses[b] * points[b]) / total
+        masses[a] = total
+        groups[a].extend(groups[b])  # type: ignore[union-attr]
+        has_heavy[a] = True  # merged groups always have >= 2 members
+        groups[b] = None
+        dead[b] = True
+        distances_sq[b, :] = np.inf
+        distances_sq[:, b] = np.inf
+        row = ((points - points[a]) ** 2).sum(axis=1)
+        row[dead] = np.inf
+        row[a] = np.inf
+        distances_sq[a, :] = row
+        distances_sq[:, a] = row
+        alive -= 1
+
+    # Rule 2: merge every minimum-weight singleton with its nearest group.
+    while alive > 1:
+        lonely = next(
+            (
+                g
+                for g in range(n)
+                if groups[g] is not None and len(groups[g]) == 1 and not has_heavy[g]
+            ),
+            None,
+        )
+        if lonely is None:
+            break
+        other = int(np.argmin(distances_sq[lonely]))
+        merge(min(lonely, other), max(lonely, other))
+
+    # Rule 1: enforce the k bound by merging closest pairs.
+    while alive > k:
+        a, b = divmod(int(np.argmin(distances_sq)), n)
+        merge(min(a, b), max(a, b))
+
+    return [group for group in groups if group is not None]
+
+
+def weighted_average_groups(
+    rows: np.ndarray,
+    quanta: np.ndarray,
+    groups: Sequence[Sequence[int]],
+) -> np.ndarray:
+    """Batched weighted average of row groups (the centroid and histogram merge).
+
+    Byte-parity contract with the schemes' sequential
+    ``merge_set_packed``: per group, ``sum(float(q_i) * row_i) / total``
+    accumulated left-to-right from zero, with byte-identical groups
+    short-circuiting to a copy of their first row.  Groups are bucketed
+    by size and each bucket runs as one zero-seeded accumulation over
+    the slot axis, the order Python's ``sum`` adds in.
+    """
+    by_size: dict[int, list[int]] = {}
+    for gi, group in enumerate(groups):
+        by_size.setdefault(len(group), []).append(gi)
+    # One size bucket covers every group (the common receive shape:
+    # all-pairs merges): its rows are already in group order, so the
+    # gather into ``out`` is skipped entirely.
+    single_bucket = len(by_size) == 1
+    out = None
+    if not single_bucket:
+        out = np.empty((len(groups),) + rows.shape[1:], dtype=float)
+    for m, gids in by_size.items():
+        idx = np.array([groups[gi] for gi in gids], dtype=np.intp)
+        sub = rows[idx]  # (G, m, ...)
+        if m == 1:
+            merged = sub[:, 0].copy()
+        else:
+            identical = (sub == sub[:, :1]).all(axis=tuple(range(1, sub.ndim)))
+            w = quanta[idx].astype(float)
+            acc = np.zeros_like(sub[:, 0])
+            total = np.zeros(len(gids))
+            for j in range(m):
+                acc = acc + w[:, j, None] * sub[:, j]
+                total = total + w[:, j]
+            merged = acc / total[:, None]
+            if identical.any():
+                merged = np.where(identical[:, None], sub[:, 0], merged)
+        if single_bucket:
+            return merged
+        assert out is not None
+        out[gids] = merged
+    return out
 
 
 def greedy_closest_pair_partition(
@@ -45,7 +170,7 @@ def greedy_closest_pair_partition(
     The closest pair is tracked through a squared-distance matrix with
     merged-away groups masked to ``inf`` (one recomputed row/column per
     merge, no matrix reallocation); see
-    :func:`repro.native.kernels.greedy_partition` for the loop itself
+    :func:`greedy_partition` for the loop itself
     and its byte-parity argument against the delete-based form.
     Squared distances order pairs exactly like distances, so the greedy
     choices are unchanged up to exact-tie rounding of ``sqrt``.

@@ -22,9 +22,8 @@ from repro.core.fingerprint import digest_arrays
 from repro.core.packed import PackedState
 from repro.core.scheme import SummaryScheme
 from repro.core.weights import Quantization
-from repro.ml.gaussian import pool_moments
+from repro.ml.gaussian import pool_moments, pool_moments_groups
 from repro.ml.reduction import reduce_mixture, reduce_mixture_batch
-from repro.native.kernels import pool_moments_groups
 from repro.schemes.gaussian import (
     GaussianSummary,
     merge_gaussian_summaries,

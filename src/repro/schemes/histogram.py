@@ -25,8 +25,7 @@ from repro.core.fingerprint import digest_arrays
 from repro.core.packed import PackedState
 from repro.core.scheme import SummaryScheme
 from repro.core.weights import Quantization
-from repro.native.kernels import weighted_average_groups
-from repro.schemes.centroid import greedy_closest_pair_partition
+from repro.schemes.centroid import greedy_closest_pair_partition, weighted_average_groups
 
 __all__ = ["HistogramScheme"]
 

@@ -299,3 +299,44 @@ def test_no_certificate_for_pooled_sets_within_k(monkeypatch, engine):
         arena.run(3)
         assert arena.stats.full_solves > 0
     assert certified == []
+
+
+def test_failed_batch_gives_back_its_memo_slots(monkeypatch):
+    """Round 3's batched partition raises.  No unsolved outcome stays in
+    the solver's memo for a later receive to replay, and the same
+    receives posed again are solved: they end in the bytes of a run that
+    never failed."""
+    values = np.random.default_rng(5).normal(size=(64, 2))
+    reference = ArenaEngine(values, GaussianMixtureScheme(seed=0), 3, seed=2, use_cache=True)
+    reference.run(3)
+    engine = ArenaEngine(values, GaussianMixtureScheme(seed=0), 3, seed=2, use_cache=True)
+    engine.run(2)
+    arena, solver = engine.arena, engine.solver
+    receive_slab = solver.receive_slab
+    posed = []
+
+    def recording_receive_slab(*args):
+        state = (arena.counts, arena.ids, arena.quanta, *arena.columns.values())
+        posed.append((args, [array.copy() for array in state]))
+        return receive_slab(*args)
+
+    batches = []
+
+    def failing_partition(problems, k, quantization):
+        batches.append(len(problems))
+        raise RuntimeError("planted partition failure")
+
+    monkeypatch.setattr(solver, "receive_slab", recording_receive_slab)
+    monkeypatch.setattr(arena.scheme, "partition_packed_batch", failing_partition)
+    with pytest.raises(RuntimeError, match="planted"):
+        engine.run_round()
+    assert batches and batches[0] > 1, "no batched solve was queued: the test is vacuous"
+    assert all(len(rows.quanta) > 0 for rows in solver._memo.values())
+
+    monkeypatch.undo()
+    (args, snapshot), = posed
+    state = (arena.counts, arena.ids, arena.quanta, *arena.columns.values())
+    for array, saved in zip(state, snapshot):
+        array[...] = saved
+    solver.receive_slab(*args)
+    assert _engine_states(engine) == _engine_states(reference)

@@ -4,9 +4,9 @@ Sharding must be observationally invisible — ``shards=1`` equals
 ``shards=4`` equals the single-process engine byte for byte, because the
 pairing draw is replicated (not communicated) and bundles are applied in
 ascending source-shard order, which reconstructs the transport's global
-ascending-sender delivery order.  Parity and crash tests run on both
-exchange tiers (shared-memory slabs and the pickled-pipe fallback); the
-fault-tolerance tests use the deterministic crash knobs
+ascending-sender delivery order.  Payload rows cross shards through the
+shared-memory slab exchange; the fault-tolerance tests use the
+deterministic crash knobs
 (``REPRO_MEGA_CRASH_SHARD``/``_FLAG``) to kill a worker at exact
 protocol points — including mid-``deliver``, which exercises the slab
 snapshot/replay path — and require byte-identical results after
@@ -29,10 +29,6 @@ from repro.schemes.gm import GaussianMixtureScheme
 N = 60
 ROUNDS = 10
 
-EXCHANGES = pytest.mark.parametrize(
-    "use_shm", [True, False], ids=["shm", "pipe"]
-)
-
 
 @pytest.fixture
 def values() -> np.ndarray:
@@ -45,27 +41,23 @@ def _single_states(values, scheme, k, seed, rounds, **kwargs):
     return [engine.state_digests(node) for node in range(N)]
 
 
-@EXCHANGES
 @pytest.mark.parametrize("shards", [1, 3, 4])
-def test_sharded_matches_single_process(values, shards, use_shm):
+def test_sharded_matches_single_process(values, shards):
     expected = _single_states(values, GaussianMixtureScheme(seed=0), 3, 0, ROUNDS, use_cache=True)
     with ShardedArenaEngine(
-        values, GaussianMixtureScheme(seed=0), 3, seed=0, shards=shards,
-        use_cache=True, use_shm=use_shm,
+        values, GaussianMixtureScheme(seed=0), 3, seed=0, shards=shards, use_cache=True
     ) as engine:
         engine.run(ROUNDS)
         arena = engine.collect()
         assert [arena.state_digests(node) for node in range(N)] == expected
 
 
-@EXCHANGES
-def test_sharded_matches_single_on_ring(values, use_shm):
+def test_sharded_matches_single_on_ring(values):
     expected = _single_states(
         values, CentroidScheme(), 3, 5, ROUNDS, topology="ring", use_cache=True
     )
     with ShardedArenaEngine(
-        values, CentroidScheme(), 3, seed=5, shards=3, topology="ring",
-        use_cache=True, use_shm=use_shm,
+        values, CentroidScheme(), 3, seed=5, shards=3, topology="ring", use_cache=True
     ) as engine:
         engine.run(ROUNDS)
         arena = engine.collect()
@@ -140,11 +132,8 @@ def test_shard_solver_stats_cover_all_receives(values):
         engine.collect()
 
 
-@EXCHANGES
 @pytest.mark.parametrize("crash_at", ["1:0", "1:4", "0:9", "1:4:deliver"])
-def test_worker_crash_recovers_with_identical_state(
-    values, crash_at, use_shm, monkeypatch, tmp_path
-):
+def test_worker_crash_recovers_with_identical_state(values, crash_at, monkeypatch, tmp_path):
     expected = _single_states(values, GaussianMixtureScheme(seed=0), 3, 0, ROUNDS, use_cache=True)
     flag = tmp_path / "crash.flag"
     monkeypatch.setenv(CRASH_SHARD_ENV, crash_at)
@@ -156,7 +145,6 @@ def test_worker_crash_recovers_with_identical_state(
         seed=0,
         shards=3,
         use_cache=True,
-        use_shm=use_shm,
         checkpoint_every=4,
         worker_timeout=120.0,
     ) as engine:
@@ -199,3 +187,8 @@ def test_invalid_shard_counts(values):
         ShardedArenaEngine(values, CentroidScheme(), 3, shards=0)
     with pytest.raises(ValueError, match=f"cannot split {N} nodes"):
         ShardedArenaEngine(values, CentroidScheme(), 3, shards=N + 1)
+
+
+def test_only_the_slab_exchange_is_accepted(values):
+    with pytest.raises(ValueError, match="use_shm must be True"):
+        ShardedArenaEngine(values, CentroidScheme(), 3, shards=2, use_shm=False)

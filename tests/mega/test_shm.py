@@ -182,6 +182,14 @@ def test_engine_close_releases_segments():
     _assert_unlinked(names)
 
 
+def test_single_shard_creates_no_segment():
+    values = np.random.default_rng(3).normal(size=(30, 2))
+    with ShardedArenaEngine(values, CentroidScheme(), 3, seed=0, shards=1) as engine:
+        assert engine.segment_names == []
+        engine.run(2)
+        engine.collect()
+
+
 def test_engine_collect_and_context_exit_release_segments():
     values = np.random.default_rng(1).normal(size=(30, 2))
     with ShardedArenaEngine(

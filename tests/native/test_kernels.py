@@ -1,9 +1,11 @@
 """Kernel-level byte-parity: batched kernels vs their unbatched anchors.
 
-Every kernel in :mod:`repro.native.kernels` carries a byte-parity
-contract with the sequential reference it replaced (the schemes'
-``merge_set_packed``, :func:`repro.ml.gaussian.pool_moments`, the
-incremental greedy partition, integer quanta splits).  These tests pin
+Every batched kernel of the receive/merge loop (in
+:mod:`repro.ml.reduction`, :mod:`repro.ml.gaussian` and
+:mod:`repro.schemes.centroid`) carries a byte-parity contract with the
+sequential reference it replaced (the schemes' ``merge_set_packed``,
+:func:`repro.ml.gaussian.pool_moments`, the incremental greedy
+partition, the per-row distance walk).  These tests pin
 the contract directly at the kernel boundary — randomized inputs,
 ``tobytes()`` equality, no tolerance — so a future "optimisation" that
 perturbs accumulation order fails here before any network-level suite
@@ -18,17 +20,9 @@ import pytest
 from repro.core.collection import Collection
 from repro.core.packed import PackedState
 from repro.core.weights import Quantization
-from repro.ml.gaussian import pool_moments
-from repro.native.kernels import (
-    compact_labels,
-    greedy_partition,
-    maximin_seed_walk,
-    pairwise_sq_matrix,
-    pool_moments_groups,
-    split_quanta,
-    weighted_average_groups,
-)
-from repro.schemes.centroid import CentroidScheme
+from repro.ml.gaussian import pool_moments, pool_moments_groups
+from repro.ml.reduction import compact_labels, maximin_seed_walk, pairwise_sq_matrix
+from repro.schemes.centroid import CentroidScheme, greedy_partition, weighted_average_groups
 from repro.schemes.gm import GaussianMixtureScheme
 
 QUANT = Quantization(16)
@@ -44,18 +38,6 @@ def _random_groups(rng: np.random.Generator, n: int) -> list[list[int]]:
             groups.append(order[start:cut])
         start = cut
     return groups
-
-
-class TestSplitQuanta:
-    def test_matches_quantization_split(self):
-        rng = np.random.default_rng(0)
-        quanta = rng.integers(1, 1 << 20, size=64, dtype=np.int64)
-        kept, sent = split_quanta(quanta)
-        for index, value in enumerate(quanta.tolist()):
-            ref_kept, ref_sent = QUANT.split(value)
-            assert kept[index] == ref_kept
-            assert sent[index] == ref_sent
-        assert np.array_equal(kept + sent, quanta)
 
 
 class TestPairwiseSqMatrix:

@@ -2,8 +2,8 @@
 
 A :class:`~repro.core.node.ClassifierNode` receives through packed rows,
 the identity fast path, the merge cache (memo replay and certified
-no-op), ``partition_packed`` and the batched merge kernels of
-:mod:`repro.native.kernels`.  Its contract is byte parity with Algorithm 1
+no-op), ``partition_packed`` and the batched merge kernels
+(``tests/native/test_kernels.py``).  Its contract is byte parity with Algorithm 1
 as written: for every scheme and both schedulers, with aux tracking on
 and off, a network run must produce bit for bit the classifications
 (summaries, quanta, aux vectors) and the ``split``/``merge`` event stream

@@ -90,13 +90,19 @@ class TestInMemorySeam:
         ids=["ring", "star"],
     )
     def test_non_edge_is_refused(self, build, edge, non_edge):
-        kernel, _ = build_classification_network(
+        kernel, nodes = build_classification_network(
             _values(6), CentroidScheme(), k=2, graph=build(6)
         )
+        source_quanta = nodes[non_edge[0]].total_quanta
+        network_quanta = sum(node.total_quanta for node in nodes)
         with pytest.raises(KeyError, match="no edge"):
             kernel.channel(*non_edge)
         with pytest.raises(KeyError, match="no edge"):
             kernel.transmit(*non_edge)
+        # The refused send changed no state: no weight left the source.
+        assert nodes[non_edge[0]].total_quanta == source_quanta
+        assert sum(node.total_quanta for node in nodes) == network_quanta
+        assert kernel.in_flight_payloads() == []
         channel = kernel.channel(*edge)
         assert (channel.source, channel.destination) == edge
         assert kernel.transmit(*edge) == 1
