@@ -18,7 +18,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from repro.network.factory import ENGINES
+from repro.network.schedulers import ENGINES
 from repro.network.topology import complete
 from repro.protocols.push_sum import build_push_sum_network
 

@@ -72,14 +72,14 @@ def test_classification_round_complete_graph(benchmark):
         graph=complete(scenario.n),
         seed=0,
     )
-    benchmark(engine.run_round)
+    benchmark(engine.run, 1)
 
 
 def test_push_sum_round(benchmark):
     """One push-sum round at the same size, for comparison."""
     values = np.random.default_rng(0).normal(size=(200, 2))
     engine, _ = build_push_sum_network(values, complete(200), seed=0)
-    benchmark(engine.run_round)
+    benchmark(engine.run, 1)
 
 
 def test_receive_allocation_footprint():
@@ -107,7 +107,7 @@ def test_receive_allocation_footprint():
     before = sum(node.stats.batches_received for node in nodes)
     tracemalloc.start()
     try:
-        engine.run_round()
+        engine.run(1)
         current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

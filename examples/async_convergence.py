@@ -18,7 +18,7 @@ import numpy as np
 
 from repro import GaussianMixtureScheme, disagreement
 from repro.core import ClassifierNode, Quantization
-from repro.network import AsyncEngine, topology
+from repro.network import PoissonScheduler, SimulationKernel, topology
 from repro.protocols import ClassificationProtocol
 
 N = 24
@@ -33,20 +33,23 @@ nodes = [
     ClassifierNode(i, values[i], scheme, k=2, quantization=quantization)
     for i in range(N)
 ]
-engine = AsyncEngine(
-    topology.ring(N),
-    {i: ClassificationProtocol(nodes[i]) for i in range(N)},
-    seed=9,
+scheduler = PoissonScheduler(
     mean_interval=1.0,
     delay_range=(0.05, 3.0),  # messages may take 3x a send interval
+)
+engine = SimulationKernel(
+    topology.ring(N),
+    {i: ClassificationProtocol(nodes[i]) for i in range(N)},
+    scheduler,
+    seed=9,
 )
 
 print(f"{N} nodes on a ring, Poisson clocks, random delays up to 3.0\n")
 print(f"{'sim time':>8}  {'events':>7}  {'in flight':>9}  {'disagreement':>12}")
 for checkpoint in [10, 25, 50, 100, 200, 400, 800]:
-    engine.run_until(float(checkpoint))
+    scheduler.run_until(engine, float(checkpoint))
     gap = disagreement(nodes, scheme)
-    print(f"{engine.now:8.0f}  {engine.metrics.events:7d}  "
+    print(f"{scheduler.now:8.0f}  {engine.metrics.events:7d}  "
           f"{len(engine.in_flight_payloads()):9d}  {gap:12.3e}")
 
 # Weight conservation over the global pool (Section 6.1's invariant):

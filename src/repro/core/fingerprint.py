@@ -34,7 +34,7 @@ makes that redundancy *addressable*:
 
 Both layers are only consulted when the scheme declares
 ``supports_fingerprints``; both default on (the ``REPRO_MERGE_CACHE``
-environment toggle turns them off, ``REPRO_MERGE_CACHE_SIZE`` bounds the
+environment toggle turns them off; :data:`MERGE_CACHE_SIZE` bounds the
 memo table).
 """
 
@@ -58,7 +58,7 @@ __all__ = [
     "IdentityCertificate",
     "MergeCache",
     "merge_cache_default",
-    "merge_cache_size_default",
+    "MERGE_CACHE_SIZE",
 ]
 
 #: Digest width in bytes; 128 bits makes accidental collisions across a
@@ -72,6 +72,9 @@ DIGEST_SIZE = 16
 #: ~1e-12; the slack is four orders of magnitude more conservative).
 _MARGIN_SLACK_REL = 1e-6
 _MARGIN_SLACK_ABS = 1e-9
+
+#: Default bound on a :class:`MergeCache`'s memo table, in entries.
+MERGE_CACHE_SIZE = 4096
 
 
 def merge_cache_default() -> bool:
@@ -87,11 +90,6 @@ def merge_cache_default() -> bool:
         "no",
         "off",
     }
-
-
-def merge_cache_size_default() -> int:
-    """Memo-table bound; the ``REPRO_MERGE_CACHE_SIZE`` knob (default 4096)."""
-    return int(os.environ.get("REPRO_MERGE_CACHE_SIZE", "4096"))
 
 
 #: Shape-prefix bytes are identical for every row of a column, so the
@@ -358,9 +356,7 @@ class MergeCache:
     no-op plans, keyed by ``k`` and the ordered local row tokens.
     """
 
-    def __init__(self, max_entries: Optional[int] = None) -> None:
-        if max_entries is None:
-            max_entries = merge_cache_size_default()
+    def __init__(self, max_entries: int = MERGE_CACHE_SIZE) -> None:
         if max_entries < 1:
             raise ValueError(f"max_entries must be at least 1, got {max_entries}")
         self.max_entries = max_entries

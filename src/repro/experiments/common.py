@@ -19,9 +19,9 @@ import numpy as np
 from repro.core.convergence import ConvergenceDetector
 from repro.core.node import ClassifierNode
 from repro.core.scheme import SummaryScheme
-from repro.network.factory import ENGINES
 from repro.network.failures import FailureModel
 from repro.network.kernel import SimulationKernel
+from repro.network.schedulers import ENGINES
 from repro.network.topology import complete
 from repro.protocols.classification import build_classification_network
 from repro.sweep import SweepSpec, run_sweep

@@ -27,7 +27,7 @@ import sys
 from typing import Callable
 
 from repro.analysis.reporting import banner, format_series, format_table
-from repro.network.factory import ENGINES
+from repro.network.schedulers import ENGINES
 from repro.experiments import (
     preset,
     run_partition_heal,

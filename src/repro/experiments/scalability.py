@@ -28,6 +28,7 @@ from repro.core.node import ClassifierNode
 from repro.core.serialization import codec_for_scheme, encode_payload
 from repro.experiments.ablations import AblationRow
 from repro.experiments.common import Scale, PAPER, run_until_convergence
+from repro.network.schedulers import PoissonScheduler
 from repro.network.topology import complete, ring
 from repro.protocols.classification import build_classification_network
 from repro.schemes.centroid import CentroidScheme
@@ -165,13 +166,15 @@ def run_async_ablation(
         engine, nodes = build_classification_network(
             values, scheme, k=2, graph=graph, seed=seed, engine="async"
         )
+        scheduler = engine.scheduler
+        assert isinstance(scheduler, PoissonScheduler)
         horizon = 40.0
         reached_at = float("nan")
         while horizon <= 20000.0:
-            engine.run_until(horizon)
+            scheduler.run_until(engine, horizon)
             gap = disagreement(nodes, scheme)
             if gap < target_disagreement:
-                reached_at = engine.now
+                reached_at = scheduler.now
                 break
             horizon *= 2.0
         rows.append(

@@ -271,7 +271,9 @@ class NetworkArena:
         rows in ``np.nonzero`` row-major order, ascending (sender, slot),
         which is the concatenation of every node's ``make_message``
         payload, and the number of distinct senders (the kernel's
-        message count).  ``sender`` indexes this arena's rows.
+        message count).  ``sender`` indexes this arena's rows.  The kept
+        halves are a new :attr:`quanta` array; the old one is left as it
+        was, so a caller can put it back if the round fails.
         """
         quanta = self.quanta
         sent = quanta // 2

@@ -180,6 +180,11 @@ class ArenaStats:
         }
 
 
+#: One group of swept no-op receives, for the scatter pass: the receivers,
+#: their ordered tokens and quanta rows, and the block's reordered columns.
+_Swept = Tuple[np.ndarray, Tuple[Any, ...], np.ndarray, Dict[str, np.ndarray]]
+
+
 def _ragged(lengths: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Flatten ragged ranges: each element's entry and its index in ``range(lengths[entry])``."""
     owner = np.repeat(np.arange(len(lengths)), lengths)
@@ -278,12 +283,14 @@ class ReceiveSolver:
         ascending-sender order — the in-memory transport's batch order.
 
         Three passes.  The first resolves every receiver in order from
-        the memos, the fast path or a certified no-op, and queues the
-        rest as distinct problems; a queued problem takes its memo slot
-        at once, so the LRU evicts exactly as a one-at-a-time loop would,
-        and gives it back if the batch raises.  The second solves the
-        queue in one batch (:meth:`_solve_queued`), interning new
-        summaries in queue order.  The third scatters.
+        the swept no-ops (:meth:`_noop_sweep`), the memos, the fast path
+        or a certified no-op, and queues the rest as distinct problems;
+        a queued problem takes its memo slot at once, so the LRU evicts
+        exactly as a one-at-a-time loop would, and gives it back if the
+        batch raises.  The second solves the queue in one batch
+        (:meth:`_solve_queued`), interning new summaries in queue order.
+        The third scatters, and is the only pass that writes the arena,
+        so a batch that raises leaves every receiver's rows as they were.
         Receivers are distinct, so no receiver reads another's new rows.
         """
         arena = self.arena
@@ -294,8 +301,9 @@ class ReceiveSolver:
         a_columns = arena.columns
         memo = self._memo
         handled: Optional[np.ndarray] = None
+        swept: List[_Swept] = []
         if self.merge_cache is not None and len(dests) >= 32:
-            handled = self._noop_sweep(dests, bounds, ids, quanta)
+            handled = self._noop_sweep(dests, bounds, ids, quanta, swept)
         round_memo: Dict[Any, ReceiveRows] = {}
         resolved: List[Tuple[int, ReceiveRows]] = []
         queued: List[Tuple[int, int, int, int, ReceiveRows]] = []
@@ -347,6 +355,14 @@ class ReceiveSolver:
                 for key in [key for key, rows in memo.items() if id(rows) in unsolved]:
                     del memo[key]
                 raise
+        k = self.k
+        for out, tokens, out_quanta, out_columns in swept:
+            a_counts[out] = k
+            a_ids[out, :k] = tokens
+            a_quanta[out, :k] = out_quanta
+            a_quanta[out, k:] = 0
+            for name, column in a_columns.items():
+                column[out, :k] = out_columns[name][None]
         for receiver, outcome in resolved:
             stats.receivers += 1
             stats.merges += outcome.merges
@@ -367,8 +383,9 @@ class ReceiveSolver:
         bounds: np.ndarray,
         ids: np.ndarray,
         quanta: np.ndarray,
+        swept: List[_Swept],
     ) -> Optional[np.ndarray]:
-        """Apply certified no-op receives in bulk; returns a handled mask.
+        """Decide certified no-op receives in bulk; returns a handled mask.
 
         Post-convergence almost every receiver holds the same ``k``
         interned summaries and every incoming id matches one of them, so
@@ -377,8 +394,10 @@ class ReceiveSolver:
         reads the block's :class:`~repro.core.receive.NoopPlan` (the one
         the scalar check uses), and runs the quanta-dependent checks
         (minimum weights, membership, heaviest location, margin test) as
-        array operations, scattering the shared outcome arrays back in
-        one broadcast per order.
+        array operations.  Each accepted group's outcome — receivers,
+        ordered tokens, quanta, and the block's reordered columns — is
+        appended to ``swept`` for :meth:`receive_slab`'s scatter pass to
+        write in one broadcast per order; the sweep itself writes no row.
 
         Only receivers that *pass* every check are marked handled; any
         rejection simply leaves the receiver to the scalar path, whose
@@ -408,9 +427,6 @@ class ReceiveSolver:
         local_quanta = arena.quanta[receivers, :k]
         blocks = local_ids.view([("v", f"V{k * 8}")]).ravel()
         unique_blocks, inverse = np.unique(blocks, return_inverse=True)
-        a_counts = arena.counts
-        a_ids = arena.ids
-        a_quanta = arena.quanta
         a_columns = arena.columns
         stats = self.stats
         for block_index in range(len(unique_blocks)):
@@ -485,7 +501,7 @@ class ReceiveSolver:
             for b in np.unique(best_pos[ok]).tolist():
                 accepted = np.flatnonzero(ok & (best_pos == b))
                 out = receivers[sub[accepted]]
-                # Gather from a receiver not yet scattered this round.
+                # The block's columns, as any of its receivers holds them.
                 entry = plan.order_for(
                     b,
                     block_tokens,
@@ -494,12 +510,7 @@ class ReceiveSolver:
                 if entry is None:
                     continue  # the scalar path rejects identically
                 order, out_tokens, out_columns = entry
-                a_counts[out] = k
-                a_ids[out, :k] = out_tokens
-                a_quanta[out, :k] = totals[accepted][:, order]
-                a_quanta[out, k:] = 0
-                for name, column in a_columns.items():
-                    column[out, :k] = out_columns[name][None]
+                swept.append((out, out_tokens, totals[accepted][:, order], out_columns))
                 handled[sub_pos[accepted]] = True
                 hit_count = len(accepted)
                 stats.receivers += hit_count
@@ -702,10 +713,22 @@ class ArenaEngine:
     # Driving
     # ------------------------------------------------------------------
     def run_round(self) -> int:
-        """Execute one synchronous round; returns the message count."""
+        """Execute one synchronous round; returns the message count.
+
+        A round whose receives raise leaves the arena as it was before
+        the round: the split's halved quanta are a new array, which is
+        dropped for the old one, and the solver writes no row before its
+        batch has solved.  The pairing draw is not taken back.
+        """
+        arena = self.arena
         peers = self.pairing.draw()
-        messages, sender, quanta, ids, columns = self.arena.split()
-        self.solver.deliver(peers[sender], ids, quanta, columns)
+        held = arena.quanta
+        messages, sender, quanta, ids, columns = arena.split()
+        try:
+            self.solver.deliver(peers[sender], ids, quanta, columns)
+        except BaseException:
+            arena.quanta = held
+            raise
         self.round_index += 1
         self.stats.rounds += 1
         self.stats.messages += messages

@@ -3,19 +3,17 @@
 The model is the paper's Section 3.1: ``n`` nodes on a static connected
 topology joined by reliable asynchronous channels.  One simulation kernel
 (:class:`~repro.network.kernel.SimulationKernel`) owns the transport,
-delivery, failure and observability machinery; pluggable schedulers
-decide *when* it runs — :class:`~repro.network.rounds.RoundEngine`
-reproduces the paper's round-counted simulations
-(:class:`~repro.network.schedulers.SynchronousRoundScheduler`), and
-:class:`~repro.network.asynchronous.AsyncEngine` realises the fully
+delivery, failure and observability machinery; a pluggable scheduler
+decides *when* it runs —
+:class:`~repro.network.schedulers.SynchronousRoundScheduler` reproduces
+the paper's round-counted simulations, and
+:class:`~repro.network.schedulers.PoissonScheduler` realises the fully
 asynchronous executions of the convergence proof
-(:class:`~repro.network.schedulers.PoissonScheduler`).
+(:func:`~repro.network.schedulers.make_scheduler` picks one by name).
 """
 
-from repro.network.asynchronous import AsyncEngine
 from repro.network.channel import Channel, InFlightMessage
 from repro.network.events import EventQueue
-from repro.network.factory import ENGINES, make_engine
 from repro.network.failures import (
     BernoulliCrashes,
     FailureModel,
@@ -28,9 +26,13 @@ from repro.network.links import AlwaysUp, LinkSchedule, WindowedOutage, cut_edge
 from repro.network.membership import MembershipView, PeerInfo
 from repro.network.metrics import NetworkMetrics
 from repro.network.process_transport import ProcessTransport
-from repro.network.rounds import RoundEngine
 from repro.network.runtime import NodeRuntime
-from repro.network.schedulers import PoissonScheduler, SynchronousRoundScheduler
+from repro.network.schedulers import (
+    ENGINES,
+    PoissonScheduler,
+    SynchronousRoundScheduler,
+    make_scheduler,
+)
 from repro.network.tcp_transport import AsyncioTCPTransport
 from repro.network.trace import RoundRecord, RunTracer
 from repro.network.transport import (
@@ -52,7 +54,6 @@ from repro.network import topology
 
 __all__ = [
     "AlwaysUp",
-    "AsyncEngine",
     "AsyncioTCPTransport",
     "BernoulliCrashes",
     "Channel",
@@ -78,7 +79,6 @@ __all__ = [
     "PoissonScheduler",
     "ProcessTransport",
     "RandomSelector",
-    "RoundEngine",
     "RoundRecord",
     "RoundRobinSelector",
     "RunTracer",
@@ -92,6 +92,6 @@ __all__ = [
     "TransportStats",
     "WindowedOutage",
     "cut_edges",
-    "make_engine",
+    "make_scheduler",
     "topology",
 ]

@@ -32,10 +32,10 @@ schedule-independent core:
 the paper's Section 5.3 methodology (all sends logically precede all
 receives; push / pull / push-pull variants), and
 :class:`~repro.network.schedulers.PoissonScheduler` realises the Section 6
-asynchronous model (exponential firing, random finite delays).  The
-historical engine classes — :class:`~repro.network.rounds.RoundEngine`
-and :class:`~repro.network.asynchronous.AsyncEngine` — survive as thin
-shims binding the kernel to one scheduler each.
+asynchronous model (exponential firing, random finite delays).  A run is
+one kernel over one scheduler; what is specific to a schedule — the
+round counter, the simulated clock, driving to a time — is read or
+called on :attr:`SimulationKernel.scheduler`.
 """
 
 from __future__ import annotations

@@ -18,7 +18,10 @@ strategies decide *when* its machinery runs:
 Both accept the three gossip variants of Section 4.1 (push, pull,
 push-pull) and run identical transport, failure, metrics and event
 machinery, which is what makes robustness experiments directly
-comparable across schedules.
+comparable across schedules.  A run is one
+:class:`~repro.network.kernel.SimulationKernel` over one scheduler;
+:func:`make_scheduler` picks the scheduler by its :data:`ENGINES` name,
+which is what makes ``--engine`` a pure axis in the experiment CLI.
 """
 
 from __future__ import annotations
@@ -30,7 +33,11 @@ from repro.network.kernel import GOSSIP_VARIANTS, Scheduler, SimulationKernel, _
 from repro.network.simulator import NeighborSelector, RoundRobinSelector
 from repro.obs.profiling import span
 
-__all__ = ["SynchronousRoundScheduler", "PoissonScheduler"]
+__all__ = ["ENGINES", "SynchronousRoundScheduler", "PoissonScheduler", "make_scheduler"]
+
+#: The selectable execution models: ``"rounds"`` is Section 5.3's
+#: synchronous schedule, ``"async"`` Section 6's Poisson schedule.
+ENGINES = ("rounds", "async")
 
 
 def _validated_variant(variant: str) -> str:
@@ -236,3 +243,24 @@ class PoissonScheduler(Scheduler):
                     kernel.transmit(peer, node, deliver_time=deliver_at)
         next_fire = self.now + float(kernel.rng.exponential(self.mean_interval))
         kernel.queue.push(next_fire, _Fire(node))
+
+
+def make_scheduler(
+    engine: str,
+    variant: str = "push",
+    mean_interval: float = 1.0,
+    delay_range: tuple[float, float] = (0.05, 2.0),
+) -> Scheduler:
+    """The scheduler for an :data:`ENGINES` name.
+
+    ``mean_interval`` and ``delay_range`` only apply to ``"async"``; they
+    are accepted (and ignored) for ``"rounds"`` so callers can thread one
+    configuration through either schedule.
+    """
+    if engine == "rounds":
+        return SynchronousRoundScheduler(variant=variant)
+    if engine == "async":
+        return PoissonScheduler(
+            variant=variant, mean_interval=mean_interval, delay_range=delay_range
+        )
+    raise ValueError(f"unknown engine {engine!r}; ENGINES are {ENGINES}")

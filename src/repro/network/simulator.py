@@ -1,11 +1,10 @@
 """Shared network plumbing: node registry, liveness, neighbour selection.
 
-Both engines — the round-based one (:mod:`repro.network.rounds`) that
-reproduces the paper's measurement methodology, and the event-driven one
-(:mod:`repro.network.asynchronous`) that exercises the convergence
-theorem's fully asynchronous setting — share this base: a validated
-topology, one protocol object per node, a liveness set, a seeded RNG and
-metrics.
+The simulation kernel (:mod:`repro.network.kernel`) builds on this base,
+under the round schedule that reproduces the paper's measurement
+methodology and under the event-driven schedule of the convergence
+theorem alike (:mod:`repro.network.schedulers`): a validated topology,
+one protocol object per node, a liveness set, a seeded RNG and metrics.
 """
 
 from __future__ import annotations
@@ -85,7 +84,7 @@ class RoundRobinSelector(NeighborSelector):
 
 
 class Network:
-    """Topology + protocols + liveness: the state both engines drive.
+    """Topology + protocols + liveness: the state the kernel drives.
 
     The topology is validated and kept only as :attr:`neighbors`, each
     node's sorted neighbour tuple; the graph itself is not referenced
@@ -94,8 +93,8 @@ class Network:
     Parameters
     ----------
     graph:
-        A connected undirected topology over nodes ``0..n-1``; engines
-        treat each edge as a pair of reliable directed channels.
+        A connected undirected topology over nodes ``0..n-1``; the kernel
+        treats each edge as a pair of reliable directed channels.
     protocols:
         One :class:`~repro.protocols.base.GossipProtocol` per node id.
     seed:
@@ -142,12 +141,15 @@ class Network:
     # ------------------------------------------------------------------
     # Topology
     # ------------------------------------------------------------------
-    def has_edge(self, source: int, destination: int) -> bool:
-        """Whether the topology links the two nodes (a bisect of the
-        source's sorted neighbour tuple)."""
+    def neighbor_index(self, source: int, destination: int) -> int | None:
+        """The destination's position in the source's sorted neighbour
+        tuple (a bisect), or ``None`` when the topology does not link
+        the two nodes."""
         neighbors = self.neighbors.get(source, ())
         index = bisect_left(neighbors, destination)
-        return index < len(neighbors) and neighbors[index] == destination
+        if index < len(neighbors) and neighbors[index] == destination:
+            return index
+        return None
 
     # ------------------------------------------------------------------
     # Liveness

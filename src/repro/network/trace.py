@@ -1,21 +1,23 @@
 """Structured per-round run traces.
 
-A :class:`RunTracer` observes an engine through its observation hook —
-``per_round`` on :class:`~repro.network.rounds.RoundEngine`, ``per_event``
-on :class:`~repro.network.asynchronous.AsyncEngine` — and records, at
-every sample, whatever probes the caller registered: error against a
-ground truth, collection counts, live-node counts, cumulative messages.
-Experiments and notebooks get one tidy record per sample instead of
-hand-rolled bookkeeping loops.
+A :class:`RunTracer` observes a
+:class:`~repro.network.kernel.SimulationKernel` through one of its
+observation hooks — ``run(..., per_round=tracer)`` once per
+round-equivalent, ``run_steps(..., observer=tracer)`` once per scheduler
+step — and records, at every sample, whatever probes the caller
+registered: error against a ground truth, collection counts, live-node
+counts, cumulative messages.  Experiments and notebooks get one tidy
+record per sample instead of hand-rolled bookkeeping loops.
 
-The tracer is engine-agnostic: it needs only ``live_nodes`` and
-``metrics`` (both provided by :class:`~repro.network.simulator.Network`);
-on engines without a ``round_index`` the round stamp falls back to the
-closed-round count when rounds are being driven (so probe rounds line up
-with ``round_close`` epochs on the Poisson scheduler), else to the
-processed-event count.  When the observed engine has an event sink
-attached, every sample is also emitted as a ``probe`` event, so JSONL
-traces carry the convergence curve alongside the transport events.
+The tracer is schedule-agnostic: it needs only ``live_nodes`` and
+``metrics`` (both provided by :class:`~repro.network.simulator.Network`).
+The round stamp is the closed-round count once a round has closed (the
+synchronous scheduler's round counter, and the Poisson scheduler's
+``round_close`` epochs), else the processed-event count.  When the
+observed kernel has an event sink attached, every sample is also emitted
+as a ``probe`` event, stamped with the scheduler's simulated time when it
+keeps one, so JSONL traces carry the convergence curve alongside the
+transport events.
 """
 
 from __future__ import annotations
@@ -68,22 +70,18 @@ class RunTracer:
         self.records: list[RoundRecord] = []
 
     def __call__(self, engine: Any) -> None:
-        """The ``per_round``/``per_event`` hook: sample every probe."""
+        """The ``per_round``/``observer`` hook: sample every probe."""
         values = {name: float(probe(engine)) for name, probe in self.probes.items()}
-        round_index = getattr(engine, "round_index", None)
-        if round_index is None:
-            if engine.metrics.rounds > 0:
-                # Round-equivalent driving (``run(..., per_round=...)``):
-                # the closed-round count is 1-based at every sample, the
-                # same axis the synchronous engine's ``round_index``
-                # reports, so probe rounds line up with ``round_close``
-                # epochs across schedulers.
-                round_index = int(engine.metrics.rounds)
-            else:
-                # Event driving (``run_events(..., per_event=...)``):
-                # no rounds close, so the processed-event count is the
-                # only monotone progress stamp available.
-                round_index = int(engine.metrics.events)
+        if engine.metrics.rounds > 0:
+            # Rounds are closing: the 1-based closed-round count is the
+            # synchronous scheduler's round counter, and lines probe
+            # rounds up with ``round_close`` epochs across schedulers.
+            round_index = int(engine.metrics.rounds)
+        else:
+            # Event driving (``run_steps`` on the Poisson scheduler): no
+            # rounds close, so the processed-event count is the only
+            # monotone progress stamp available.
+            round_index = int(engine.metrics.events)
         self.records.append(
             RoundRecord(
                 round_index=round_index,
@@ -98,7 +96,7 @@ class RunTracer:
                 Event(
                     kind="probe",
                     round=round_index,
-                    t=getattr(engine, "now", None),
+                    t=getattr(getattr(engine, "scheduler", None), "now", None),
                     extra=dict(values),
                 )
             )

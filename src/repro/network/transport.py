@@ -180,10 +180,14 @@ class InMemoryTransport(SimulationTransport):
     due at or before the current clock, and no message is due before it
     is sent.
 
-    An edge is checked against the topology on its first use, with
-    :meth:`~repro.network.simulator.Network.has_edge` (a bisect of the
-    kernel's sorted neighbour tuples; the kernel keeps no graph object),
-    and a send on a non-edge raises :class:`KeyError`.
+    A channel's edge is checked against the topology when the channel
+    opens, with :meth:`~repro.network.simulator.Network.neighbor_index`
+    (a bisect of the kernel's sorted neighbour tuples; the kernel keeps
+    no graph object), and a send on a non-edge raises :class:`KeyError`.
+    The edges used so far are kept as one integer bit mask per source,
+    over the source's neighbour positions: no per-edge object, so the
+    garbage collector has nothing to walk however many edges a run uses,
+    and the masks take at most one bit per directed edge.
 
     Delivery entries go onto the *kernel's* event queue (so deliveries
     stay time-ordered against scheduler fire events), and batches
@@ -202,21 +206,27 @@ class InMemoryTransport(SimulationTransport):
         #: Channels with at least one message in flight, keyed
         #: ``(source, destination)``.
         self.channels: dict[tuple[int, int], Channel] = {}
-        # Every directed edge a message has used; each was checked
-        # against the topology on first use.
-        self._edges: set[tuple[int, int]] = set()
+        # Per source, bit ``i`` is set once a message has used the edge
+        # to the source's ``i``-th neighbour.
+        self._used: dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # Channels
     # ------------------------------------------------------------------
     def channel(self, source: int, destination: int) -> Channel:
-        key = (source, destination)
-        found = self.channels.get(key)
+        found = self.channels.get((source, destination))
         if found is not None:
             return found
-        if key not in self._edges and not self.kernel.has_edge(source, destination):
-            raise KeyError(f"no edge {source}->{destination} in the topology")
+        self._edge_index(source, destination)
         return Channel(source, destination, fifo=self.kernel.fifo)
+
+    def _edge_index(self, source: int, destination: int) -> int:
+        """The destination's position among the source's neighbours; a
+        non-edge raises :class:`KeyError`."""
+        index = self.kernel.neighbor_index(source, destination)
+        if index is None:
+            raise KeyError(f"no edge {source}->{destination} in the topology")
+        return index
 
     # ------------------------------------------------------------------
     # Send side
@@ -226,14 +236,19 @@ class InMemoryTransport(SimulationTransport):
     ) -> InFlightMessage:
         key = (source, destination)
         channel = self.channels.get(key)
-        if channel is None:
-            channel = self.channel(source, destination)
-        message = channel.send(payload, send_time, deliver_at)
-        if len(channel) == 1:
-            # The channel's only message in flight: it joins the registry.
+        if channel is not None:
+            message = channel.send(payload, send_time, deliver_at)
+        else:
+            # The edge's only message in flight: its channel joins the
+            # registry, and a first use joins the source's mask.
+            bit = 1 << self._edge_index(source, destination)
+            channel = Channel(source, destination, fifo=self.kernel.fifo)
+            message = channel.send(payload, send_time, deliver_at)
             self.channels[key] = channel
-            self._edges.add(key)
-            self.stats.peer_count = len(self._edges)
+            used = self._used.get(source, 0)
+            if not used & bit:
+                self._used[source] = used | bit
+                self.stats.peer_count += 1
         self.kernel.queue.push(message.deliver_time, _Delivery(channel, message))
         self.stats.frames_sent += 1
         return message

@@ -1,11 +1,11 @@
 """The protocol contract every gossip participant implements.
 
-The network engines (:mod:`repro.network.rounds`,
-:mod:`repro.network.asynchronous`) are protocol-agnostic: they move opaque
-payloads between per-node protocol objects.  Both the classification
-protocol and the push-sum baseline implement this interface, which is what
-lets the Figure 3/4 benchmarks run the paper's algorithm and its "regular
-aggregation" comparator under byte-identical network conditions.
+The simulation kernel (:mod:`repro.network.kernel`), under either
+schedule, is protocol-agnostic: it moves opaque payloads between per-node
+protocol objects.  Both the classification protocol and the push-sum
+baseline implement this interface, which is what lets the Figure 3/4
+benchmarks run the paper's algorithm and its "regular aggregation"
+comparator under byte-identical network conditions.
 """
 
 from __future__ import annotations

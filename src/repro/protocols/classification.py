@@ -20,10 +20,10 @@ from repro.core.packed import PackedPayload
 from repro.core.receive import ReceiveBatch
 from repro.core.scheme import SummaryScheme
 from repro.core.weights import Quantization
-from repro.network.factory import make_engine
 from repro.network.failures import FailureModel
 from repro.network.kernel import SimulationKernel
 from repro.network.links import LinkSchedule
+from repro.network.schedulers import make_scheduler
 from repro.network.simulator import NeighborSelector
 from repro.obs.events import EventSink
 from repro.obs.profiling import span
@@ -148,18 +148,15 @@ def build_classification_network(
         for i in range(n)
     ]
     protocols = {i: ClassificationProtocol(nodes[i]) for i in range(n)}
-    built = make_engine(
-        engine,
+    built = SimulationKernel(
         graph,
         protocols,
+        make_scheduler(engine, variant, mean_interval, delay_range),
         seed=seed,
         selector=selector,
-        variant=variant,
         failure_model=failure_model,
         link_schedule=link_schedule,
         event_sink=event_sink,
-        mean_interval=mean_interval,
-        delay_range=delay_range,
         merge_cache=cache,
         stop_on_quiescence=stop_on_quiescence,
         quiescence_patience=quiescence_patience,

@@ -22,9 +22,9 @@ from typing import Any, Optional, Sequence
 import networkx as nx
 import numpy as np
 
-from repro.network.factory import make_engine
 from repro.network.failures import FailureModel
 from repro.network.kernel import SimulationKernel
+from repro.network.schedulers import make_scheduler
 from repro.network.simulator import NeighborSelector
 from repro.obs.timeseries import TimeSeriesRecorder
 from repro.protocols.base import GossipProtocol
@@ -90,16 +90,13 @@ def build_push_sum_network(
         )
     protocols_list = [PushSumProtocol(values[i]) for i in range(n)]
     protocols = {i: protocols_list[i] for i in range(n)}
-    built = make_engine(
-        engine,
+    built = SimulationKernel(
         graph,
         protocols,
+        make_scheduler(engine, variant, mean_interval, delay_range),
         seed=seed,
         selector=selector,
-        variant=variant,
         failure_model=failure_model,
-        mean_interval=mean_interval,
-        delay_range=delay_range,
         telemetry=telemetry,
     )
     return built, protocols_list

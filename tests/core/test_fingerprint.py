@@ -8,7 +8,6 @@ from repro.core.fingerprint import (
     combine_digests,
     digest_arrays,
     merge_cache_default,
-    merge_cache_size_default,
     state_fingerprint_of,
 )
 from repro.core.receive import ReceiveRows
@@ -157,9 +156,5 @@ class TestEnvironmentDefaults:
         monkeypatch.setenv("REPRO_MERGE_CACHE", "1")
         assert merge_cache_default() is True
 
-    def test_size_knob(self, monkeypatch):
-        monkeypatch.delenv("REPRO_MERGE_CACHE_SIZE", raising=False)
-        assert merge_cache_size_default() == 4096
-        monkeypatch.setenv("REPRO_MERGE_CACHE_SIZE", "128")
-        assert merge_cache_size_default() == 128
-        assert MergeCache().max_entries == 128
+    def test_size_knob(self):
+        assert MergeCache().max_entries == 4096

@@ -52,7 +52,7 @@ class TestLemma1:
     def test_centroid_scheme(self, values):
         engine, nodes = run_with_aux(values, CentroidScheme(), k=3, graph=complete(N))
         for _ in range(ROUNDS):
-            engine.run_round()
+            engine.run(1)
             for collection in pool_collections(nodes):
                 # Equation 2: the aux L1 norm equals the weight.
                 assert collection.aux.l1 == pytest.approx(collection.quanta, rel=1e-9)
@@ -68,7 +68,7 @@ class TestLemma1:
         )
         zero_covs = np.zeros((N, 2, 2))
         for _ in range(ROUNDS):
-            engine.run_round()
+            engine.run(1)
             for collection in pool_collections(nodes):
                 assert collection.aux.l1 == pytest.approx(collection.quanta, rel=1e-9)
                 mean, cov = pool_moments(collection.aux.components, values, zero_covs)
@@ -86,7 +86,7 @@ class TestLemma2:
         )
         previous = max_reference_angles(pool_collections(nodes))
         for _ in range(ROUNDS):
-            engine.run_round()
+            engine.run(1)
             current = max_reference_angles(pool_collections(nodes))
             assert np.all(current <= previous + 1e-9)
             previous = current
@@ -100,7 +100,7 @@ class TestWeightConservation:
         )
         expected = N * quantization.unit
         for _ in range(ROUNDS):
-            engine.run_round()
+            engine.run(1)
             assert sum(node.total_quanta for node in nodes) == expected
 
     def test_aux_provenance_sums_to_unit_per_input(self, values):

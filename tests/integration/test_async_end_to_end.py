@@ -5,7 +5,8 @@ import pytest
 
 from repro.core import ClassifierNode, Quantization
 from repro.core.convergence import disagreement
-from repro.network.asynchronous import AsyncEngine
+from repro.network.kernel import SimulationKernel
+from repro.network.schedulers import PoissonScheduler
 from repro.network.simulator import RoundRobinSelector
 from repro.network.topology import complete, ring
 from repro.protocols.classification import ClassificationProtocol
@@ -21,13 +22,18 @@ def build_async(values, scheme, k, graph, seed=0, **kwargs):
         ClassifierNode(i, values[i], scheme, k=k, quantization=Quantization())
         for i in range(len(values))
     ]
-    engine = AsyncEngine(
+    engine = SimulationKernel(
         graph,
         {i: ClassificationProtocol(nodes[i]) for i in range(len(values))},
+        PoissonScheduler(**kwargs),
         seed=seed,
-        **kwargs,
     )
     return engine, nodes
+
+
+def run_until(engine, time):
+    """Process every event before ``time`` (the Poisson scheduler's drive)."""
+    engine.scheduler.run_until(engine, time)
 
 
 class TestAsynchronousConvergence:
@@ -35,7 +41,7 @@ class TestAsynchronousConvergence:
         values = two_cluster_values(N, seed=1)
         scheme = GaussianMixtureScheme(seed=1)
         engine, nodes = build_async(values, scheme, k=2, graph=complete(N), seed=1)
-        engine.run_until(200.0)
+        run_until(engine, 200.0)
         assert disagreement(nodes, scheme) < 0.05
 
     def test_converges_on_ring_with_long_delays(self):
@@ -44,7 +50,7 @@ class TestAsynchronousConvergence:
         engine, nodes = build_async(
             values, scheme, k=2, graph=ring(N), seed=2, delay_range=(0.5, 5.0)
         )
-        engine.run_until(1500.0)
+        run_until(engine, 1500.0)
         assert disagreement(nodes, scheme) < 0.2
 
     def test_round_robin_fairness_default(self):
@@ -64,7 +70,7 @@ class TestGlobalPoolInvariants:
         )
         expected = N * Quantization().unit
         for checkpoint in [5.0, 20.0, 80.0]:
-            engine.run_until(checkpoint)
+            run_until(engine, checkpoint)
             total = sum(node.total_quanta for node in nodes)
             for payload in engine.in_flight_payloads():
                 total += sum(collection.quanta for collection in payload)
@@ -74,5 +80,5 @@ class TestGlobalPoolInvariants:
         values = two_cluster_values(N, seed=5)
         scheme = GaussianMixtureScheme(seed=5)
         engine, nodes = build_async(values, scheme, k=3, graph=complete(N), seed=5)
-        engine.run_until(100.0)
+        run_until(engine, 100.0)
         assert all(len(node.classification) <= 3 for node in nodes)

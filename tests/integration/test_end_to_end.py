@@ -89,7 +89,7 @@ class TestConservation:
         )
         expected = N * Quantization().unit
         for _ in range(30):
-            engine.run_round()
+            engine.run(1)
             assert sum(node.total_quanta for node in nodes) == expected
 
     def test_weight_lost_only_to_crashes(self):

@@ -340,3 +340,46 @@ def test_failed_batch_gives_back_its_memo_slots(monkeypatch):
         array[...] = saved
     solver.receive_slab(*args)
     assert _engine_states(engine) == _engine_states(reference)
+
+
+def _first_round_sweeping_and_solving(values, seed, limit=20):
+    """The first round in which the no-op sweep handles receivers and a
+    full solve is queued too."""
+    engine = ArenaEngine(values, GaussianMixtureScheme(seed=0), 3, seed=seed, use_cache=True)
+    for index in range(limit):
+        swept, solved = engine.stats.noop_sweep_hits, engine.stats.full_solves
+        engine.run_round()
+        if engine.stats.noop_sweep_hits > swept and engine.stats.full_solves > solved:
+            return index
+    raise AssertionError("no round both swept and solved: the test is vacuous")
+
+
+@pytest.mark.parametrize("data", ["normal", "centers"])
+def test_failed_round_leaves_the_arena_as_it_was(monkeypatch, data):
+    """A round whose batched partition raises puts back the state it
+    started from: every node's rows and the network's total weight, and
+    the round counter does not move.  On centers inputs the failing round
+    is one where the no-op sweep handled receivers before the solve."""
+    values = build_values(data, 64, 2, "gm")
+    if data == "normal":
+        failing = 2
+    else:
+        failing = _first_round_sweeping_and_solving(values, seed=2)
+    engine = ArenaEngine(values, GaussianMixtureScheme(seed=0), 3, seed=2, use_cache=True)
+    engine.run(failing)
+    unit = engine.arena.quantization.unit
+    assert engine.arena.total_quanta() == 64 * unit
+    before = _engine_states(engine)
+    swept = engine.stats.noop_sweep_hits
+
+    def failing_partition(problems, k, quantization):
+        raise RuntimeError("planted partition failure")
+
+    monkeypatch.setattr(engine.arena.scheme, "partition_packed_batch", failing_partition)
+    with pytest.raises(RuntimeError, match="planted"):
+        engine.run_round()
+    if data == "centers":
+        assert engine.stats.noop_sweep_hits > swept
+    assert engine.arena.total_quanta() == 64 * unit
+    assert _engine_states(engine) == before
+    assert engine.round_index == failing

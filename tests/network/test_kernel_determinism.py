@@ -19,8 +19,8 @@ import numpy as np
 import pytest
 from oracle import oracle_nodes
 
-from repro.network.factory import ENGINES
 from repro.network.failures import BernoulliCrashes
+from repro.network.schedulers import ENGINES
 from repro.network.topology import complete
 from repro.obs.events import JsonlSink
 from repro.protocols.classification import build_classification_network

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.network.links import AlwaysUp, WindowedOutage, cut_edges
-from repro.network.rounds import RoundEngine
+from repro.network.kernel import SimulationKernel
+from repro.network.schedulers import SynchronousRoundScheduler
 from repro.network.topology import complete, line
 from repro.protocols.base import GossipProtocol
 
@@ -57,9 +58,10 @@ class TestEngineIntegration:
         """On a 2-node line with its only edge down, nothing flows."""
         graph = line(2)
         protocols = {0: CountingProtocol(), 1: CountingProtocol()}
-        engine = RoundEngine(
+        engine = SimulationKernel(
             graph,
             protocols,
+            SynchronousRoundScheduler(),
             seed=0,
             link_schedule=WindowedOutage([(0, 1)], start=0, end=5),
         )
@@ -71,9 +73,10 @@ class TestEngineIntegration:
     def test_traffic_resumes_after_healing(self):
         graph = line(2)
         protocols = {0: CountingProtocol(), 1: CountingProtocol()}
-        engine = RoundEngine(
+        engine = SimulationKernel(
             graph,
             protocols,
+            SynchronousRoundScheduler(),
             seed=0,
             link_schedule=WindowedOutage([(0, 1)], start=0, end=5),
         )

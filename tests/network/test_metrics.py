@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.network.asynchronous import AsyncEngine
 from repro.network.metrics import NetworkMetrics
 from repro.network.failures import ScheduledCrashes
+from repro.network.kernel import SimulationKernel
+from repro.network.schedulers import PoissonScheduler
 from repro.network.topology import complete
 from repro.protocols.push_sum import PushSumProtocol, build_push_sum_network
 
@@ -125,9 +126,9 @@ class TestEngineWiring:
     def test_async_engine_counts_drops_to_crashed_nodes(self):
         values = np.arange(2, dtype=float)[:, None]
         protocols = {i: PushSumProtocol(values[i]) for i in range(2)}
-        engine = AsyncEngine(complete(2), protocols, seed=0)
+        engine = SimulationKernel(complete(2), protocols, PoissonScheduler(), seed=0)
         engine.crash(1)
-        engine.run_events(100)
+        engine.run_steps(100)
         assert engine.metrics.crashes == 1
         assert engine.metrics.messages_dropped > 0
         assert engine.metrics.messages_delivered == 0

@@ -104,7 +104,7 @@ class TestInFlightPayloads:
         # on the two together must still account for every quantum.
         n = 10
         engine, nodes = _build(n, "async", merge_cache=True)
-        engine.run_until(3.0)
+        engine.scheduler.run_until(engine, 3.0)
         unit = nodes[0].quantization.unit
         at_nodes = sum(node.total_quanta for node in nodes)
         in_flight = sum(

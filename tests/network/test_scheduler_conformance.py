@@ -22,13 +22,19 @@ synchronous case.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.convergence import max_reference_angles, pool_collections
-from repro.network.factory import ENGINES
 from repro.network.kernel import GOSSIP_VARIANTS
 from repro.network.failures import ScheduledCrashes
 from repro.network.links import WindowedOutage, cut_edges
+from repro.network.schedulers import (
+    ENGINES,
+    PoissonScheduler,
+    SynchronousRoundScheduler,
+    make_scheduler,
+)
 from repro.network.topology import complete
 from repro.protocols.classification import build_classification_network
 from repro.schemes.centroid import CentroidScheme
@@ -166,3 +172,40 @@ class TestLemma2Monotonicity:
             current = max_reference_angles(_pool(kernel, nodes))
             assert np.all(current <= previous + 1e-9)
             previous = current
+
+
+class TestMakeScheduler:
+    """The name-to-scheduler function behind every ``engine=`` knob."""
+
+    @pytest.mark.parametrize("variant", GOSSIP_VARIANTS)
+    def test_rounds_name_gives_the_round_scheduler(self, variant):
+        scheduler = make_scheduler("rounds", variant, 2.5, (0.5, 4.0))
+        assert type(scheduler) is SynchronousRoundScheduler
+        assert scheduler.variant == variant
+        assert scheduler.round_index == 0
+
+    @pytest.mark.parametrize("variant", GOSSIP_VARIANTS)
+    def test_async_name_gives_the_poisson_scheduler(self, variant):
+        scheduler = make_scheduler("async", variant, 2.5, (0.5, 4.0))
+        assert type(scheduler) is PoissonScheduler
+        assert scheduler.variant == variant
+        assert scheduler.mean_interval == 2.5
+        assert scheduler.delay_range == (0.5, 4.0)
+        assert scheduler.now == 0.0
+
+    def test_every_name_is_served(self):
+        assert ENGINES == ("rounds", "async")
+        for name in ENGINES:
+            assert make_scheduler(name).variant == "push"
+
+    def test_unknown_name_names_the_choices(self):
+        with pytest.raises(ValueError, match="ENGINES") as raised:
+            make_scheduler("threads")
+        for name in ENGINES:
+            assert repr(name) in str(raised.value)
+
+    def test_invalid_settings_are_refused(self):
+        with pytest.raises(ValueError, match="variant"):
+            make_scheduler("rounds", "flood")
+        with pytest.raises(ValueError, match="mean_interval"):
+            make_scheduler("async", mean_interval=0.0)

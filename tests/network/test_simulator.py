@@ -41,14 +41,20 @@ class TestConstruction:
 
 class TestTopology:
     def test_has_edge_follows_the_graph(self):
+        """``neighbor_index`` answers the edge check: the destination's
+        position among the source's sorted neighbours, ``None`` off the graph."""
         graph = ring(6)
         network = make_network(graph=graph)
         for source in range(6):
+            neighbors = sorted(graph.neighbors(source))
             for destination in range(-1, 8):
-                assert network.has_edge(source, destination) == graph.has_edge(
-                    source, destination
+                expected = (
+                    neighbors.index(destination)
+                    if graph.has_edge(source, destination)
+                    else None
                 )
-        assert not network.has_edge(9, 0)
+                assert network.neighbor_index(source, destination) == expected
+        assert network.neighbor_index(9, 0) is None
 
 
 class TestLiveness:

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.network.asynchronous import AsyncEngine
+from repro.network.kernel import SimulationKernel
+from repro.network.schedulers import PoissonScheduler
 from repro.network.topology import complete
 from repro.network.trace import RunTracer
 from repro.obs import RingBufferSink
@@ -68,7 +69,9 @@ class TestTracing:
 def build_async_traced(n=8, seed=0, event_sink=None):
     values = np.arange(n, dtype=float)[:, None]
     protocols = {i: PushSumProtocol(values[i]) for i in range(n)}
-    engine = AsyncEngine(complete(n), protocols, seed=seed, event_sink=event_sink)
+    engine = SimulationKernel(
+        complete(n), protocols, PoissonScheduler(), seed=seed, event_sink=event_sink
+    )
     truth = float(values.mean())
     tracer = RunTracer(
         {
@@ -81,37 +84,37 @@ def build_async_traced(n=8, seed=0, event_sink=None):
 
 
 class TestAsyncTracing:
-    """Regression: the tracer used to crash on the async engine, which has
-    no ``round_index`` attribute — it must fall back to the processed-event
-    count and otherwise behave identically."""
+    """Regression: the tracer used to crash on the Poisson schedule, which
+    has no round counter — step by step it must fall back to the
+    processed-event count and otherwise behave identically."""
 
     def test_tracer_attaches_via_per_event(self):
         engine, tracer = build_async_traced()
-        executed = engine.run_events(120, per_event=tracer)
+        executed = engine.run_steps(120, observer=tracer)
         assert len(tracer.records) == executed == 120
 
     def test_round_index_falls_back_to_event_count(self):
         engine, tracer = build_async_traced()
-        engine.run_events(30, per_event=tracer)
+        engine.run_steps(30, observer=tracer)
         assert tracer.rounds() == list(range(1, 31))
 
     def test_series_converges(self):
         engine, tracer = build_async_traced()
-        engine.run_events(600, per_event=tracer)
+        engine.run_steps(600, observer=tracer)
         series = tracer.series("max_error")
         assert series[-1] < series[0]
 
     def test_live_nodes_reflect_crashes(self):
         engine, tracer = build_async_traced()
-        engine.run_events(5, per_event=tracer)
+        engine.run_steps(5, observer=tracer)
         engine.crash(0)
-        engine.run_events(5, per_event=tracer)
+        engine.run_steps(5, observer=tracer)
         assert tracer.live_node_series() == [8] * 5 + [7] * 5
 
     def test_probe_events_emitted_to_engine_sink(self):
         sink = RingBufferSink()
         engine, tracer = build_async_traced(event_sink=sink)
-        engine.run_events(10, per_event=tracer)
+        engine.run_steps(10, observer=tracer)
         probes = sink.of_kind("probe")
         assert len(probes) == 10
         assert all("max_error" in event.extra for event in probes)

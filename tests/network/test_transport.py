@@ -9,8 +9,10 @@ import pytest
 
 from repro.network import frames, topology
 from repro.network.frames import encode_frame
+from repro.network.kernel import SimulationKernel
 from repro.network.membership import PeerInfo
 from repro.network.process_transport import ProcessTransport
+from repro.network.schedulers import ENGINES, SynchronousRoundScheduler, make_scheduler
 from repro.network.tcp_transport import AsyncioTCPTransport
 from repro.network.transport import InMemoryTransport, TRANSPORT_NAMES
 from repro.obs.events import RingBufferSink
@@ -43,12 +45,13 @@ class TestInMemorySeam:
         assert "memory" in TRANSPORT_NAMES
 
     def test_factory_threads_explicit_transport_through(self):
-        from repro.network.factory import make_engine
-
-        for engine_name in ("rounds", "async"):
+        for engine_name in ENGINES:
             transport = InMemoryTransport()
-            engine = make_engine(
-                engine_name, topology.complete(4), _protocols(4), transport=transport
+            engine = SimulationKernel(
+                topology.complete(4),
+                _protocols(4),
+                make_scheduler(engine_name),
+                transport=transport,
             )
             assert engine.transport is transport
             assert transport.kernel is engine
@@ -121,12 +124,13 @@ class TestInMemorySeam:
         assert kernel.metrics.messages_delivered == 12
 
     def test_frame_transport_is_rejected_by_the_kernel(self):
-        from repro.network.factory import make_engine
-
         transport = ProcessTransport(0, {0: _FakeQueue()})
         with pytest.raises(TypeError, match="repro.network.runtime"):
-            make_engine(
-                "rounds", topology.complete(4), _protocols(4), transport=transport  # type: ignore[arg-type]
+            SimulationKernel(
+                topology.complete(4),
+                _protocols(4),
+                SynchronousRoundScheduler(),
+                transport=transport,  # type: ignore[arg-type]
             )
 
 

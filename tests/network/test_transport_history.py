@@ -11,6 +11,8 @@ delivery times against a reference that remembers every edge forever.
 
 from __future__ import annotations
 
+import gc
+import types
 from collections import Counter
 
 import numpy as np
@@ -18,9 +20,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.core.node import ClassifierNode
-from repro.network.factory import make_engine
 from repro.network.kernel import SimulationKernel
-from repro.network.schedulers import SynchronousRoundScheduler
+from repro.network.schedulers import PoissonScheduler, SynchronousRoundScheduler
 from repro.network.topology import complete
 from repro.network.transport import InMemoryTransport
 from repro.obs.events import EventSink, RingBufferSink
@@ -87,6 +88,42 @@ class TestRoundSchedule:
         assert kernel.metrics.peer_count == peer_counts[-1]
 
 
+def _reachable(root) -> list:
+    """Every object reachable from ``root``, classes, modules and
+    functions excluded."""
+    seen: dict = {}
+    stack = [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen[id(obj)] = obj
+        stack.extend(gc.get_referents(obj))
+    return list(seen.values())
+
+
+class TestEdgeRecord:
+    def test_no_per_edge_object_is_reachable(self):
+        """The record of used edges behind ``peer_count`` grows with the
+        nodes, not with the edges: after 20 rounds at 64 nodes more than a
+        thousand directed edges were used, and fewer than 3n objects are
+        reachable from the transport's own state."""
+        n = 64
+        values = np.random.default_rng(7).standard_normal((n, 2))
+        sink = RingBufferSink(capacity=1 << 16)
+        kernel, _ = build_classification_network(
+            values, CentroidScheme(), k=2, graph=complete(n), seed=7, event_sink=sink
+        )
+        assert kernel.run(20) == 20
+        transport = kernel.transport
+        used = {(event.node, event.peer) for event in sink.of_kind("send")}
+        assert transport.stats.peer_count == len(used) > 1000
+        state = {name: value for name, value in vars(transport).items() if name != "kernel"}
+        reachable = _reachable(state)
+        assert not any(isinstance(obj, tuple) for obj in reachable)
+        assert len(reachable) < 3 * n
+
+
 class TestPoissonSchedule:
     @pytest.mark.parametrize("fifo", [True, False])
     def test_registry_matches_queued_deliveries(self, fifo):
@@ -94,12 +131,11 @@ class TestPoissonSchedule:
         values = np.random.default_rng(5).standard_normal((n, 2))
         nodes = [ClassifierNode(i, values[i], CentroidScheme(), k=2) for i in range(n)]
         ledger = _EdgeLedger()
-        kernel = make_engine(
-            "async",
+        kernel = SimulationKernel(
             complete(n),
             {i: ClassificationProtocol(nodes[i]) for i in range(n)},
+            PoissonScheduler(delay_range=(0.05, 3.0)),
             seed=4,
-            delay_range=(0.05, 3.0),
             fifo=fifo,
             event_sink=ledger,
         )

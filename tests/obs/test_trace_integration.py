@@ -1,4 +1,4 @@
-"""End-to-end tracing: both engines, the classification protocol, and EM.
+"""End-to-end tracing: both schedules, the classification protocol, and EM.
 
 The acceptance check of the observability layer: a Figure-4-style crash
 run under a JSONL sink must produce an event log from which the report
@@ -13,8 +13,9 @@ import pytest
 
 from repro.data.generators import outlier_scenario
 from repro.ml.em import fit_gmm_em
-from repro.network.asynchronous import AsyncEngine
 from repro.network.failures import BernoulliCrashes
+from repro.network.kernel import SimulationKernel
+from repro.network.schedulers import PoissonScheduler
 from repro.network.topology import complete
 from repro.obs import JsonlSink, RingBufferSink, tracing
 from repro.obs.report import load_events, render_report
@@ -43,7 +44,7 @@ def fig4_style_trace(tmp_path_factory):
     return path, engine
 
 
-class TestRoundEngineTraceConsistency:
+class TestRoundScheduleTraceConsistency:
     def test_transport_counts_match_network_metrics_exactly(self, fig4_style_trace):
         path, engine = fig4_style_trace
         census = Counter(event["kind"] for event in load_events(str(path)))
@@ -95,16 +96,18 @@ class TestRoundEngineTraceConsistency:
             assert section in text
 
 
-class TestAsyncEngineTraceConsistency:
+class TestPoissonScheduleTraceConsistency:
     def build(self, sink, n=8, seed=2):
         values = np.arange(n, dtype=float)[:, None]
         protocols = {i: PushSumProtocol(values[i]) for i in range(n)}
-        return AsyncEngine(complete(n), protocols, seed=seed, event_sink=sink)
+        return SimulationKernel(
+            complete(n), protocols, PoissonScheduler(), seed=seed, event_sink=sink
+        )
 
     def test_transport_counts_match_metrics(self):
         sink = RingBufferSink()
         engine = self.build(sink)
-        engine.run_events(300)
+        engine.run_steps(300)
         census = Counter(event.kind for event in sink.events)
         assert census["send"] == engine.metrics.messages_sent
         assert census["deliver"] == engine.metrics.messages_delivered
@@ -113,7 +116,7 @@ class TestAsyncEngineTraceConsistency:
     def test_events_carry_time_stamps(self):
         sink = RingBufferSink()
         engine = self.build(sink)
-        engine.run_events(100)
+        engine.run_steps(100)
         times = [event.t for event in sink.events if event.kind == "send"]
         assert times and all(t is not None for t in times)
         assert times == sorted(times)
@@ -122,7 +125,7 @@ class TestAsyncEngineTraceConsistency:
         sink = RingBufferSink()
         engine = self.build(sink)
         engine.crash(0)
-        engine.run_events(300)
+        engine.run_steps(300)
         assert sink.of_kind("crash")[0].node == 0
         assert engine.metrics.messages_dropped > 0
         assert len(sink.of_kind("drop")) == engine.metrics.messages_dropped
@@ -134,9 +137,9 @@ class TestAmbientTracing:
         sink = RingBufferSink()
         with tracing(sink):
             protocols = {i: PushSumProtocol(values[i]) for i in range(6)}
-            engine = AsyncEngine(complete(6), protocols, seed=0)
+            engine = SimulationKernel(complete(6), protocols, PoissonScheduler(), seed=0)
             assert engine.event_sink is sink
-        engine.run_events(50)
+        engine.run_steps(50)
         assert len(sink.of_kind("send")) == engine.metrics.messages_sent
 
     def test_em_fit_emits_em_steps_under_tracing(self, rng):

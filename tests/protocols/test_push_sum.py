@@ -53,7 +53,7 @@ class TestConvergence:
         values = np.arange(10, dtype=float)[:, None]
         engine, protocols = build_push_sum_network(values, complete(10), seed=0)
         for _ in range(10):
-            engine.run_round()
+            engine.run(1)
             total_s = sum(p.s[0] for p in protocols)
             total_w = sum(p.w for p in protocols)
             assert total_s == pytest.approx(45.0, rel=1e-12)
