@@ -269,6 +269,7 @@ class ClassifierNode:
         quanta = packed.quanta
         sent = quanta >> 1  # q // 2 exactly, for non-negative int64
         kept = quanta - sent
+        shares = sent.tolist()
         kept_aux = sent_aux = None
         if packed.aux is not None:
             # MixtureVector.scaled's arithmetic, one Python ratio per row.
@@ -277,7 +278,7 @@ class ClassifierNode:
                 [share / total for share, total in zip(kept.tolist(), totals)]
             )[:, None]
             sent_aux = packed.aux * np.array(
-                [share / total for share, total in zip(sent.tolist(), totals)]
+                [share / total for share, total in zip(shares, totals)]
             )[:, None]
         self._packed = PackedState(
             quanta=kept, columns=packed.columns, row_digests=packed.row_digests, aux=kept_aux
@@ -288,9 +289,10 @@ class ClassifierNode:
         self._collections = None
         self._state_fp = None
         self.stats.splits += 1
-        mask = sent > 0
-        n_sent = int(mask.sum())
-        if n_sent == len(sent):
+        # Counting on the list: two numpy calls cost more than the scan
+        # at k rows.
+        n_sent = len(shares) - shares.count(0)
+        if n_sent == len(shares):
             payload = PackedPayload(
                 scheme=self.scheme,
                 quanta=sent,
@@ -299,12 +301,11 @@ class ClassifierNode:
                 aux=sent_aux,
             )
         else:
+            mask = sent > 0
             digests = None
             if packed.row_digests is not None:
                 digests = tuple(
-                    digest
-                    for digest, keep in zip(packed.row_digests, mask.tolist())
-                    if keep
+                    digest for digest, share in zip(packed.row_digests, shares) if share
                 )
             payload = PackedPayload(
                 scheme=self.scheme,

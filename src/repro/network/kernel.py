@@ -9,13 +9,14 @@ schedule-independent core:
 
 - **transport** — message movement is delegated to a pluggable
   :class:`~repro.network.transport.SimulationTransport` (default
-  :class:`~repro.network.transport.InMemoryTransport`: one reliable
-  directed :class:`~repro.network.channel.Channel` per edge with a
-  message in flight, message envelopes, and the queued-delivery
-  pipeline), while the kernel keeps
-  the protocol interaction and the link-availability check
-  (link availability → send → delay → deliver → receiver-side batched
-  merge, whose full solves a synchronous round poses together, see
+  :class:`~repro.network.transport.InMemoryTransport`: a round buffer
+  for the sends due at a synchronous round's flush, and for timed sends
+  one reliable directed :class:`~repro.network.channel.Channel` per
+  edge with a message in flight, message envelopes, and the
+  queued-delivery pipeline), while the kernel keeps the protocol
+  interaction and the edge and link-availability checks (link
+  availability → send → delay → deliver → receiver-side batched merge,
+  whose full solves a synchronous round poses together, see
   :meth:`SimulationKernel.complete_deliveries`);
 - **failure injection** — a :class:`~repro.network.failures.FailureModel`
   consulted at the end of every round (synchronous schedule) or at every
@@ -296,15 +297,15 @@ class SimulationKernel(Network):
     # ------------------------------------------------------------------
     @property
     def channels(self) -> dict[tuple[int, int], Channel]:
-        """The transport's channels with a message in flight, keyed
+        """The transport's channels with a timed message in flight, keyed
         ``(source, dest)``; a channel leaves once its last message is
-        delivered, so this is empty after a synchronous round."""
+        delivered, and a round send never opens one."""
         return self.transport.channels  # type: ignore[attr-defined]
 
     def channel(self, source: int, destination: int) -> Channel:
-        """The channel carrying an edge's in-flight messages, or a new
-        empty one when none is in flight (the transport registers a
-        channel when it sends on it)."""
+        """The channel carrying an edge's timed in-flight messages, or a
+        new empty one when none is in flight (the transport registers a
+        channel when it sends a timed message on it)."""
         return self.transport.channel(source, destination)
 
     def link_up(self, source: int, destination: int) -> bool:
@@ -321,27 +322,27 @@ class SimulationKernel(Network):
 
         Checks the edge first (a non-edge raises :class:`KeyError` before
         anything changes), then asks ``source``'s protocol for a payload
-        (which may legally be ``None`` — nothing sendable), wraps it in
-        an envelope on the directed channel, schedules its delivery, and
-        counts and emits the ``send``.  ``deliver_time`` may be an
-        absolute time or a thunk; the thunk is only evaluated once a
-        payload exists, so random delay draws never happen for skipped
-        transmissions.
+        (which may legally be ``None`` — nothing sendable), hands it to
+        the transport, and counts and emits the ``send``.  With no
+        ``deliver_time`` the payload is due at the next
+        :meth:`flush_deliveries` (the round schedule); otherwise it
+        travels in an envelope on the directed channel, delivered at
+        ``deliver_time``, an absolute time or a thunk.  The thunk is only
+        evaluated once a payload exists, so random delay draws never
+        happen for skipped transmissions.
         """
         with span("kernel.transport"):
             # Making the payload splits the source's weight, so a refused
             # send must be refused before it.
-            self.transport.channel(source, destination)
+            if self.neighbor_index(source, destination) is None:
+                raise KeyError(f"no edge {source}->{destination} in the topology")
             payload = self.protocols[source].make_payload()
             if payload is None:
                 return 0
             send_time = self.scheduler.clock(self)
-            if deliver_time is None:
-                deliver_at = send_time
-            elif callable(deliver_time):
-                deliver_at = float(deliver_time())
-            else:
-                deliver_at = float(deliver_time)
+            if callable(deliver_time):
+                deliver_time = deliver_time()
+            deliver_at = None if deliver_time is None else float(deliver_time)
             self.transport.send(source, destination, payload, send_time, deliver_at)
             items = self.payload_size(payload)
             self.metrics.record_send(items)
@@ -357,9 +358,10 @@ class SimulationKernel(Network):
         Each ``(destination, sources, payloads)`` entry is one
         receiver's batch, in destination order; the transport has
         already taken ``payloads`` (sent by ``sources``, in the same
-        order) off their channels.  Three passes: every live receiver
-        decides its receive (``defer_receive``), queueing any full solve
-        on one :class:`~repro.core.receive.ReceiveBatch`; the batch is
+        order) out of its round buffer or off their channels.  Three
+        passes: every live receiver decides its receive
+        (``defer_receive``), queueing any full solve on one
+        :class:`~repro.core.receive.ReceiveBatch`; the batch is
         solved; then, destination by destination, the drops or
         deliveries are recorded and emitted and the receiver completes
         its receive.  Receivers are distinct and nothing they decide
@@ -398,7 +400,8 @@ class SimulationKernel(Network):
                 complete()
 
     def flush_deliveries(self) -> None:
-        """Deliver *everything* queued, batched per destination.
+        """Deliver every payload sent with no delivery time, batched per
+        destination.
 
         The synchronous scheduler's receive phase: one
         :meth:`complete_deliveries` call for the whole round; see
@@ -431,7 +434,9 @@ class SimulationKernel(Network):
     # Pool inspection (Section 6.1)
     # ------------------------------------------------------------------
     def in_flight_payloads(self) -> list[Any]:
-        """Payloads currently inside channels, for global-pool assertions.
+        """Payloads sent and not yet delivered, for global-pool assertions:
+        a synchronous round's sends before its flush, and timed messages
+        inside channels.
 
         Costs O(messages in flight): the transport holds no channel that
         carries nothing.
@@ -447,8 +452,8 @@ class SimulationKernel(Network):
         Quiescence is *structural*: every live node's summary-level
         fingerprint (which summaries it holds, ignoring quanta — so
         splitting does not disturb it) is identical, and every collection
-        still travelling inside a channel carries a summary the shared
-        fingerprint already contains.  Once that holds, no future receipt
+        still in flight carries a summary the shared fingerprint already
+        contains.  Once that holds, no future receipt
         can introduce a new summary: the classes are final, only weight
         keeps circulating.  Returns ``False`` whenever the protocol or
         scheme cannot answer (no ``node`` attribute, no fingerprint

@@ -10,10 +10,11 @@ either side of that divide:
   :class:`TransportStats` block (frames, bytes, reconnects, peers).
 - :class:`InMemoryTransport` — the simulation implementation: the
   :class:`~repro.network.kernel.SimulationKernel`'s transmit /
-  queued-deliver / batched-receive pipeline.  It holds a channel only
-  while a message is in flight on it and draws no randomness; the
-  seed-determinism and cache/telemetry parity suites pin its event
-  order.
+  queued-deliver / batched-receive pipeline.  A round send waits in one
+  round buffer until the round's flush; a timed send travels in a
+  channel that exists only while a message is in flight on it.  It
+  draws no randomness; the seed-determinism and cache/telemetry parity
+  suites pin its event order.
 - :class:`FrameTransport` — the deployment contract: transports that move
   *encoded frames* (see :mod:`repro.network.frames`) between real node
   processes.  Implemented by
@@ -36,7 +37,6 @@ transport        runs where          moves                         driven by
 from __future__ import annotations
 
 import abc
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Optional
 
@@ -67,7 +67,7 @@ class TransportStats:
     """What a transport moved; purely observational.
 
     ``frames_*`` count transport-level message units (one in-memory
-    envelope, one wire frame).  ``bytes_*`` count encoded bytes and stay
+    message, one wire frame).  ``bytes_*`` count encoded bytes and stay
     zero for the in-memory transport, which moves Python objects and
     never serialises.  ``reconnects`` counts re-established peer
     connections (TCP only).  ``peer_count`` is a gauge: currently known
@@ -114,8 +114,9 @@ class SimulationTransport(Transport):
 
     A simulation transport is *bound* to exactly one
     :class:`~repro.network.kernel.SimulationKernel` and owns the message
-    plumbing the kernel's schedulers drive: the per-edge channels that
-    carry messages, the queued-delivery entries, and the in-flight pool.
+    plumbing the kernel's schedulers drive: the sends due at the next
+    flush, the per-edge channels that carry timed messages, the
+    queued-delivery entries, and the in-flight pool.
     What it does *not* own is protocol interaction, metrics and event
     emission — those stay on the kernel (its single observability site),
     reached through the delivery callback
@@ -135,13 +136,20 @@ class SimulationTransport(Transport):
 
     @abc.abstractmethod
     def send(
-        self, source: int, destination: int, payload: Any, send_time: float, deliver_at: float
-    ) -> InFlightMessage:
-        """Put one payload in flight and schedule its delivery."""
+        self,
+        source: int,
+        destination: int,
+        payload: Any,
+        send_time: float,
+        deliver_at: Optional[float],
+    ) -> Optional[InFlightMessage]:
+        """Put one payload in flight: ``deliver_at=None`` means due at the
+        next :meth:`flush_deliveries` (the round schedule) and returns
+        ``None``; a time schedules delivery in the envelope returned."""
 
     @abc.abstractmethod
     def flush_deliveries(self) -> None:
-        """Deliver everything queued, batched per destination."""
+        """Deliver every payload due at the flush, batched per destination."""
 
     @abc.abstractmethod
     def dispatch_delivery(
@@ -151,11 +159,11 @@ class SimulationTransport(Transport):
 
     @abc.abstractmethod
     def in_flight_payloads(self) -> list[Any]:
-        """Payloads currently inside channels (the Section 6.1 pool)."""
+        """Payloads sent and not yet delivered (the Section 6.1 pool)."""
 
 
 class _Delivery:
-    """Queue entry: a message envelope due at its channel's far end."""
+    """Queue entry: a timed message envelope due at its channel's far end."""
 
     __slots__ = ("channel", "message")
 
@@ -167,48 +175,51 @@ class _Delivery:
 class InMemoryTransport(SimulationTransport):
     """The simulation kernel's in-process transport.
 
-    A reliable directed :class:`~repro.network.channel.Channel` exists
-    for an edge only while a message is in flight on it: :meth:`send`
-    registers the channel, and the one delivery path that
-    :meth:`flush_deliveries` and :meth:`dispatch_delivery` share drops it
-    once its last message is delivered.  :attr:`channels` is therefore
-    the live part of the Section 6.1 pool, and :meth:`in_flight_payloads`
-    costs O(messages in flight) — nothing after a synchronous flush —
-    however long the run.  Dropping an empty channel changes no delivery
-    time: FIFO clamping raises a new message's delivery time to its
-    channel's latest one, but once the channel is empty that delivery was
-    due at or before the current clock, and no message is due before it
-    is sent.
+    A round send (no delivery time) is due at the round's flush, since a
+    round's sends all precede its receives, so it never outlives its
+    round: :meth:`send` appends it to the round buffer, three parallel
+    lists of destinations, sources and payloads, and allocates no object
+    of its own.  :meth:`flush_deliveries` groups the buffer by
+    destination, ascending, each destination's payloads in send order,
+    and completes the whole round in one call to the kernel.
 
-    A channel's edge is checked against the topology when the channel
-    opens, with :meth:`~repro.network.simulator.Network.neighbor_index`
-    (a bisect of the kernel's sorted neighbour tuples; the kernel keeps
-    no graph object), and a send on a non-edge raises :class:`KeyError`.
-    The edges used so far are kept as one integer bit mask per source,
-    over the source's neighbour positions: no per-edge object, so the
-    garbage collector has nothing to walk however many edges a run uses,
-    and the masks take at most one bit per directed edge.
+    A timed send (the Poisson schedule) travels in an envelope on a
+    reliable directed :class:`~repro.network.channel.Channel`, which
+    exists only while a message is in flight on it.  Its delivery entry
+    goes onto the *kernel's* event queue, time-ordered against scheduler
+    fire events, and :meth:`dispatch_delivery` drops the channel once its
+    last message is delivered.  Dropping an empty channel changes no
+    delivery time: FIFO clamping raises a new message's delivery time to
+    its channel's latest one, but once the channel is empty that delivery
+    was due at or before the current clock, and no message is due before
+    it is sent.  So :meth:`in_flight_payloads` (the round buffer and
+    :attr:`channels`) costs O(messages in flight) however long the run.
 
-    Delivery entries go onto the *kernel's* event queue (so deliveries
-    stay time-ordered against scheduler fire events), and batches
-    complete through the kernel's delivery callback: a synchronous
-    flush hands it the whole round at once, an event-driven dispatch
-    one receiver's batch.  No serialisation
-    happens: payloads travel as Python objects, so ``stats.bytes_*`` stay
-    zero and ``stats.peer_count`` counts the distinct directed edges used
-    so far.
+    Every send checks its edge with
+    :meth:`~repro.network.simulator.Network.neighbor_index` (a bisect of
+    the kernel's sorted neighbour tuples), and a non-edge raises
+    :class:`KeyError`.  The edges used so far are one integer bit mask per
+    source over its neighbour positions: no per-edge object for the
+    garbage collector to walk, and at most one bit per directed edge.
+    Payloads travel as Python objects, never serialised, so
+    ``stats.bytes_*`` stay zero and ``stats.peer_count`` counts the
+    distinct directed edges used so far.
     """
 
     name = "memory"
 
     def __init__(self) -> None:
         super().__init__()
-        #: Channels with at least one message in flight, keyed
+        #: Channels with at least one timed message in flight, keyed
         #: ``(source, destination)``.
         self.channels: dict[tuple[int, int], Channel] = {}
         # Per source, bit ``i`` is set once a message has used the edge
         # to the source's ``i``-th neighbour.
         self._used: dict[int, int] = {}
+        # The round buffer: the sends due at the next flush, in send order.
+        self._due_to: list[int] = []
+        self._due_from: list[int] = []
+        self._due_payloads: list[Any] = []
 
     # ------------------------------------------------------------------
     # Channels
@@ -228,12 +239,32 @@ class InMemoryTransport(SimulationTransport):
             raise KeyError(f"no edge {source}->{destination} in the topology")
         return index
 
+    def _mark_used(self, source: int, index: int) -> None:
+        """Record a use of the edge to the source's ``index``-th neighbour."""
+        bit = 1 << index
+        used = self._used.get(source, 0)
+        if not used & bit:
+            self._used[source] = used | bit
+            self.stats.peer_count += 1
+
     # ------------------------------------------------------------------
     # Send side
     # ------------------------------------------------------------------
     def send(
-        self, source: int, destination: int, payload: Any, send_time: float, deliver_at: float
-    ) -> InFlightMessage:
+        self,
+        source: int,
+        destination: int,
+        payload: Any,
+        send_time: float,
+        deliver_at: Optional[float],
+    ) -> Optional[InFlightMessage]:
+        if deliver_at is None:
+            self._mark_used(source, self._edge_index(source, destination))
+            self._due_to.append(destination)
+            self._due_from.append(source)
+            self._due_payloads.append(payload)
+            self.stats.frames_sent += 1
+            return None
         key = (source, destination)
         channel = self.channels.get(key)
         if channel is not None:
@@ -241,14 +272,11 @@ class InMemoryTransport(SimulationTransport):
         else:
             # The edge's only message in flight: its channel joins the
             # registry, and a first use joins the source's mask.
-            bit = 1 << self._edge_index(source, destination)
+            index = self._edge_index(source, destination)
             channel = Channel(source, destination, fifo=self.kernel.fifo)
             message = channel.send(payload, send_time, deliver_at)
             self.channels[key] = channel
-            used = self._used.get(source, 0)
-            if not used & bit:
-                self._used[source] = used | bit
-                self.stats.peer_count += 1
+            self._mark_used(source, index)
         self.kernel.queue.push(message.deliver_time, _Delivery(channel, message))
         self.stats.frames_sent += 1
         return message
@@ -257,19 +285,24 @@ class InMemoryTransport(SimulationTransport):
     # Delivery side
     # ------------------------------------------------------------------
     def flush_deliveries(self) -> None:
-        """The synchronous scheduler's receive phase: every message sent
-        this round reaches its destination as one batch per receiver
+        """The synchronous scheduler's receive phase: every payload in the
+        round buffer reaches its destination as one batch per receiver
         (the paper's "accumulate all the received collections and run EM
         once for the entire set"), and the kernel completes the round's
-        batches in one call, in destination order."""
-        kernel = self.kernel
-        batches: dict[int, list[tuple[Channel, InFlightMessage]]] = defaultdict(list)
-        while kernel.queue:
-            _, entry = kernel.queue.pop()
-            batches[entry.channel.destination].append((entry.channel, entry.message))
-        kernel.complete_deliveries(
-            [self._take(destination, batches.pop(destination)) for destination in sorted(batches)]
-        )
+        batches in one call, in destination order.  Timed envelopes stay
+        on the event queue."""
+        destinations, sources, payloads = self._due_to, self._due_from, self._due_payloads
+        self._due_to, self._due_from, self._due_payloads = [], [], []
+        batches: dict[int, tuple[int, list[int], list[Any]]] = {}
+        for destination, source, payload in zip(destinations, sources, payloads):
+            batch = batches.get(destination)
+            if batch is None:
+                batches[destination] = (destination, [source], [payload])
+            else:
+                batch[1].append(source)
+                batch[2].append(payload)
+        self.stats.frames_received += len(destinations)
+        self.kernel.complete_deliveries([batches[destination] for destination in sorted(batches)])
 
     def dispatch_delivery(
         self, channel: Channel, message: InFlightMessage, coalesce_at: Optional[float] = None
@@ -281,12 +314,13 @@ class InMemoryTransport(SimulationTransport):
         destination join the batch — the asynchronous counterpart of the
         round schedule's receiver-side merge batching.  Random continuous
         delays make ties measure-zero, but FIFO clamping and adversarial
-        test schedules produce them deliberately.
+        test schedules produce them deliberately.  Each message is taken
+        off its channel, and a channel left empty is dropped.
         """
         kernel = self.kernel
+        destination = channel.destination
         entries = [(channel, message)]
         if coalesce_at is not None:
-            destination = channel.destination
             while kernel.queue:
                 when, entry = kernel.queue.peek()
                 if (
@@ -297,31 +331,24 @@ class InMemoryTransport(SimulationTransport):
                     break
                 kernel.queue.pop()
                 entries.append((entry.channel, entry.message))
-        kernel.complete_deliveries([self._take(channel.destination, entries)])
-        return len(entries)
-
-    def _take(
-        self, destination: int, entries: list[tuple[Channel, InFlightMessage]]
-    ) -> tuple[int, list[int], list[Any]]:
-        """The one delivery path: take each message off its channel, drop
-        the channels left empty, and return the receiver's batch as
-        ``(destination, sources, payloads)``."""
-        channels = self.channels
         sources: list[int] = []
         payloads: list[Any] = []
         for channel, message in entries:
             payloads.append(channel.deliver(message))
             sources.append(channel.source)
             if not channel:
-                del channels[(channel.source, channel.destination)]
+                del self.channels[(channel.source, destination)]
         self.stats.frames_received += len(entries)
-        return destination, sources, payloads
+        kernel.complete_deliveries([(destination, sources, payloads)])
+        return len(entries)
 
     # ------------------------------------------------------------------
     # Pool inspection (Section 6.1)
     # ------------------------------------------------------------------
     def in_flight_payloads(self) -> list[Any]:
-        return [message.payload for channel in self.channels.values() for message in channel]
+        return self._due_payloads + [
+            message.payload for channel in self.channels.values() for message in channel
+        ]
 
 
 class FrameTransport(Transport):

@@ -71,11 +71,28 @@ class TestSplit:
             assert node.total_quanta + total_sent == total
             total = node.total_quanta
 
-    def test_single_quantum_collections_produce_empty_message(self):
-        node = make_node([1.0], quantization=Quantization(1))
+    @pytest.mark.parametrize(
+        "unit, incoming, held, sent",
+        [
+            (1, [], [1], []),
+            # Rows at 2 and 4 quanta split once into 1 and 2: the next
+            # message carries the heavier row alone, with its digest.
+            (2, [4], [1, 2], [([5.0], 1)]),
+        ],
+        ids=["one-row", "mixed-rows"],
+    )
+    def test_single_quantum_collections_produce_empty_message(self, unit, incoming, held, sent):
+        node = make_node([1.0], quantization=Quantization(unit))
+        node.receive([Collection(summary=np.array([5.0]), quanta=q) for q in incoming])
+        if incoming:
+            node.make_message()
+        assert [c.quanta for c in node.classification] == held
+        digests = node.summary_digests()
         payload = node.make_message()
-        assert payload == []
-        assert node.total_quanta == 1
+        assert [(c.summary.tolist(), c.quanta) for c in payload] == sent
+        assert payload.row_digests == tuple(d for d, q in zip(digests, held) if q > 1)
+        assert [c.quanta for c in node.classification] == [q - q // 2 for q in held]
+        assert node.stats.messages_made == len(incoming) + bool(sent)
 
     def test_stats_track_splits(self):
         node = make_node([1.0])

@@ -74,7 +74,7 @@ class TestInMemorySeam:
         )
         kernel.run(5)
         stats = kernel.transport.stats
-        # One in-memory frame per message envelope, in both directions.
+        # One in-memory frame per message sent, and per message delivered.
         assert stats.frames_sent == kernel.metrics.messages_sent
         assert stats.frames_received == kernel.metrics.messages_delivered
         assert stats.bytes_sent == 0  # objects, never serialised

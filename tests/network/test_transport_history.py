@@ -20,6 +20,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.core.node import ClassifierNode
+from repro.network.channel import Channel, InFlightMessage
+from repro.network.events import EventQueue
 from repro.network.kernel import SimulationKernel
 from repro.network.schedulers import PoissonScheduler, SynchronousRoundScheduler
 from repro.network.topology import complete
@@ -55,22 +57,69 @@ class _EdgeLedger(EventSink):
 
 class TestRoundSchedule:
     def test_registry_is_empty_after_every_round(self):
+        """For the push, pull and pushpull variants, with one node crashed.
+        Also, in the middle of every round (its sends done, its flush not
+        begun) the nodes and the round's payloads hold all the weight not
+        yet dropped at the crashed node, and the flush delivers or drops
+        destination by destination, ascending, in send order."""
+        for variant in ("push", "pull", "pushpull"):
+            self._check_rounds(variant)
+
+    @staticmethod
+    def _check_rounds(variant: str) -> None:
         n = 40
+        crashed = 7
         values = CENTERS[np.random.default_rng(3).integers(0, 3, size=n)]
         sink = RingBufferSink(capacity=1 << 20)
         # Exact centers quiesce within the run, so the probe's in-flight
         # scan runs too; the patience keeps the run going all 30 rounds.
-        kernel, _ = build_classification_network(
+        kernel, nodes = build_classification_network(
             values,
             GaussianMixtureScheme(seed=0),
             k=3,
             graph=complete(n),
             seed=11,
+            variant=variant,
             event_sink=sink,
             stop_on_quiescence=True,
             quiescence_patience=100,
         )
+        kernel.crash(crashed)
         transport = kernel.transport
+        flush = transport.flush_deliveries
+        # The events before this round's sends, and the weight not yet
+        # dropped at the crashed node.
+        before_sends, weight = len(sink), n * nodes[0].quantization.unit
+        drops = []
+
+        def checked_flush():
+            nonlocal before_sends, weight
+            held = sum(node.total_quanta for node in nodes)
+            in_flight = sum(
+                collection.quanta
+                for payload in kernel.in_flight_payloads()
+                for collection in payload
+            )
+            assert held + in_flight == weight
+            start = len(sink)
+            flush()
+            events = sink.events
+            sends = [(e.node, e.peer) for e in events[before_sends:start] if e.kind == "send"]
+            received = [e for e in events[start:] if e.kind in ("deliver", "drop")]
+            assert [e.peer for e in received] == sorted(e.peer for e in received)
+            for destination in {peer for _, peer in sends}:
+                assert [e.node for e in received if e.peer == destination] == [
+                    source for source, peer in sends if peer == destination
+                ]
+                kind = "drop" if destination == crashed else "deliver"
+                assert {e.kind for e in received if e.peer == destination} == {kind}
+            assert len(received) == len(sends)
+            drops.append(sum(e.kind == "drop" for e in received))
+            left = sum(node.total_quanta for node in nodes)
+            assert (left < weight) == (drops[-1] > 0)
+            before_sends, weight = len(sink), left
+
+        transport.flush_deliveries = checked_flush
         peer_counts = []
 
         def check(engine):
@@ -81,11 +130,13 @@ class TestRoundSchedule:
             peer_counts.append(transport.stats.peer_count)
 
         assert kernel.run(30, per_round=check) == 30
-        assert len(peer_counts) == 30
+        assert len(peer_counts) == len(drops) == 30
         assert peer_counts == sorted(peer_counts)
         assert peer_counts[-1] > peer_counts[0] > 0
         assert kernel.metrics.quiescent_rounds > 0
         assert kernel.metrics.peer_count == peer_counts[-1]
+        # A pull reaches no crashed peer; a push can.
+        assert (sum(drops) > 0) == (variant != "pull")
 
 
 def _reachable(root) -> list:
@@ -122,6 +173,41 @@ class TestEdgeRecord:
         reachable = _reachable(state)
         assert not any(isinstance(obj, tuple) for obj in reachable)
         assert len(reachable) < 3 * n
+
+
+class TestRoundBuffer:
+    def test_a_round_builds_no_envelope(self, monkeypatch):
+        """A round send waits in the transport's round buffer: 5 rounds at
+        64 nodes construct no channel and no in-flight message and push
+        nothing onto the event queue, while a Poisson run does all three."""
+        counts: Counter = Counter()
+
+        def counted(name, method):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return method(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(Channel, "__init__", counted("channel", Channel.__init__))
+        monkeypatch.setattr(
+            InFlightMessage, "__init__", counted("message", InFlightMessage.__init__)
+        )
+        monkeypatch.setattr(EventQueue, "push", counted("push", EventQueue.push))
+        n = 64
+        values = np.random.default_rng(7).standard_normal((n, 2))
+        kernel, _ = build_classification_network(
+            values, CentroidScheme(), k=2, graph=complete(n), seed=7
+        )
+        assert kernel.run(5) == 5
+        assert kernel.metrics.messages_delivered == 5 * n
+        assert [counts[name] for name in ("channel", "message", "push")] == [0, 0, 0]
+        poisson, _ = build_classification_network(
+            values, CentroidScheme(), k=2, graph=complete(n), seed=7, engine="async"
+        )
+        assert poisson.run(5) == 5
+        assert poisson.metrics.messages_sent > 0
+        assert min(counts[name] for name in ("channel", "message", "push")) > 0
 
 
 class TestPoissonSchedule:
