@@ -52,11 +52,11 @@ class SummaryScheme(abc.ABC, Generic[S]):
 
     Nodes run every scheme through the packed entry points
     (``pack_summaries`` / ``unpack_summary`` / ``partition_packed`` /
-    ``merge_set_packed``).  Their defaults wrap the object-level contract
-    over one object column, so implementing the four abstract methods is
-    enough to run on any node; a scheme overrides them with numeric
-    columns (and declares ``supports_packed``) for speed and for the
-    arena engines.  ``identity_below_k`` lets nodes skip ``partition``
+    ``merge_groups_columns``).  Their defaults wrap the object-level
+    contract over one object column, so implementing the four abstract
+    methods is enough to run on any node; a scheme overrides them with
+    numeric columns (and declares ``supports_packed``) for speed and for
+    the arena engines.  ``identity_below_k`` lets nodes skip ``partition``
     outright on small pooled sets (see ``docs/performance.md`` for both
     contracts).
     """
@@ -123,13 +123,6 @@ class SummaryScheme(abc.ABC, Generic[S]):
     def distance(self, a: S, b: S) -> float:
         """The pseudo-metric ``d_S`` on the summary domain."""
 
-    def summary_dimension(self, summary: S) -> int:
-        """Best-effort dimensionality of a summary (for reporting only)."""
-        try:
-            return len(summary)  # type: ignore[arg-type]
-        except TypeError:
-            return 1
-
     # ------------------------------------------------------------------
     # Packed entry points — defaults wrap the object contract
     # ------------------------------------------------------------------
@@ -178,18 +171,6 @@ class SummaryScheme(abc.ABC, Generic[S]):
         """
         return [self.partition_packed(packed, k, quantization) for packed in problems]
 
-    def merge_set_packed(self, packed: PackedState, group: Sequence[int]) -> S:
-        """Array-native ``merge_set`` over the packed rows in ``group``.
-
-        Must reproduce ``merge_set`` on the corresponding
-        ``(summary, float(quanta))`` pairs bit for bit; the default runs
-        ``merge_set`` on exactly those pairs.
-        """
-        quanta = packed.quanta.tolist()
-        return self.merge_set(
-            [(self.unpack_summary(packed.columns, i), float(quanta[i])) for i in group]
-        )
-
     # ------------------------------------------------------------------
     # Batch (whole-network) entry points — used by the arena engine
     # ------------------------------------------------------------------
@@ -215,32 +196,30 @@ class SummaryScheme(abc.ABC, Generic[S]):
         """
         return columns["summary"][index]
 
-    def merge_groups_packed(
-        self, packed: PackedState, groups: Sequence[Sequence[int]]
-    ) -> list[S]:
-        """Batch ``merge_set_packed`` over several groups of one pooled set.
-
-        Returns one merged summary per group, in group order, each
-        bit-identical to the corresponding ``merge_set_packed`` call.
-        The default loops; schemes may override to amortise per-call
-        setup when the arena engine merges many groups per round.
-        """
-        return [self.merge_set_packed(packed, group) for group in groups]
-
     def merge_groups_columns(
         self, packed: PackedState, groups: Sequence[Sequence[int]]
     ) -> dict[str, Any]:
-        """Batch-merge groups straight to packed column rows.
+        """Array-native ``merge_set``: merge groups straight to packed column rows.
 
         Returns the scheme's packed columns holding one merged row per
-        group, in group order — byte-identical to packing the summaries
-        ``merge_groups_packed`` would return.  The default does exactly
-        that; schemes with array-native merges override it with batched
-        kernels (:func:`repro.ml.gaussian.pool_moments_groups`,
+        group, in group order.  Row ``g`` must be byte-identical to
+        packing ``merge_set`` over group ``g``'s
+        ``(unpack_summary(columns, i), float(quanta[i]))`` pairs; the
+        default computes exactly that.  Schemes with array-native merges
+        override it with batched kernels
+        (:func:`repro.ml.gaussian.pool_moments_groups`,
         :func:`repro.schemes.centroid.weighted_average_groups`) so a
         receiving node never constructs summary objects at all.
         """
-        return self.pack_summaries(self.merge_groups_packed(packed, groups))
+        quanta = packed.quanta.tolist()
+        return self.pack_summaries(
+            [
+                self.merge_set(
+                    [(self.unpack_summary(packed.columns, i), float(quanta[i])) for i in group]
+                )
+                for group in groups
+            ]
+        )
 
     # ------------------------------------------------------------------
     # Content addressing — optional, see supports_fingerprints

@@ -257,12 +257,14 @@ def codec_for_scheme(scheme: Any, dimension: int) -> SummaryCodec:
     from repro.schemes.gm import GaussianMixtureScheme
     from repro.schemes.histogram import HistogramScheme
 
+    # Subclasses first: a histogram scheme is a centroid scheme over one-hot
+    # bins, and the diagonal scheme a GM scheme with a projected merge.
+    if isinstance(scheme, HistogramScheme):
+        return HistogramCodec(scheme.bins)
     if isinstance(scheme, CentroidScheme):
         return CentroidCodec(dimension)
     if isinstance(scheme, DiagonalGaussianScheme):
         return DiagonalGaussianCodec(dimension)
     if isinstance(scheme, GaussianMixtureScheme):
         return GaussianCodec(dimension)
-    if isinstance(scheme, HistogramScheme):
-        return HistogramCodec(scheme.bins)
     raise TypeError(f"no codec registered for scheme {type(scheme).__name__}")

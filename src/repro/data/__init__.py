@@ -7,6 +7,7 @@ from repro.data.generators import (
     load_scenario,
     outlier_scenario,
     standard_normal_values,
+    two_cluster_values,
 )
 
 __all__ = [
@@ -16,4 +17,5 @@ __all__ = [
     "load_scenario",
     "outlier_scenario",
     "standard_normal_values",
+    "two_cluster_values",
 ]

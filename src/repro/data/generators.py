@@ -14,6 +14,9 @@ workloads, parameterised exactly where the paper gives numbers:
   normal in R^2 plus 50 outliers from N((0, delta), 0.1*I) (Figure 3a).
 - :func:`load_scenario` — the introduction's grid-computing motivation:
   machine loads concentrated around 10% and 90%.
+- :func:`two_cluster_values` — two balanced, well-separated clusters in
+  R^2, the workload of the ablations, the scalability experiments and
+  the sweep's ``two_cluster`` cells.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ __all__ = [
     "outlier_scenario",
     "load_scenario",
     "standard_normal_values",
+    "two_cluster_values",
 ]
 
 
@@ -137,6 +141,20 @@ def standard_normal_values(n: int, dimension: int = 2, seed: int = 0) -> np.ndar
     """Plain N(0, I) readings — the crash-free averaging sanity workload."""
     rng = np.random.default_rng(seed)
     return rng.standard_normal((n, dimension))
+
+
+def two_cluster_values(n: int, seed: int = 0, separation: float = 8.0) -> np.ndarray:
+    """Balanced 2-cluster R^2 data: the first ``n // 2`` values around the
+    origin, the rest around ``(separation, separation)``, both with standard
+    deviation 0.6 per coordinate."""
+    rng = np.random.default_rng(seed)
+    half = n // 2
+    return np.vstack(
+        [
+            rng.normal([0.0, 0.0], 0.6, size=(half, 2)),
+            rng.normal([separation, separation], 0.6, size=(n - half, 2)),
+        ]
+    )
 
 
 def load_scenario(

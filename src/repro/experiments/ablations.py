@@ -27,7 +27,7 @@ from repro.core.convergence import disagreement
 from repro.core.node import ClassifierNode
 from repro.core.scheme import SummaryScheme
 from repro.core.weights import Quantization
-from repro.data.generators import fence_fire_mixture, fence_fire_values
+from repro.data.generators import fence_fire_mixture, fence_fire_values, two_cluster_values
 from repro.experiments.common import Scale, PAPER, run_experiment_sweep, run_until_convergence
 from repro.ml.em import fit_gmm_em
 from repro.ml.gmm import GaussianMixtureModel
@@ -62,17 +62,6 @@ class AblationRow:
 
     def __getitem__(self, key: str) -> float:
         return self.metrics[key]
-
-
-def _two_cluster_values(n: int, seed: int, separation: float = 8.0) -> tuple[np.ndarray, np.ndarray]:
-    """Balanced 2-cluster R^2 data with ground-truth labels."""
-    rng = np.random.default_rng(seed)
-    half = n // 2
-    a = rng.normal([0.0, 0.0], 0.6, size=(half, 2))
-    b = rng.normal([separation, separation], 0.6, size=(n - half, 2))
-    values = np.vstack([a, b])
-    labels = np.concatenate([np.zeros(half, dtype=int), np.ones(n - half, dtype=int)])
-    return values, labels
 
 
 def weighted_assignment_accuracy(
@@ -128,7 +117,7 @@ def ablation_cell(params: dict) -> dict:
     if mode == "topology":
         graph = _ablation_graph(str(params["topology"]), n, seed)
         graph_n = graph.number_of_nodes()
-        values, _ = _two_cluster_values(n, seed)
+        values = two_cluster_values(n, seed)
         scheme = GaussianMixtureScheme(seed=seed)
         run_scale = scale.with_overrides(
             n_nodes=graph_n, max_rounds=max(scale.max_rounds, 60 * graph_n)
@@ -144,7 +133,7 @@ def ablation_cell(params: dict) -> dict:
         }
 
     if mode == "variant":
-        values, _ = _two_cluster_values(n, seed)
+        values = two_cluster_values(n, seed)
         scheme = GaussianMixtureScheme(seed=seed)
         engine, nodes, rounds = run_until_convergence(
             values, scheme, k=2, scale=scale.with_overrides(n_nodes=n), seed=seed,
@@ -173,7 +162,7 @@ def ablation_cell(params: dict) -> dict:
 
     if mode == "quantum":
         quanta_per_unit = int(params["quanta_per_unit"])
-        values, _ = _two_cluster_values(n, seed)
+        values = two_cluster_values(n, seed)
         from repro.protocols.classification import build_classification_network
 
         engine, nodes = build_classification_network(

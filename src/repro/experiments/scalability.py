@@ -21,11 +21,10 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
 from repro.core.convergence import disagreement
 from repro.core.node import ClassifierNode
 from repro.core.serialization import codec_for_scheme, encode_payload
+from repro.data.generators import two_cluster_values
 from repro.experiments.ablations import AblationRow
 from repro.experiments.common import Scale, PAPER, run_until_convergence
 from repro.network.schedulers import PoissonScheduler
@@ -41,14 +40,6 @@ __all__ = [
     "run_async_ablation",
     "measured_payload_bytes",
 ]
-
-
-def _two_cluster_values(n: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    half = n // 2
-    return np.vstack(
-        [rng.normal([0, 0], 0.6, size=(half, 2)), rng.normal([8, 8], 0.6, size=(n - half, 2))]
-    )
 
 
 def measured_payload_bytes(
@@ -93,7 +84,7 @@ def run_message_size_ablation(scale: Scale = PAPER, seed: int = 21) -> list[Abla
     for name, factory in schemes:
         measured = {}
         for n in sizes:
-            values = _two_cluster_values(n, seed)
+            values = two_cluster_values(n, seed)
             scheme = factory(seed)
             run_scale = scale.with_overrides(n_nodes=n, max_rounds=min(scale.max_rounds, 30))
             _, nodes, _ = run_until_convergence(values, scheme, k=2, scale=run_scale, seed=seed)
@@ -122,7 +113,7 @@ def run_scalability(
         sizes = sorted({min(cap, n) for n in (50, 100, 200, 400)})
     rows = []
     for n in sizes:
-        values = _two_cluster_values(n, seed)
+        values = two_cluster_values(n, seed)
         scheme = GaussianMixtureScheme(seed=seed)
         run_scale = scale.with_overrides(n_nodes=n)
         engine, nodes, rounds = run_until_convergence(
@@ -158,7 +149,7 @@ def run_async_ablation(
     analogue of "rounds to convergence".
     """
     n = min(scale.n_nodes, 32)
-    values = _two_cluster_values(n, seed)
+    values = two_cluster_values(n, seed)
     graphs = {"complete": complete(n), "ring": ring(n)}
     rows = []
     for name, graph in graphs.items():

@@ -617,7 +617,7 @@ class ReceiveSolver:
             columns={name: pool(column, columns[name]) for name, column in arena.columns.items()},
         )
         # merge_groups_columns is contractually byte-identical to packing
-        # merge_groups_packed's summaries; the summary object behind each
+        # merge_set's summary per group; the summary object behind each
         # new id materialises lazily in the interner when a certificate
         # needs it.
         solve_block(

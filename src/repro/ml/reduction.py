@@ -542,7 +542,7 @@ def reduce_mixture(
     means: np.ndarray,
     covs: np.ndarray,
     k: int,
-    rng: np.random.Generator,
+    rng: np.random.Generator | None = None,
     max_iterations: int = 50,
     build_model: bool = True,
 ) -> ReductionResult:

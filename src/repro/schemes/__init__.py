@@ -1,15 +1,17 @@
 """Instantiations of the generic algorithm's summary-scheme contract.
 
-Three schemes ship with the library:
+Four schemes ship with the library, in two families:
 
 - :class:`~repro.schemes.centroid.CentroidScheme` — Algorithm 2, the
   k-means-style running example;
+- :class:`~repro.schemes.histogram.HistogramScheme` — a 1-D histogram
+  scheme modelling the related work the paper contrasts against: the
+  centroids scheme over one-hot bin vectors;
 - :class:`~repro.schemes.gm.GaussianMixtureScheme` — Section 5's novel
   Gaussian-Mixture algorithm with EM partitioning;
-- :class:`~repro.schemes.histogram.HistogramScheme` — a 1-D histogram
-  scheme modelling the related work the paper contrasts against;
 - :class:`~repro.schemes.diagonal.DiagonalGaussianScheme` — the
-  lightweight-sensor Gaussian variant with O(d) summaries.
+  lightweight-sensor Gaussian variant with O(d) summaries: the GM scheme
+  with a merge that keeps only the diagonal.
 
 All four satisfy requirements R1-R4, so Theorem 1's convergence guarantee
 applies to each.

@@ -109,12 +109,12 @@ def weighted_average_groups(
 ) -> np.ndarray:
     """Batched weighted average of row groups (the centroid and histogram merge).
 
-    Byte-parity contract with the schemes' sequential
-    ``merge_set_packed``: per group, ``sum(float(q_i) * row_i) / total``
-    accumulated left-to-right from zero, with byte-identical groups
-    short-circuiting to a copy of their first row.  Groups are bucketed
-    by size and each bucket runs as one zero-seeded accumulation over
-    the slot axis, the order Python's ``sum`` adds in.
+    Byte-parity contract with :meth:`CentroidScheme.merge_set` on each
+    group's ``(row_i, float(q_i))`` pairs: ``sum(float(q_i) * row_i) /
+    total`` accumulated left-to-right from zero, with byte-identical
+    groups short-circuiting to a copy of their first row.  Groups are
+    bucketed by size and each bucket runs as one zero-seeded
+    accumulation over the slot axis, the order Python's ``sum`` adds in.
     """
     by_size: dict[int, list[int]] = {}
     for gi, group in enumerate(groups):
@@ -262,18 +262,6 @@ class CentroidScheme(SummaryScheme):
         return greedy_closest_pair_partition(
             packed.columns["position"], packed.weights(), packed.quanta, k, quantization
         )
-
-    def merge_set_packed(self, packed: PackedState, group: Sequence[int]) -> np.ndarray:
-        # Mirrors merge_set's sequential weighted average exactly (same
-        # accumulation order), so both paths round identically.
-        positions = packed.columns["position"]
-        quanta = packed.quanta
-        first = positions[group[0]]
-        if all(np.array_equal(first, positions[i]) for i in group[1:]):
-            return np.asarray(first, dtype=float).copy()
-        total = sum(float(quanta[i]) for i in group)
-        merged = sum(float(quanta[i]) * positions[i] for i in group) / total
-        return np.asarray(merged, dtype=float)
 
     def merge_groups_columns(
         self, packed: PackedState, groups: Sequence[Sequence[int]]

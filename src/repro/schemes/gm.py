@@ -22,7 +22,7 @@ from repro.core.fingerprint import digest_arrays
 from repro.core.packed import PackedState
 from repro.core.scheme import SummaryScheme
 from repro.core.weights import Quantization
-from repro.ml.gaussian import pool_moments, pool_moments_groups
+from repro.ml.gaussian import pool_moments_groups
 from repro.ml.reduction import reduce_mixture, reduce_mixture_batch
 from repro.schemes.gaussian import (
     GaussianSummary,
@@ -39,10 +39,10 @@ class GaussianMixtureScheme(SummaryScheme):
     Parameters
     ----------
     seed:
-        Seeds the scheme's private RNG, kept for API stability: the EM
-        reduction seeds its groups by deterministic maximin selection
-        and never reads it, so runs do not depend on the seed and
-        distinct nodes may share one scheme instance.
+        Accepted for API stability and not read: the EM reduction seeds
+        its groups by deterministic maximin selection, so runs do not
+        depend on the seed and distinct nodes may share one scheme
+        instance.
     reduction_iterations:
         Cap on EM iterations per ``partition`` call.  The paper's nodes
         "run EM once for the entire set" per receipt; a small cap keeps
@@ -55,7 +55,6 @@ class GaussianMixtureScheme(SummaryScheme):
     identity_partition_style = "em"
 
     def __init__(self, seed: int = 0, reduction_iterations: int = 25) -> None:
-        self._rng = np.random.default_rng(seed)
         self.reduction_iterations = reduction_iterations
 
     # ------------------------------------------------------------------
@@ -104,7 +103,6 @@ class GaussianMixtureScheme(SummaryScheme):
             means,
             covs,
             k,
-            self._rng,
             max_iterations=self.reduction_iterations,
             build_model=False,
         )
@@ -185,17 +183,6 @@ class GaussianMixtureScheme(SummaryScheme):
                     quantization,
                 )
         return out
-
-    def merge_set_packed(
-        self, packed: PackedState, group: Sequence[int]
-    ) -> GaussianSummary:
-        idx = np.asarray(group, dtype=np.intp)
-        mean, cov = pool_moments(
-            packed.quanta[idx].astype(float),
-            packed.columns["mean"][idx],
-            packed.columns["cov"][idx],
-        )
-        return GaussianSummary.trusted(mean, cov)
 
     def merge_groups_columns(
         self, packed: PackedState, groups: Sequence[Sequence[int]]

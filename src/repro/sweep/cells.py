@@ -34,7 +34,7 @@ from repro.analysis.accuracy import average_error
 from repro.analysis.outliers import robust_mean
 from repro.core.convergence import disagreement
 from repro.core.weights import Quantization
-from repro.data.generators import fence_fire_values, outlier_scenario
+from repro.data.generators import fence_fire_values, outlier_scenario, two_cluster_values
 from repro.network import topology
 from repro.network.failures import BernoulliCrashes, NoFailures
 from repro.protocols.classification import build_classification_network
@@ -136,15 +136,7 @@ def _build_dataset(params: Mapping[str, Any], seed: int):
         return scenario.values, scenario.true_mean
     if dataset == "two_cluster":
         separation = float(params.get("separation", 8.0))
-        rng = np.random.default_rng(seed)
-        half = n // 2
-        values = np.vstack(
-            [
-                rng.normal([0.0, 0.0], 0.6, size=(half, 2)),
-                rng.normal([separation, separation], 0.6, size=(n - half, 2)),
-            ]
-        )
-        return values, None
+        return two_cluster_values(n, seed=seed, separation=separation), None
     if dataset == "fence_fire":
         values, _ = fence_fire_values(n, seed=seed)
         return values, None

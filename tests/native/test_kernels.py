@@ -3,7 +3,7 @@
 Every batched kernel of the receive/merge loop (in
 :mod:`repro.ml.reduction`, :mod:`repro.ml.gaussian` and
 :mod:`repro.schemes.centroid`) carries a byte-parity contract with the
-sequential reference it replaced (the schemes' ``merge_set_packed``,
+sequential reference it replaced (the centroid scheme's ``merge_set``,
 :func:`repro.ml.gaussian.pool_moments`, the incremental greedy
 partition, the per-row distance walk).  These tests pin
 the contract directly at the kernel boundary — randomized inputs,
@@ -90,7 +90,7 @@ class TestCompactLabels:
 
 class TestWeightedAverageGroups:
     @pytest.mark.parametrize("seed", range(6))
-    def test_matches_centroid_merge_set_packed(self, seed):
+    def test_matches_centroid_merge_set(self, seed):
         """The batched average must replay the scheme's sequential one."""
         rng = np.random.default_rng(seed)
         n = 12
@@ -98,10 +98,9 @@ class TestWeightedAverageGroups:
         quanta = rng.integers(1, 1 << 12, size=n, dtype=np.int64)
         groups = _random_groups(rng, n)
         scheme = CentroidScheme()
-        packed = PackedState(quanta=quanta, columns={"position": rows})
         batched = weighted_average_groups(rows, quanta, groups)
         for gi, group in enumerate(groups):
-            reference = scheme.merge_set_packed(packed, group)
+            reference = scheme.merge_set([(rows[i], float(quanta[i])) for i in group])
             assert batched[gi].tobytes() == reference.tobytes()
 
     def test_identical_rows_short_circuit_bytes(self):

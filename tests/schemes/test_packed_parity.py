@@ -21,6 +21,7 @@ from oracle import OracleNode, oracle_nodes, state_bytes, summary_bytes
 
 from repro.core.collection import Collection
 from repro.core.node import ClassifierNode
+from repro.core.packed import PackedState
 from repro.core.scheme import SummaryScheme, validate_partition
 from repro.core.weights import Quantization
 from repro.mega import NetworkArena
@@ -197,6 +198,58 @@ class TestIdentityBelowK:
         ]
         groups = scheme.partition(collections, k=4, quantization=QUANT)
         validate_partition(groups, collections, 4, QUANT)
+
+
+def _mixed_groups(rng: np.random.Generator, n: int, pinned: list[int]) -> list[list[int]]:
+    """A random partition of ``range(n)``: ``pinned`` is one group, and the
+    rest are cut into a singleton and then groups of 1 to 4 members."""
+    rest = [index for index in rng.permutation(n).tolist() if index not in pinned]
+    groups = [list(pinned), rest[:1]]
+    rest = rest[1:]
+    while rest:
+        size = int(rng.integers(1, 5))
+        groups.append(rest[:size])
+        rest = rest[size:]
+    order = rng.permutation(len(groups)).tolist()
+    return [groups[index] for index in order]
+
+
+class TestBatchedMerge:
+    @pytest.mark.parametrize("name", SCHEME_NAMES)
+    def test_matches_contract_default(self, name):
+        """Every shipped scheme's ``merge_groups_columns`` (the GM and centroid
+        kernels, the diagonal scheme's projected override, the histogram's
+        inherited centroid merge) equals the contract's default, ``merge_set``
+        per group over the unpacked rows, byte for byte."""
+        scheme = _make_scheme(name)
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            n = 12
+            values = [_make_value(name, rng) for _ in range(4 * n)]
+            quanta = rng.integers(2, 1 << 12, size=4 * n, dtype=np.int64)
+            singles = PackedState(quanta=quanta, columns=scheme.pack_values(values))
+            # One merge round first: each row summarises four values, so the
+            # Gaussian schemes' covariances are not zero and histogram rows
+            # share bins.
+            merged = scheme.merge_groups_columns(
+                singles, [list(range(4 * i, 4 * i + 4)) for i in range(n)]
+            )
+            # Row n copies row 0, so one group holds byte-identical rows.
+            packed = PackedState(
+                quanta=np.concatenate(
+                    [quanta.reshape(n, 4).sum(axis=1), rng.integers(2, 1 << 12, size=1)]
+                ),
+                columns={
+                    key: np.concatenate([column, column[:1]]) for key, column in merged.items()
+                },
+            )
+            groups = _mixed_groups(rng, n + 1, pinned=[0, n])
+            batched = scheme.merge_groups_columns(packed, groups)
+            reference = SummaryScheme.merge_groups_columns(scheme, packed, groups)
+            assert set(batched) == set(reference)
+            for key, rows in reference.items():
+                assert batched[key].shape == rows.shape, (seed, key)
+                assert batched[key].tobytes() == rows.tobytes(), (seed, key)
 
 
 class BoundingBoxScheme(SummaryScheme):
