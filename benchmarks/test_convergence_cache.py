@@ -91,7 +91,6 @@ def test_convergence_tail_speedup():
         states[cached] = _state(nodes, nodes[0].scheme)
         counters[cached] = {
             "cache_noop_hits": kernel.metrics.cache_noop_hits,
-            "cache_hits": kernel.metrics.cache_hits,
             "cache_misses": kernel.metrics.cache_misses,
         }
 
@@ -110,7 +109,6 @@ def test_convergence_tail_speedup():
             "cache_on_s": timings[True][1],
             "speedup": tail_speedup,
             "cache_noop_hits": counters[True]["cache_noop_hits"],
-            "cache_memo_hits": counters[True]["cache_hits"],
             "cache_misses": counters[True]["cache_misses"],
         },
         "gm_n1000_end_to_end": {

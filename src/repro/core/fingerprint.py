@@ -13,29 +13,28 @@ makes that redundancy *addressable*:
   summary-level (what classes a node holds) or state-level (classes plus
   quanta);
 - :class:`MergeCache` is the run-scoped cache shared by every node of a
-  :class:`~repro.network.kernel.SimulationKernel`.  It has two layers:
+  :class:`~repro.network.kernel.SimulationKernel`.  It holds what the
+  certified no-op receive needs and nothing else:
 
-  1. **Exact receive memoisation** — an LRU table keyed by the receiver's
-     *ordered* ``(digest, quanta)`` state and the ordered incoming
-     digests.  The partition pipeline is a deterministic pure function of
-     that key (the EM reduction never consults its RNG; the greedy
-     partition is deterministic), so replaying a stored outcome is
-     byte-identical to recomputing it.  Order matters in the key — EM
-     breaks ties by index — which is why the memo key is *stricter* than
-     the order-insensitive fingerprint used for quiescence.
-  2. **Identity certificates** — per location-set proofs that a receipt
+  1. **Identity certificates** — per location-set proofs that a receipt
      whose incoming digests are a subset of the local ones is a *no-op*
      up to quanta bookkeeping.  The certificate pins the weight-independent
      geometry (pairwise-distinct locations, maximin seed orders, E-step
-     score margins); :mod:`repro.core.receive` keeps a per-local-block
-     no-op plan on the cache and checks the weight-dependent remainder
-     per receipt.  See ``docs/performance.md`` for the soundness
+     score margins).  See ``docs/performance.md`` for the soundness
      argument.
+  2. **No-op plans** — :mod:`repro.core.receive`'s per-local-block plans,
+     keyed by ``k`` and the block's ordered row tokens; the
+     weight-dependent remainder is checked per receipt.
 
-Both layers are only consulted when the scheme declares
-``supports_fingerprints``; both default on (the ``REPRO_MERGE_CACHE``
-environment toggle turns them off; :data:`MERGE_CACHE_SIZE` bounds the
-memo table).
+There is no receive memo: a receive is a pure function of its pooled
+rows *and their quanta*, and every round halves and re-pools the quanta,
+so an exact key almost never comes back in a later round (see
+``docs/performance.md``, "No cross-round receive memo").
+
+The cache is only consulted when the scheme declares
+``supports_fingerprints``; it defaults on (the ``REPRO_MERGE_CACHE``
+environment toggle turns it off, and the cache-off run is the reference
+the certified no-op is checked against).
 """
 
 from __future__ import annotations
@@ -48,7 +47,6 @@ from typing import TYPE_CHECKING, Any, Dict, Iterable, Optional, Sequence, Tuple
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.core.receive import ReceiveRows
     from repro.core.scheme import SummaryScheme
 
 __all__ = [
@@ -56,9 +54,9 @@ __all__ = [
     "combine_digests",
     "state_fingerprint_of",
     "IdentityCertificate",
+    "MISSING",
     "MergeCache",
     "merge_cache_default",
-    "MERGE_CACHE_SIZE",
 ]
 
 #: Digest width in bytes; 128 bits makes accidental collisions across a
@@ -73,8 +71,13 @@ DIGEST_SIZE = 16
 _MARGIN_SLACK_REL = 1e-6
 _MARGIN_SLACK_ABS = 1e-9
 
-#: Default bound on a :class:`MergeCache`'s memo table, in entries.
-MERGE_CACHE_SIZE = 4096
+#: Distinct local blocks a run keeps no-op plans for before it drops them
+#: all (pre-convergence token churn guard).
+_MAX_PLANS = 65536
+
+#: What :meth:`MergeCache.lookup` returns for a block no plan was stored
+#: for; a stored ``None`` means the block is never a no-op.
+MISSING: Any = object()
 
 
 def merge_cache_default() -> bool:
@@ -339,73 +342,48 @@ def _build_certificate(
 
 
 class MergeCache:
-    """Run-scoped, node-shared cache of receive outcomes and certificates.
+    """Run-scoped, node-shared identity certificates and no-op plans.
 
     Owned by the :class:`~repro.network.kernel.SimulationKernel` (which
     folds its counters into :class:`~repro.network.metrics.NetworkMetrics`)
     and consulted by every :class:`~repro.core.node.ClassifierNode` of the
     run from inside ``defer_receive`` (an arena's
     :class:`~repro.mega.engine.ReceiveSolver` owns one the same way).
-    The memo's entries are :class:`~repro.core.receive.ReceiveRows`.
-    Byte-identity contract: a cache hit — memo replay or certified no-op
-    — produces exactly the packed rows, stats deltas and ``merge``
-    events the uncached pipeline would have produced.  The parity and
-    determinism suites pin this with the cache on (the default).
+    Byte-identity contract: a certified no-op produces exactly the packed
+    rows, stats deltas and ``merge`` events the uncached pipeline would
+    have produced.  The parity and determinism suites pin this with the
+    cache on (the default).
 
-    ``noop_plans`` holds :mod:`repro.core.receive`'s per-local-block
-    no-op plans, keyed by ``k`` and the ordered local row tokens.
+    :meth:`lookup` and :meth:`store` read and write the no-op plan
+    table, which is dropped whole once it holds ``_MAX_PLANS`` blocks.
+    ``noop_hits`` counts the receives the cache answered and ``misses``
+    those it was consulted on and could not answer.
     """
 
-    def __init__(self, max_entries: int = MERGE_CACHE_SIZE) -> None:
-        if max_entries < 1:
-            raise ValueError(f"max_entries must be at least 1, got {max_entries}")
-        self.max_entries = max_entries
-        self._memo: "OrderedDict[Any, ReceiveRows]" = OrderedDict()
+    def __init__(self) -> None:
         self._certificates: "OrderedDict[Tuple[bytes, ...], IdentityCertificate]" = (
             OrderedDict()
         )
-        self.noop_plans: Dict[Any, Any] = {}
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
+        self._plans: Dict[Any, Any] = {}
         self.noop_hits = 0
+        self.misses = 0
 
-    def __len__(self) -> int:
-        return len(self._memo)
+    def lookup(self, key: Any) -> Any:
+        """The no-op plan stored under ``key``, or :data:`MISSING`."""
+        return self._plans.get(key, MISSING)
 
-    def lookup(self, key: Any) -> "Optional[ReceiveRows]":
-        """Memo lookup; bumps the hit counter and LRU recency on success."""
-        entry = self._memo.get(key)
-        if entry is None:
-            return None
-        self._memo.move_to_end(key)
-        self.hits += 1
-        return entry
-
-    def store(self, key: Any, entry: "ReceiveRows") -> None:
-        """Record a slow-path outcome; evicts the LRU entry at capacity.
-
-        A node stores a full solve's rows when it queues the solve, before
-        they are filled (see :class:`~repro.core.receive.ReceiveBatch`), so
-        a later receive on the same key in the same round replays them; a
-        batch that fails takes the slot back with :meth:`discard`.
-        """
-        self.misses += 1
-        if key in self._memo:
-            self._memo.move_to_end(key)
-            return
-        if len(self._memo) >= self.max_entries:
-            self._memo.popitem(last=False)
-            self.evictions += 1
-        self._memo[key] = entry
-
-    def discard(self, key: Any, entry: "ReceiveRows") -> None:
-        """Drop ``key`` if it still holds ``entry`` (a failed solve's slot)."""
-        if self._memo.get(key) is entry:
-            del self._memo[key]
+    def store(self, key: Any, plan: Any) -> None:
+        """Store a block's no-op plan (``None``: the block is never a no-op)."""
+        plans = self._plans
+        if len(plans) >= _MAX_PLANS:
+            plans.clear()
+        plans[key] = plan
 
     def record_noop(self) -> None:
         self.noop_hits += 1
+
+    def record_miss(self) -> None:
+        self.misses += 1
 
     def certificate_for(
         self,
@@ -426,9 +404,4 @@ class MergeCache:
 
     def counters(self) -> dict[str, int]:
         """Snapshot for metrics/report plumbing."""
-        return {
-            "cache_hits": self.hits,
-            "cache_misses": self.misses,
-            "cache_evictions": self.evictions,
-            "cache_noop_hits": self.noop_hits,
-        }
+        return {"cache_misses": self.misses, "cache_noop_hits": self.noop_hits}

@@ -59,7 +59,12 @@ def _unchanged() -> None:
 
 @dataclass(slots=True)
 class NodeStats:
-    """Instrumentation counters; purely observational."""
+    """Instrumentation counters; purely observational.
+
+    ``cache_memo_hits`` always reads 0: no receive is memoised.  The
+    field stays because the end-to-end benchmark's kernel workloads
+    read it.
+    """
 
     splits: int = 0
     merges: int = 0
@@ -128,11 +133,11 @@ class ClassifierNode:
         :func:`repro.obs.context.tracing` block is active).
     merge_cache:
         The run-scoped :class:`~repro.core.fingerprint.MergeCache`
-        shared by every node of a network, or ``None`` to disable
-        receive memoisation and the certified no-op short-circuit for
-        this node.  Only consulted when the scheme declares
-        ``supports_fingerprints``; cache hits are byte-identical to the
-        uncached pipeline (see ``docs/performance.md``).
+        shared by every node of a network, or ``None`` to disable the
+        certified no-op short-circuit for this node.  Only consulted
+        when the scheme declares ``supports_fingerprints``; a certified
+        no-op is byte-identical to the uncached pipeline (see
+        ``docs/performance.md``).
     """
 
     def __init__(
@@ -374,19 +379,15 @@ class ClassifierNode:
 
         The decisions are :mod:`repro.core.receive`'s, taken in this
         order: the identity fast path (below the compression bound), the
-        merge cache's memo replay, the certified no-op, then the full
-        solve, which is queued on ``batch`` and takes its memo slot at
-        once, so the memo hits, misses and evicts as a one-at-a-time
-        loop would and a later receive on the same key replays it.  The
-        fast path and a no-op need nothing from the batch: the node
-        adopts their rows here, and the returned call only emits their
-        events.  A memo replay (its rows may be a solve queued this
-        round) and a full solve are adopted by the returned call, after
-        ``batch.solve()``, with the node's own work: aux rows, stats and
-        events (``validate`` runs in the batch).  Every layer yields the
-        bytes, stats deltas and ``merge`` events the full solve would;
-        the parity suites pin the result against the test-side
-        Algorithm 1 oracle.
+        certified no-op, then the full solve, which is queued on
+        ``batch``.  The fast path and a no-op need nothing from the
+        batch: the node adopts their rows here, and the returned call
+        only emits their events.  A full solve is adopted by the
+        returned call, after ``batch.solve()``, with the node's own
+        work: aux rows, stats and events (``validate`` runs in the
+        batch).  Every layer yields the bytes, stats deltas and
+        ``merge`` events the full solve would; the parity suites pin
+        the result against the test-side Algorithm 1 oracle.
         """
         stats = self.stats
         stats.batches_received += 1
@@ -417,59 +418,37 @@ class ClassifierNode:
         if registry is not None:
             registry.inc("partition.fastpath_miss")
         cache = self.merge_cache
-        if cache is None:
-            return partial(
-                self._adopt_solved,
-                batch.queue(scheme, self.k, self.quantization, self.validate, local, incoming),
+        if cache is not None:
+            local_digests = self._row_digests()
+            in_digests = incoming.row_digests
+            if in_digests is None:
+                digest_row = scheme.digest_row
+                in_digests = tuple(digest_row(incoming.columns, index) for index in range(total_in))
+                incoming.row_digests = in_digests
+            rows = certified_noop(
+                cache,
+                scheme,
+                self.k,
+                self.quantization,
+                local_digests,
+                local.quanta,
+                in_digests,
+                incoming.quanta,
+                local.columns,
+                lambda digest, position: (digest, scheme.unpack_summary(local.columns, position)),
             )
-        local_digests = self._row_digests()
-        in_digests = incoming.row_digests
-        if in_digests is None:
-            digest_row = scheme.digest_row
-            in_digests = tuple(digest_row(incoming.columns, index) for index in range(total_in))
-            incoming.row_digests = in_digests
-        # The memo key is *order-sensitive* on both sides, deliberately
-        # stricter than the order-insensitive fingerprint: the EM
-        # reduction breaks argmax/argmin ties by pooled index, so two
-        # receipts over the same multiset but different row orders may
-        # legitimately produce differently ordered output.  Each side is
-        # its digest tuple (which fixes its row count) and its int64
-        # quanta bytes: exact for digests of any length, and built
-        # without a Python object per row.
-        key = (
-            id(scheme),
-            self.k,
-            self.quantization.unit,
-            local_digests,
-            local.quanta.tobytes(),
-            in_digests,
-            incoming.quanta.tobytes(),
+            if rows is not None:
+                cache.record_noop()
+                self._adopt_noop(rows)
+                return self._events_after(rows.group_sizes, "cache", pooled_size, "noop")
+            cache.record_miss()
+            stats.cache_misses += 1
+            if registry is not None:
+                registry.inc("merge_cache.miss")
+        return partial(
+            self._adopt_solved,
+            batch.queue(scheme, self.k, self.quantization, self.validate, local, incoming),
         )
-        rows = cache.lookup(key)
-        if rows is not None:
-            return partial(self._replay_memo, rows, pooled_size)
-        rows = certified_noop(
-            cache,
-            scheme,
-            self.k,
-            self.quantization,
-            local_digests,
-            local.quanta,
-            in_digests,
-            incoming.quanta,
-            local.columns,
-            lambda digest, position: (digest, scheme.unpack_summary(local.columns, position)),
-        )
-        if rows is not None:
-            cache.record_noop()
-            self._adopt_replay(rows, "noop")
-            return self._events_after(rows.group_sizes, "cache", pooled_size, "noop")
-        pending = batch.queue(scheme, self.k, self.quantization, self.validate, local, incoming)
-        batch.memoize(cache, key, pending)
-        stats.cache_misses += 1
-        if registry is not None:
-            registry.inc("merge_cache.miss")
-        return partial(self._adopt_solved, pending)
 
     def _adopt_solved(self, pending: PendingSolve) -> None:
         """Complete a full solve once its batch has solved (and validated) it."""
@@ -497,31 +476,20 @@ class ClassifierNode:
             )
         )
 
-    def _adopt_replay(self, rows: ReceiveRows, path: str) -> None:
-        """Adopt a cache layer's rows with the full solve's stats.
+    def _adopt_noop(self, rows: ReceiveRows) -> None:
+        """Adopt a certified no-op's rows with the full solve's stats.
 
-        ``path`` is the answering layer: ``"memo"`` (a stored outcome) or
-        ``"noop"`` (a certified no-op).  Arrays are shared, never mutated
-        in place (splits rebuild the quanta vector; receipts assemble
-        fresh rows).
+        Arrays are shared, never mutated in place (splits rebuild the
+        quanta vector; receipts assemble fresh rows).
         """
         self._adopt(PackedState(quanta=rows.quanta, columns=rows.columns, row_digests=rows.tokens))
         stats = self.stats
         stats.partition_calls += 1
         stats.merges += rows.merges
-        if path == "memo":
-            stats.cache_memo_hits += 1
-        else:
-            stats.cache_noop_hits += 1
+        stats.cache_noop_hits += 1
         registry = current_registry()
         if registry is not None:
-            registry.inc("merge_cache.hit" if path == "memo" else "merge_cache.noop")
-
-    def _replay_memo(self, rows: ReceiveRows, pooled_size: int) -> None:
-        """Complete a memo hit once the batch is solved: adopt, then emit."""
-        self._adopt_replay(rows, "memo")
-        if self.event_sink is not None:
-            self._emit_receive(rows.group_sizes, "cache", pooled_size, "memo")
+            registry.inc("merge_cache.noop")
 
     def _events_after(
         self, group_sizes: Sequence[int], kind: str, pooled_size: int, path: Optional[str]

@@ -23,9 +23,10 @@ the engines holds because there is one decision to make:
   solves on :class:`~repro.core.node.ClassifierNode` receivers, solved
   in one :func:`solve_block` call per scheme, ``k`` and lattice.
 
-Each engine keeps what is its own: its memo table (keyed by its own
-representation), the order in which it consults its layers, stats,
-events, interning and the write-back into its state.
+Each engine keeps what is its own: the order in which it consults its
+layers (the arena also answers a receive posed twice in one round from
+its round memo), stats, events, interning and the write-back into its
+state.  No receive outcome outlives the round that computed it.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tupl
 
 import numpy as np
 
-from repro.core.fingerprint import IdentityCertificate, MergeCache
+from repro.core.fingerprint import MISSING, IdentityCertificate, MergeCache
 from repro.core.packed import PackedState
 from repro.core.scheme import SummaryScheme, validate_partition
 from repro.core.weights import Quantization
@@ -55,12 +56,6 @@ __all__ = [
     "takes_fast_path",
 ]
 
-#: Distinct local blocks a run keeps plans for before it drops them all
-#: (pre-convergence token churn guard).
-_MAX_PLANS = 65536
-
-_MISSING = object()
-
 #: Placeholder arrays of a queued solve's rows (never mutated).
 _UNSOLVED = np.empty(0, dtype=np.int64)
 
@@ -76,10 +71,11 @@ class ReceiveRows:
     ``quanta`` weighs it, ``columns`` holds its packed summary, and
     ``group_sizes`` counts the pooled rows behind it; every group of more
     than one row is one merge.  Arrays are never mutated in place, so
-    one instance may serve every receive that produces it -- the memo
-    tables of both engines store instances.  A full solve's instance is
-    :meth:`unsolved` until :func:`solve_block` fills it in place, so it
-    can take its memo slot when the solve is queued.
+    one instance may serve every receive that produces it -- the arena's
+    round memo hands it to every receiver of a round that poses its
+    problem.  A full solve's instance is :meth:`unsolved` until
+    :func:`solve_block` fills it in place: receives are decided, and
+    their solves queued, before the round's block is solved.
     """
 
     __slots__ = ("tokens", "quanta", "columns", "group_sizes", "merges")
@@ -187,8 +183,8 @@ class NoopPlan:
         block's, gathered once per order.
         """
         key = heaviest if self.style_em else -1
-        entry = self.orders.get(key, _MISSING)
-        if entry is _MISSING:
+        entry = self.orders.get(key, MISSING)
+        if entry is MISSING:
             order: Optional[List[int]] = list(range(len(self.cert_of_pos)))
             if self.style_em:
                 seed_order = self.certificate.seed_order(
@@ -258,15 +254,12 @@ def noop_plan(
     resolve: Resolver,
 ) -> Optional[NoopPlan]:
     """The run's plan for an ordered local token block, built on first use."""
-    plans = cache.noop_plans
     key = (k, tokens)
-    plan = plans.get(key, _MISSING)
-    if plan is _MISSING:
+    plan = cache.lookup(key)
+    if plan is MISSING:
         plan = build_noop_plan(cache, scheme, k, tokens, resolve)
-        if len(plans) >= _MAX_PLANS:
-            plans.clear()
-        plans[key] = plan
-    return plan  # type: ignore[return-value]
+        cache.store(key, plan)
+    return plan
 
 
 def certified_noop(
@@ -499,19 +492,15 @@ class PendingSolve:
     ``local`` and ``incoming`` are the pooled set's two parts;
     ``rows`` is the :meth:`ReceiveRows.unsolved` outcome the batch
     fills, and ``groups`` the grouping it found (``None`` until then).
-    ``cache`` and ``key`` name the memo slot ``rows`` took
-    (:meth:`ReceiveBatch.memoize`), ``None`` when it took none.
     """
 
-    __slots__ = ("local", "incoming", "rows", "groups", "cache", "key")
+    __slots__ = ("local", "incoming", "rows", "groups")
 
     def __init__(self, local: PackedState, incoming: Any) -> None:
         self.local = local
         self.incoming = incoming
         self.rows = ReceiveRows.unsolved()
         self.groups: Optional[List[List[int]]] = None
-        self.cache: Optional[MergeCache] = None
-        self.key: Any = None
 
 
 class ReceiveBatch:
@@ -528,10 +517,9 @@ class ReceiveBatch:
     rows) and problems whose rows do not are kept apart, so every output
     row is named exactly when a one-at-a-time solve would name it.
 
-    A queued solve's rows take their memo slot at once (:meth:`memoize`).
-    A batch that fails gives every slot it took back (:meth:`abandon`),
-    so a later receive on the same key misses and solves instead of
-    replaying rows that were never filled.
+    A batch is local to the call that decides and completes its
+    receives, and nothing outside it holds its rows, so a batch that
+    raises leaves no outcome behind.
     """
 
     __slots__ = ("_queues",)
@@ -564,49 +552,26 @@ class ReceiveBatch:
         entry[1].append(pending)
         return pending
 
-    def memoize(self, cache: MergeCache, key: Any, pending: PendingSolve) -> None:
-        """Store a queued solve's rows under ``key`` in ``cache`` now."""
-        cache.store(key, pending.rows)
-        pending.cache = cache
-        pending.key = key
-
     def solve(self) -> None:
-        """Solve every queued problem and fill its :class:`PendingSolve`.
-
-        If a solve raises, the batch is abandoned before the error
-        propagates.
-        """
-        try:
-            for (_, k, quantization, validate, _, _), (scheme, pending) in self._queues.items():
-                parts: List[Any] = []
-                bounds = [0]
-                for item in pending:
-                    parts.append(item.local)
-                    parts.append(item.incoming)
-                    bounds.append(bounds[-1] + len(item.local) + len(item.incoming))
-                pooled = PackedState.concat_many(parts)
-                groupings = solve_block(
-                    scheme,
-                    k,
-                    quantization,
-                    pooled,
-                    bounds,
-                    [item.rows for item in pending],
-                    pooled.row_digests,
-                    scheme.digest_row,
-                    validate,
-                )
-                for item, groups in zip(pending, groupings):
-                    item.groups = groups
-        except BaseException:
-            self.abandon()
-            raise
-        self._queues = {}
-
-    def abandon(self) -> None:
-        """Drop the queued solves and give back the memo slots they took."""
-        queues, self._queues = self._queues, {}
-        for _, pending in queues.values():
+        """Solve every queued problem and fill its :class:`PendingSolve`."""
+        for (_, k, quantization, validate, _, _), (scheme, pending) in self._queues.items():
+            parts: List[Any] = []
+            bounds = [0]
             for item in pending:
-                if item.cache is not None:
-                    item.cache.discard(item.key, item.rows)
+                parts.append(item.local)
+                parts.append(item.incoming)
+                bounds.append(bounds[-1] + len(item.local) + len(item.incoming))
+            pooled = PackedState.concat_many(parts)
+            groupings = solve_block(
+                scheme,
+                k,
+                quantization,
+                pooled,
+                bounds,
+                [item.rows for item in pending],
+                pooled.row_digests,
+                scheme.digest_row,
+                validate,
+            )
+            for item, groups in zip(pending, groupings):
+                item.groups = groups

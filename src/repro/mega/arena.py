@@ -244,23 +244,6 @@ class NetworkArena:
             columns[name] = column
         return cls(scheme, k, quantization, counts, quanta, ids, columns, interner)
 
-    def take_nodes(self, start: int, stop: int) -> "NetworkArena":
-        """A deep-copied arena over the node range ``[start, stop)``.
-
-        Shares the interner (append-only, so ids stay valid in both) but
-        owns its array slabs — shard workers mutate their slice freely.
-        """
-        return NetworkArena(
-            self.scheme,
-            self.k,
-            self.quantization,
-            self.counts[start:stop].copy(),
-            self.quanta[start:stop].copy(),
-            self.ids[start:stop].copy(),
-            {name: column[start:stop].copy() for name, column in self.columns.items()},
-            self.interner,
-        )
-
     # ------------------------------------------------------------------
     # The round
     # ------------------------------------------------------------------

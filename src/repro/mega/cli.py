@@ -174,7 +174,7 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     mode = f"{args.shards} shards" if args.shards > 0 else "single process"
     print(banner(f"repro.mega — {args.nodes} nodes, {args.scheme}, {mode}"))
-    hits = stats["memo_round_hits"] + stats["memo_lru_hits"] + stats["noop_hits"]
+    hits = stats["memo_round_hits"] + stats["noop_hits"]
     rows = [
         ["exchange tier", tier],
         ["rounds executed", executed],

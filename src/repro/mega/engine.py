@@ -17,11 +17,10 @@ pipeline.  :class:`ArenaEngine` executes the *same* round over a
    in-memory transport's delivery order (destinations ascending, and
    within a destination payloads in ascending sender order).
 4. **Receive** — :class:`ReceiveSolver` runs the receive step per
-   *distinct problem*, not per receiver: a receive is keyed by its
-   local and incoming ``(summary id, quanta)`` bytes, so the
-   post-convergence tail — where nearly every receiver poses one of a
-   handful of problems — collapses into dictionary hits across the
-   population.  Distinct problems are decided by :mod:`repro.core.receive`,
+   *distinct problem* of a round, not per receiver: a receive is keyed
+   by its local and incoming ``(summary id, quanta)`` bytes, so
+   receivers of one round that pose one problem share its outcome.
+   Distinct problems are decided by :mod:`repro.core.receive`,
    the code :meth:`repro.core.node.ClassifierNode.receive_packed` runs,
    with interned ids as row tokens: the same fast path, certified no-op
    and full solve; the problems left for the full solve are solved
@@ -39,7 +38,6 @@ which defeats whole-network batching.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -152,7 +150,12 @@ class GossipPairing:
 
 @dataclass
 class ArenaStats:
-    """Cumulative instrumentation for one arena run (observational only)."""
+    """Cumulative instrumentation for one arena run (observational only).
+
+    ``memo_lru_hits`` always reads 0: no receive outcome outlives its
+    round.  The field stays because the end-to-end benchmark's arena
+    workloads read it.
+    """
 
     rounds: int = 0
     messages: int = 0
@@ -200,26 +203,27 @@ class ReceiveSolver:
     and it updates the arena in place.  Rows are named by interned id,
     the core's row token here.  Layers, cheapest first:
 
-    - a round-local and a bounded cross-round memo keyed by the exact
-      ``(local state, incoming)`` bytes — byte-identical replay because
-      the receive is a deterministic pure function of that key (the
-      same argument as the node-level merge cache, whose key this
-      mirrors);
+    - the round memo, keyed by the exact ``(local state, incoming)``
+      bytes: a receiver that poses a problem another receiver of the
+      same round posed shares its outcome, which is byte-identical
+      because the receive is a deterministic pure function of that key.
+      It lives for one :meth:`receive_slab` call: every round halves
+      and re-pools the quanta, so an exact key almost never comes back
+      in a later round;
     - the core's identity fast path and certified no-op, the no-op also
       as a vectorised sweep over receivers that share a local block;
     - the core's full solve, batched over the round: one partition call
       for every problem left, then one ``merge_groups_columns`` call for
       every multi-member group.
 
-    The solver's own work is the memos, the sweep, the gathers that pool
-    each problem's rows out of the slabs, interning and the scatter.
+    The solver's own work is the round memo, the sweep, the gathers that
+    pool each problem's rows out of the slabs, interning and the scatter.
     """
 
     def __init__(
         self,
         arena: NetworkArena,
         merge_cache: Optional[MergeCache] = None,
-        memo_size: int = 65536,
         stats: Optional[ArenaStats] = None,
     ) -> None:
         self.arena = arena
@@ -227,9 +231,7 @@ class ReceiveSolver:
         self.k = arena.k
         self.quantization = arena.quantization
         self.merge_cache = merge_cache if arena.scheme.supports_fingerprints else None
-        self.memo_size = int(memo_size)
         self.stats = stats if stats is not None else ArenaStats()
-        self._memo: "OrderedDict[Any, ReceiveRows]" = OrderedDict()
         interner = arena.interner
         # The core's resolve: a local id's digest and summary.
         self._resolve = lambda summary_id, position: (
@@ -283,11 +285,9 @@ class ReceiveSolver:
         ascending-sender order — the in-memory transport's batch order.
 
         Three passes.  The first resolves every receiver in order from
-        the swept no-ops (:meth:`_noop_sweep`), the memos, the fast path
-        or a certified no-op, and queues the rest as distinct problems;
-        a queued problem takes its memo slot at once, so the LRU evicts
-        exactly as a one-at-a-time loop would, and gives it back if the
-        batch raises.  The second solves the queue in one batch
+        the swept no-ops (:meth:`_noop_sweep`), the round memo, the fast
+        path or a certified no-op, and queues the rest as distinct
+        problems.  The second solves the queue in one batch
         (:meth:`_solve_queued`), interning new summaries in queue order.
         The third scatters, and is the only pass that writes the arena,
         so a batch that raises leaves every receiver's rows as they were.
@@ -299,7 +299,6 @@ class ReceiveSolver:
         a_ids = arena.ids
         a_quanta = arena.quanta
         a_columns = arena.columns
-        memo = self._memo
         handled: Optional[np.ndarray] = None
         swept: List[_Swept] = []
         if self.merge_cache is not None and len(dests) >= 32:
@@ -327,34 +326,17 @@ class ReceiveSolver:
             if outcome is not None:
                 stats.memo_round_hits += 1
             else:
-                outcome = memo.get(key)
-                if outcome is not None:
-                    memo.move_to_end(key)
-                    stats.memo_lru_hits += 1
-                else:
-                    outcome = self._shortcut(
-                        receiver, count, local_ids, local_quanta, start, stop, ids, quanta, columns
-                    )
-                    if outcome is None:
-                        outcome = ReceiveRows.unsolved()
-                        queued.append((receiver, count, start, stop, outcome))
-                        stats.full_solves += 1
-                        if self.memo_size > 0:
-                            if len(memo) >= self.memo_size:
-                                memo.popitem(last=False)
-                            memo[key] = outcome
+                outcome = self._shortcut(
+                    receiver, count, local_ids, local_quanta, start, stop, ids, quanta, columns
+                )
+                if outcome is None:
+                    outcome = ReceiveRows.unsolved()
+                    queued.append((receiver, count, start, stop, outcome))
+                    stats.full_solves += 1
                 round_memo[key] = outcome
             resolved.append((receiver, outcome))
         if queued:
-            try:
-                self._solve_queued(queued, ids, quanta, columns)
-            except BaseException:
-                # Give back the memo slots the queued problems took, so
-                # no later receive replays an unsolved outcome.
-                unsolved = {id(entry[4]) for entry in queued}
-                for key in [key for key, rows in memo.items() if id(rows) in unsolved]:
-                    del memo[key]
-                raise
+            self._solve_queued(queued, ids, quanta, columns)
         k = self.k
         for out, tokens, out_quanta, out_columns in swept:
             a_counts[out] = k
@@ -660,9 +642,9 @@ class ArenaEngine:
     use_cache:
         Enables the certified no-op layer (and its shared
         :class:`~repro.core.fingerprint.MergeCache`); ``None`` defers to
-        ``REPRO_MERGE_CACHE``.  The memo layers stay on regardless —
-        problem dedup is the arena's core batching trick, and hits are
-        byte-identical replays by key construction.
+        ``REPRO_MERGE_CACHE``.  The round memo stays on regardless:
+        receivers of one round that pose one problem share its outcome,
+        a byte-identical replay by key construction.
     """
 
     def __init__(
@@ -677,7 +659,6 @@ class ArenaEngine:
         selector: Optional[NeighborSelector] = None,
         variant: str = "push",
         use_cache: Optional[bool] = None,
-        memo_size: int = 65536,
     ) -> None:
         if variant != "push":
             raise ValueError(
@@ -698,12 +679,7 @@ class ArenaEngine:
             MergeCache() if (use_cache and scheme.supports_fingerprints) else None
         )
         self.stats = ArenaStats()
-        self.solver = ReceiveSolver(
-            self.arena,
-            merge_cache=self.merge_cache,
-            memo_size=memo_size,
-            stats=self.stats,
-        )
+        self.solver = ReceiveSolver(self.arena, merge_cache=self.merge_cache, stats=self.stats)
         self.round_index = 0
         self.quiescent_at: Optional[int] = None
         self._quiescent_streak = 0
@@ -778,7 +754,7 @@ class ArenaEngine:
 
     def _publish_gauges(self, messages: int) -> None:
         stats = self.stats
-        hits = stats.memo_round_hits + stats.memo_lru_hits + stats.noop_hits
+        hits = stats.memo_round_hits + stats.noop_hits
         previous_receivers, previous_hits, previous_merges = self._gauge_prev
         delta_receivers = stats.receivers - previous_receivers
         delta_hits = hits - previous_hits

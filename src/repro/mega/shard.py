@@ -149,7 +149,6 @@ class _ShardConfig:
     seed: int
     topology: Union[str, nx.Graph]
     use_cache: bool
-    memo_size: int
     checkpoint_every: int
     exchange: SlabExchangeSpec
 
@@ -193,9 +192,7 @@ class _ShardState:
             self.pairing.draw()
         self.stats = ArenaStats()
         cache = MergeCache() if (config.use_cache and scheme.supports_fingerprints) else None
-        self.solver = ReceiveSolver(
-            self.arena, merge_cache=cache, memo_size=config.memo_size, stats=self.stats
-        )
+        self.solver = ReceiveSolver(self.arena, merge_cache=cache, stats=self.stats)
         self._pending_internal: Optional[Tuple[Any, ...]] = None
 
     # ------------------------------------------------------------------
@@ -427,7 +424,6 @@ class ShardedArenaEngine:
         variant: str = "push",
         use_cache: Optional[bool] = None,
         use_shm: bool = True,
-        memo_size: int = 65536,
         checkpoint_every: int = 4,
         max_restarts: int = 3,
         worker_timeout: float = 600.0,
@@ -490,7 +486,6 @@ class ShardedArenaEngine:
                 seed=seed,
                 topology=topology,
                 use_cache=bool(use_cache and scheme.supports_fingerprints),
-                memo_size=memo_size,
                 checkpoint_every=checkpoint_every,
                 exchange=spec,
             )
@@ -856,7 +851,7 @@ class ShardedArenaEngine:
     def shard_solver_stats(self) -> List[Dict[str, Any]]:
         """Per-shard ReceiveSolver cache effectiveness, for reporting.
 
-        Each shard's memo/LRU/no-op caches are private, so a problem
+        Each shard's round memo and no-op plans are private, so a problem
         distinct shards both see is solved once *per shard* — the
         sharded full-solve total exceeds the single-process engine's by
         exactly the cross-shard duplicates (see docs/performance.md,

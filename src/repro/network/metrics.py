@@ -29,9 +29,7 @@ class NetworkMetrics:
     messages_dropped: int = 0
     payload_items_sent: int = 0
     crashes: int = 0
-    cache_hits: int = 0
     cache_misses: int = 0
-    cache_evictions: int = 0
     cache_noop_hits: int = 0
     quiescent_rounds: int = 0
     frames_sent: int = 0
@@ -60,9 +58,7 @@ class NetworkMetrics:
         """Mirror the run's merge-cache counters (kernel calls this at
         every round close; the cache is shared, the metrics are the
         engine-scoped view of it)."""
-        self.cache_hits = cache.hits
         self.cache_misses = cache.misses
-        self.cache_evictions = cache.evictions
         self.cache_noop_hits = cache.noop_hits
 
     def sync_transport(self, stats: "TransportStats") -> None:
@@ -102,10 +98,7 @@ class NetworkMetrics:
         }
         if include_cache:
             snapshot.update(
-                cache_hits=self.cache_hits,
-                cache_misses=self.cache_misses,
-                cache_evictions=self.cache_evictions,
-                cache_noop_hits=self.cache_noop_hits,
+                cache_misses=self.cache_misses, cache_noop_hits=self.cache_noop_hits
             )
         return snapshot
 
@@ -126,9 +119,7 @@ class NetworkMetrics:
             "messages_dropped": self.messages_dropped,
             "payload_items_sent": self.payload_items_sent,
             "crashes": self.crashes,
-            "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
-            "cache_evictions": self.cache_evictions,
             "cache_noop_hits": self.cache_noop_hits,
             "quiescent_rounds": self.quiescent_rounds,
             "frames_sent": self.frames_sent,

@@ -37,8 +37,8 @@ __all__ = [
 #: :class:`~repro.network.trace.RunTracer`; ``span`` from profiling timers;
 #: ``fastpath`` marks a receipt where the node adopted the pooled set
 #: without running the scheme's partition (see ``docs/performance.md``);
-#: ``cache`` marks a receipt served by the merge cache (``extra.path``
-#: is ``"memo"`` or ``"noop"``) or, from the kernel, the quiescence
+#: ``cache`` marks a receipt the merge cache certified as a no-op
+#: (``extra.path`` is ``"noop"``) or, from the kernel, the quiescence
 #: early exit (``extra.path`` ``"quiescent"``); ``telemetry`` carries one
 #: per-round convergence sample from a
 #: :class:`~repro.obs.timeseries.TimeSeriesRecorder`; ``metrics`` is a

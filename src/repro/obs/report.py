@@ -21,8 +21,8 @@ with :mod:`repro.analysis.reporting`:
   and EM likelihood traces from ``em_step`` events;
 - the partition fast-path summary (``fastpath`` events: how often nodes
   adopted the pooled set without running the scheme's partition);
-- the merge-cache summary (``cache`` events: memoised receives,
-  certified no-op receives, and the kernel's quiescence early exit);
+- the merge-cache summary (``cache`` events: certified no-op receives
+  and the kernel's quiescence early exit);
 - the crash timeline;
 - per-node activity timelines (sends, receipts, drops, splits, merges,
   crash stamp);
@@ -230,7 +230,6 @@ def _cache_section(events: list[dict[str, Any]]) -> str:
     paths = Counter(str((event.get("extra") or {}).get("path", "?")) for event in cached)
     receives = sum(1 for event in events if event.get("kind") in ("fastpath", "merge"))
     rows = [
-        ["memoised_receives", paths.get("memo", 0)],
         ["certified_noop_receives", paths.get("noop", 0)],
         ["merge_events", receives],
     ]

@@ -126,9 +126,10 @@ class TimeSeriesRecorder:
     ``em_iterations_window``
         Hard-EM iterations spent in ``reduce_mixture`` over the window
         (process-wide counter, so only meaningful single-kernel).
-    ``cache_hit_ratio``, ``cache_noop_ratio``
-        Cumulative merge-cache memo-hit and certified-no-op fractions of
-        all lookups (``NaN`` without a cache or before the first lookup).
+    ``cache_hit_ratio``
+        Cumulative share of the receives the merge cache was consulted on
+        that it answered with a certified no-op (``NaN`` without a cache
+        or before the first consulted receive).
     """
 
     def __init__(self, config: Optional[TelemetryConfig] = None) -> None:
@@ -295,11 +296,9 @@ class TimeSeriesRecorder:
         cache = kernel.merge_cache
         if cache is None:
             sample["cache_hit_ratio"] = math.nan
-            sample["cache_noop_ratio"] = math.nan
             return
-        lookups = cache.hits + cache.misses
-        sample["cache_hit_ratio"] = cache.hits / lookups if lookups else math.nan
-        sample["cache_noop_ratio"] = cache.noop_hits / lookups if lookups else math.nan
+        consulted = cache.noop_hits + cache.misses
+        sample["cache_hit_ratio"] = cache.noop_hits / consulted if consulted else math.nan
 
     def _wire_cost_for(
         self, kernel: "SimulationKernel"

@@ -105,11 +105,11 @@ def build_classification_network(
     Poisson model; ``mean_interval`` / ``delay_range`` then apply).
     Every other knob means the same thing on either schedule.
 
-    ``merge_cache`` enables the run-scoped receive memoisation cache
-    shared by all nodes (``None`` defers to
+    ``merge_cache`` enables the run-scoped merge cache shared by all
+    nodes, which certifies no-op receives (``None`` defers to
     :func:`repro.core.fingerprint.merge_cache_default`, i.e. the
-    ``REPRO_MERGE_CACHE`` environment toggle — on by default).  Cached
-    receipts are byte-identical to uncached ones; see
+    ``REPRO_MERGE_CACHE`` environment toggle — on by default).  A
+    certified no-op is byte-identical to the full solve; see
     ``docs/performance.md``.  ``stop_on_quiescence`` /
     ``quiescence_patience`` configure the kernel's structural early
     exit (off by default, opt-in for sweeps).

@@ -3,14 +3,15 @@
 import numpy as np
 import pytest
 
+from repro.core import fingerprint
 from repro.core.fingerprint import (
+    MISSING,
     MergeCache,
     combine_digests,
     digest_arrays,
     merge_cache_default,
     state_fingerprint_of,
 )
-from repro.core.receive import ReceiveRows
 
 
 class TestDigestArrays:
@@ -83,63 +84,36 @@ class TestStateFingerprint:
         )
 
 
-def _entry(tag: float) -> ReceiveRows:
-    summary = np.array([tag])
-    return ReceiveRows(
-        (digest_arrays(summary),),
-        np.array([1], dtype=np.int64),
-        {"position": summary[None, :]},
-        (1,),
-    )
-
-
 class TestMergeCache:
-    def test_lookup_miss_returns_none(self):
-        cache = MergeCache(max_entries=4)
-        assert cache.lookup("absent") is None
-        assert cache.hits == 0
+    def test_lookup_miss_returns_missing(self):
+        cache = MergeCache()
+        assert cache.lookup("absent") is MISSING
+        assert cache.counters() == {"cache_misses": 0, "cache_noop_hits": 0}
 
-    def test_store_then_hit(self):
-        cache = MergeCache(max_entries=4)
-        entry = _entry(1.0)
-        cache.store("k", entry)
-        assert cache.lookup("k") is entry
-        assert cache.hits == 1
-        assert cache.misses == 1
+    def test_store_then_lookup(self):
+        cache = MergeCache()
+        plan = object()
+        cache.store("plan", plan)
+        cache.store("never a no-op", None)
+        assert cache.lookup("plan") is plan
+        # A stored None is an answer ("never a no-op"), not a miss.
+        assert cache.lookup("never a no-op") is None
 
-    def test_lru_eviction_at_capacity(self):
-        cache = MergeCache(max_entries=2)
-        cache.store("a", _entry(1.0))
-        cache.store("b", _entry(2.0))
-        cache.store("c", _entry(3.0))
-        assert cache.evictions == 1
+    def test_plan_table_is_dropped_whole_at_its_bound(self, monkeypatch):
+        monkeypatch.setattr(fingerprint, "_MAX_PLANS", 2)
+        cache = MergeCache()
+        cache.store("a", None)
+        cache.store("b", None)
+        cache.store("a", None)  # the table is full: it is dropped, then "a" stored
         assert cache.lookup("a") is None
-        assert cache.lookup("c") is not None
-
-    def test_lookup_refreshes_recency(self):
-        cache = MergeCache(max_entries=2)
-        cache.store("a", _entry(1.0))
-        cache.store("b", _entry(2.0))
-        cache.lookup("a")
-        cache.store("c", _entry(3.0))  # evicts "b", not the freshly-used "a"
-        assert cache.lookup("a") is not None
-        assert cache.lookup("b") is None
+        assert cache.lookup("b") is MISSING
 
     def test_counters_snapshot(self):
-        cache = MergeCache(max_entries=2)
-        cache.store("a", _entry(1.0))
-        cache.lookup("a")
+        cache = MergeCache()
+        cache.record_miss()
         cache.record_noop()
-        assert cache.counters() == {
-            "cache_hits": 1,
-            "cache_misses": 1,
-            "cache_evictions": 0,
-            "cache_noop_hits": 1,
-        }
-
-    def test_capacity_validated(self):
-        with pytest.raises(ValueError, match="max_entries"):
-            MergeCache(max_entries=0)
+        cache.record_noop()
+        assert cache.counters() == {"cache_misses": 1, "cache_noop_hits": 2}
 
 
 class TestEnvironmentDefaults:
@@ -155,6 +129,3 @@ class TestEnvironmentDefaults:
     def test_other_values_enable(self, monkeypatch):
         monkeypatch.setenv("REPRO_MERGE_CACHE", "1")
         assert merge_cache_default() is True
-
-    def test_size_knob(self):
-        assert MergeCache().max_entries == 4096

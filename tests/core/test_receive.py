@@ -7,9 +7,14 @@ order, quanta, group sizes and row bytes.  The blocks below mix tight,
 unit and wide spreads (tight ones fail the margin test), locations on a
 grid (equidistant seeds tie), one-quantum rows (conformance rule 2) and
 lopsided weights, so both the acceptances and the refusals get tested.
+
+A receive's outcome lives for the round that computed it and no longer:
+neither engine keeps outcomes across rounds.
 """
 
 from __future__ import annotations
+
+import gc
 
 import numpy as np
 import pytest
@@ -18,8 +23,11 @@ from hypothesis import strategies as st
 
 from repro.core.fingerprint import MergeCache
 from repro.core.packed import PackedState
-from repro.core.receive import certified_noop, merge_pooled, partition_pooled
+from repro.core.receive import ReceiveRows, certified_noop, merge_pooled, partition_pooled
 from repro.core.weights import Quantization
+from repro.mega import ArenaEngine
+from repro.network.topology import complete
+from repro.protocols.classification import build_classification_network
 from repro.schemes.centroid import CentroidScheme
 from repro.schemes.diagonal import DiagonalGaussianScheme
 from repro.schemes.gm import GaussianMixtureScheme
@@ -140,3 +148,42 @@ def test_balanced_separated_block_certifies(make_scheme, dimension, spreads):
     assert noop is not None
     assert noop.group_sizes == (2, 2, 2)
     _assert_same_rows(noop, full)
+
+
+def _gossip(engine):
+    """Five rounds of a 64-node GM network on normal values, merge cache on."""
+    values = np.random.default_rng(5).normal(size=(64, 2))
+    if engine == "arena":
+        arena = ArenaEngine(values, GaussianMixtureScheme(seed=0), 3, seed=2, use_cache=True)
+        arena.run(5)
+        return arena
+    kernel, nodes = build_classification_network(
+        values,
+        GaussianMixtureScheme(seed=0),
+        3,
+        graph=complete(64),
+        seed=2,
+        engine=engine,
+        merge_cache=True,
+    )
+    kernel.run(5)
+    return kernel, nodes
+
+
+@pytest.mark.parametrize("engine", ["rounds", "async", "arena"])
+def test_no_receive_outcome_outlives_its_round(engine):
+    """Once its rounds are done, a run holds no receive outcome, the
+    engine and its merge cache still alive.  The receive is a pure
+    function of the pooled rows and their quanta, and every round
+    re-pools halved quanta, so a kept outcome would almost never be
+    asked for again."""
+    gc.collect()
+    earlier = [obj for obj in gc.get_objects() if isinstance(obj, ReceiveRows)]
+    seen = {id(obj) for obj in earlier}
+    run = _gossip(engine)
+    gc.collect()
+    kept = [
+        obj for obj in gc.get_objects() if isinstance(obj, ReceiveRows) and id(obj) not in seen
+    ]
+    assert len(kept) == 0, f"{len(kept)} receive outcomes outlived their round"
+    del run  # alive, with its merge cache, until the check is done

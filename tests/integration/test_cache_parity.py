@@ -1,8 +1,7 @@
 """Byte-identity of cached runs: final states and full event traces.
 
-The merge cache's contract is that a cache hit — memo replay or
-certified no-op — produces exactly what the uncached pipeline would
-have produced.  These tests pin the contract at the level CI's
+The merge cache's contract is that a cache hit — a certified no-op —
+produces exactly what the uncached pipeline would have produced.  These tests pin the contract at the level CI's
 determinism gate relies on: per-node (quanta, summary) states across
 every fingerprinting scheme and both schedulers, and complete event
 traces once the cache's own ``cache`` events and the wall-clock

@@ -2,9 +2,9 @@
 
 The arena's whole design rests on one bijection — within an interner, a
 dense id ⟺ a packed-row byte pattern ⟺ a content digest — so these
-tests pin the byte-exactness of interning round trips, the validity of
-shared ids across ``take_nodes`` slices, and the conservation invariants
-(`counts` bounded by ``k``, row quanta summing to the unit).
+tests pin the byte-exactness of interning round trips and the
+conservation invariants (`counts` bounded by ``k``, row quanta summing
+to the unit).
 """
 
 from __future__ import annotations
@@ -94,21 +94,6 @@ def test_interner_shape_mismatch_rejected():
     interner = SummaryInterner(CentroidScheme(), {"position": (3,)})
     with pytest.raises(ValueError, match="shape"):
         interner.intern_rows({"position": np.zeros((4, 2))}, 4)
-
-
-def test_take_nodes_shares_interner_and_owns_slabs(values):
-    arena = NetworkArena.from_values(values, CentroidScheme(), k=2)
-    part = arena.take_nodes(5, 12)
-    assert part.n == 7
-    assert part.interner is arena.interner
-    # Ids remain valid against the shared interner.
-    for node in range(part.n):
-        assert part.state_digests(node) == arena.state_digests(5 + node)
-    # Slabs are owned: mutating the slice never touches the parent.
-    part.quanta[:] = 0
-    part.columns["position"][:] = -1.0
-    assert arena.total_quanta() == 20 * Quantization().unit
-    assert not np.any(arena.columns["position"] == -1.0)
 
 
 def test_unsupported_scheme_rejected():

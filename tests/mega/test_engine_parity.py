@@ -64,28 +64,12 @@ SCHEMES = [
 ]
 
 
-#: The default cross-round memo, none at all, and one so small that it
-#: evicts on nearly every store: the memo only replays bytes, so its
-#: size (and the LRU order in which a round's lookups and stores
-#: interleave) must never change them.
-SEEDS = [
-    pytest.param(0, 65536, id="0"),
-    pytest.param(7, 65536, id="7"),
-    pytest.param(0, 0, id="0-memo0"),
-    pytest.param(7, 0, id="7-memo0"),
-    pytest.param(0, 4, id="0-memo4"),
-    pytest.param(7, 4, id="7-memo4"),
-]
-
-
 @pytest.mark.parametrize("make_scheme, k, dimension", SCHEMES)
-@pytest.mark.parametrize("seed, memo_size", SEEDS)
-def test_engine_matches_kernel(make_scheme, k, dimension, seed, memo_size):
+@pytest.mark.parametrize("seed", [0, 7])
+def test_engine_matches_kernel(make_scheme, k, dimension, seed):
     values = _values(dimension)
     expected = _kernel_states(values, make_scheme(), k, seed, ROUNDS)
-    engine = ArenaEngine(
-        values, make_scheme(), k, seed=seed, use_cache=True, memo_size=memo_size
-    )
+    engine = ArenaEngine(values, make_scheme(), k, seed=seed, use_cache=True)
     engine.run(ROUNDS)
     assert _engine_states(engine) == expected
 
@@ -213,15 +197,10 @@ def test_stats_account_for_every_receiver():
     stats = engine.stats
     assert stats.rounds == 8
     assert stats.receivers > 0
-    handled = (
-        stats.memo_round_hits
-        + stats.memo_lru_hits
-        + stats.noop_hits
-        + stats.fastpath_hits
-        + stats.full_solves
-    )
-    # Every receiver either hit a memo or ran one of the solve paths.
-    assert stats.memo_round_hits + stats.memo_lru_hits <= stats.receivers
+    handled = stats.memo_round_hits + stats.noop_hits + stats.fastpath_hits + stats.full_solves
+    # Every receiver either hit the round memo or ran one of the solve paths.
+    assert stats.memo_round_hits <= stats.receivers
+    assert stats.memo_lru_hits == 0
     assert handled == stats.receivers
 
 
@@ -235,7 +214,7 @@ def test_noop_plan_only_for_local_incoming(monkeypatch, shared):
     """The certified no-op checks membership before it builds a plan.
 
     Two nodes, k = 1: each receive pools two rows, so neither the fast
-    path nor a memo answers it.  With distinct values the incoming
+    path nor the round memo answers it.  With distinct values the incoming
     summary is not the receiver's own, and no plan (and no certificate)
     may be built; with a shared value it is, and the plan is built.
     """
@@ -301,11 +280,10 @@ def test_no_certificate_for_pooled_sets_within_k(monkeypatch, engine):
     assert certified == []
 
 
-def test_failed_batch_gives_back_its_memo_slots(monkeypatch):
-    """Round 3's batched partition raises.  No unsolved outcome stays in
-    the solver's memo for a later receive to replay, and the same
-    receives posed again are solved: they end in the bytes of a run that
-    never failed."""
+def test_receives_of_a_failed_batch_are_solved_when_posed_again(monkeypatch):
+    """Round 3's batched partition raises.  The same receives posed
+    again are solved: they end in the bytes of a run that never
+    failed."""
     values = np.random.default_rng(5).normal(size=(64, 2))
     reference = ArenaEngine(values, GaussianMixtureScheme(seed=0), 3, seed=2, use_cache=True)
     reference.run(3)
@@ -331,7 +309,6 @@ def test_failed_batch_gives_back_its_memo_slots(monkeypatch):
     with pytest.raises(RuntimeError, match="planted"):
         engine.run_round()
     assert batches and batches[0] > 1, "no batched solve was queued: the test is vacuous"
-    assert all(len(rows.quanta) > 0 for rows in solver._memo.values())
 
     monkeypatch.undo()
     (args, snapshot), = posed

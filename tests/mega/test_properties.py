@@ -81,7 +81,7 @@ def test_pack_unpack_roundtrip_is_lossless(case):
 @given(value_sets(), st.integers(min_value=1, max_value=5))
 @settings(max_examples=40, deadline=None)
 def test_shard_slice_and_reassemble_preserves_state(case, shards):
-    """take_nodes slices, slab concat, re-intern: original state, original order."""
+    """Shard slices, slab concat, re-intern: original state, original order."""
     name, values = case
     scheme = SCHEME_FACTORIES[name][0]()
     arena = NetworkArena.from_values(values, scheme, k=3)
@@ -89,20 +89,18 @@ def test_shard_slice_and_reassemble_preserves_state(case, shards):
     boundaries = np.concatenate(
         [[0], np.cumsum([len(chunk) for chunk in np.array_split(np.arange(arena.n), shards)])]
     )
-    slices = [
-        arena.take_nodes(int(boundaries[i]), int(boundaries[i + 1])) for i in range(shards)
-    ]
+    cuts = [slice(int(boundaries[i]), int(boundaries[i + 1])) for i in range(shards)]
     # The exchange: each slice's slabs cross a process boundary as bare
     # bytes and are re-interned on the far side (shard.py's assembly path).
     rebuilt = _arena_from_slabs(
         scheme,
         arena.k,
         Quantization(),
-        np.concatenate([part.counts for part in slices]),
-        np.concatenate([part.quanta for part in slices]),
+        np.concatenate([arena.counts[cut] for cut in cuts]),
+        np.concatenate([arena.quanta[cut] for cut in cuts]),
         {
-            name_: np.concatenate([part.columns[name_] for part in slices])
-            for name_ in arena.columns
+            name_: np.concatenate([column[cut] for cut in cuts])
+            for name_, column in arena.columns.items()
         },
     )
     assert rebuilt.n == arena.n

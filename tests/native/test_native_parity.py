@@ -1,8 +1,8 @@
 """End-to-end parity of the node's one receive pipeline with Algorithm 1.
 
 A :class:`~repro.core.node.ClassifierNode` receives through packed rows,
-the identity fast path, the merge cache (memo replay and certified
-no-op), ``partition_packed`` and the batched merge kernels
+the identity fast path, the merge cache's certified no-op,
+``partition_packed`` and the batched merge kernels
 (``tests/native/test_kernels.py``).  Its contract is byte parity with Algorithm 1
 as written: for every scheme and both schedulers, with aux tracking on
 and off, a network run must produce bit for bit the classifications
@@ -117,11 +117,11 @@ def test_crash_run_matches_oracle(engine):
 @pytest.mark.parametrize("name", ["gm", "centroid"])
 def test_agreeing_run_matches_oracle(name):
     """A 60-node ring on three exact centers reaches agreement, so every
-    layer of the pipeline fires: fast path, memo replay, certified no-op."""
+    layer of the pipeline fires: fast path, certified no-op, full solve."""
     centers = np.array([[0.0, 0.0], [8.0, 8.0], [-8.0, 8.0]])
     values = centers[np.random.default_rng(11).integers(0, 3, size=60)]
     stats = _assert_matches_oracle(
         values, lambda: _scheme(name), ring(60), 30, k=3, engine="rounds"
     )
-    for layer in ("fastpath_hits", "cache_memo_hits", "cache_noop_hits"):
+    for layer in ("fastpath_hits", "cache_noop_hits", "cache_misses"):
         assert sum(getattr(node_stats, layer) for node_stats in stats) > 0, layer

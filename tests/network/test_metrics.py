@@ -40,28 +40,15 @@ class TestCounters:
 
     def test_as_dict_carries_cache_counters(self):
         snapshot = NetworkMetrics().as_dict()
-        assert {
-            "cache_hits",
-            "cache_misses",
-            "cache_evictions",
-            "cache_noop_hits",
-            "quiescent_rounds",
-        } <= set(snapshot)
+        assert {"cache_misses", "cache_noop_hits", "quiescent_rounds"} <= set(snapshot)
         assert all(
-            snapshot[key] == 0
-            for key in (
-                "cache_hits",
-                "cache_misses",
-                "cache_evictions",
-                "cache_noop_hits",
-                "quiescent_rounds",
-            )
+            snapshot[key] == 0 for key in ("cache_misses", "cache_noop_hits", "quiescent_rounds")
         )
 
     def test_sync_cache_mirrors_cache_counters(self):
         from repro.core.fingerprint import MergeCache
 
-        cache = MergeCache(max_entries=4)
+        cache = MergeCache()
         cache.record_noop()
         cache.record_noop()
         metrics = NetworkMetrics()

@@ -41,13 +41,13 @@ def _events(sink):
     return [(event.kind, event.node, event.peer, event.items, event.extra) for event in sink]
 
 
-def test_second_receiver_replays_the_first_receivers_queued_solve():
+def test_two_receivers_posing_one_problem_end_as_one_after_the_other():
     """Receivers 0 and 1 pose the same problem in one round.
 
     Each holds the same local row and is sent the same row, two rows
-    against k = 1: neither the fast path nor a no-op answers, so the
-    first receiver queues a full solve and the second must replay it
-    from the memo, exactly as when they receive one after the other.
+    against k = 1: neither the fast path nor a no-op answers, so each
+    receiver solves, in one batch, and ends exactly as when they
+    receive one after the other.
     """
     outcomes = []
     for together in (True, False):
@@ -67,23 +67,16 @@ def test_second_receiver_replays_the_first_receivers_queued_solve():
                 [state_bytes(node) for node in nodes],
                 [node.stats.as_dict() for node in nodes],
                 cache.counters(),
-                len(cache),
                 _events(sink),
             )
         )
     assert outcomes[0] == outcomes[1]
-    states, stats, counters, _, events = outcomes[0]
+    states, stats, counters, events = outcomes[0]
     assert states[0] == states[1]
-    assert [entry["cache_misses"] for entry in stats] == [1, 0, 0, 0]
-    assert [entry["cache_memo_hits"] for entry in stats] == [0, 1, 0, 0]
-    assert counters == {
-        "cache_hits": 1,
-        "cache_misses": 1,
-        "cache_evictions": 0,
-        "cache_noop_hits": 0,
-    }
+    assert [entry["cache_misses"] for entry in stats] == [1, 1, 0, 0]
+    assert counters == {"cache_misses": 2, "cache_noop_hits": 0}
     assert [kind for kind, *_ in events if kind != "split"] == [
-        "deliver", "merge", "deliver", "merge", "cache"
+        "deliver", "merge", "deliver", "merge"
     ]
 
 
@@ -141,13 +134,12 @@ def test_round_solves_in_one_call_and_poisson_solves_one_per_call(monkeypatch):
     assert calls.counts["partition_packed_batch"] == 0
 
 
-def test_round_whose_decision_raises_gives_back_its_memo_slots():
-    """Receiver 0 queues a solve and takes a memo slot; receiver 1's
-    decision then raises.  The round's batch is abandoned: no entry is
-    left for a later receive to replay unsolved, so receiver 0's retry
-    misses and solves."""
+def test_round_whose_decision_raises_adopts_nothing_and_its_retry_solves():
+    """Receiver 0 queues a solve; receiver 1's decision then raises.
+    Receiver 0 adopts nothing, and its retry solves."""
     kernel, nodes, _ = _four_nodes()
     payloads = [nodes[2].make_message(), nodes[3].make_message()]
+    before = state_bytes(nodes[0])
 
     def refuse(payloads, batch):
         raise RuntimeError("refused")
@@ -155,9 +147,9 @@ def test_round_whose_decision_raises_gives_back_its_memo_slots():
     nodes[1].defer_receive = refuse
     with pytest.raises(RuntimeError, match="refused"):
         kernel.complete_deliveries([(0, [2], [payloads[0]]), (1, [3], [payloads[1]])])
-    cache = kernel.merge_cache
-    assert len(cache) == 0
+    assert state_bytes(nodes[0]) == before
+    assert nodes[0].stats.partition_calls == 0
     kernel.complete_deliveries([(0, [2], [payloads[0]])])
-    assert nodes[0].stats.cache_memo_hits == 0
+    assert nodes[0].stats.partition_calls == 1
     assert nodes[0].stats.cache_misses == 2
     assert sum(c.quanta for c in nodes[0].classification) == nodes[0].quantization.unit * 3 // 2

@@ -104,7 +104,6 @@ class TestRenderReport:
 
     def test_cache_section_from_cache_events(self):
         events = [
-            {"kind": "cache", "node": 1, "extra": {"path": "memo"}},
             {"kind": "cache", "node": 2, "extra": {"path": "noop"}},
             {"kind": "cache", "node": 5, "extra": {"path": "noop"}},
             {"kind": "cache", "round": 12, "extra": {"path": "quiescent", "streak": 3}},
@@ -112,7 +111,7 @@ class TestRenderReport:
         ]
         text = render_report(events)
         assert "Merge cache" in text
-        assert "memoised_receives" in text
+        assert "memoised_receives" not in text
         assert "certified_noop_receives" in text
         assert "quiescence_detected_at" in text
         assert "round 12" in text
