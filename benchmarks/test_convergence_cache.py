@@ -32,6 +32,7 @@ import time
 
 import numpy as np
 
+from repro.data import make_dataset
 from repro.network.topology import complete
 from repro.protocols.classification import build_classification_network
 from repro.schemes.gm import GaussianMixtureScheme
@@ -42,12 +43,10 @@ N = 1000
 K = 3
 TAIL_ROUNDS = 50
 MAX_ROUNDS = 200
-CENTERS = np.array([[0.0, 0.0], [8.0, 8.0], [-8.0, 8.0]])
 
 
 def _values() -> np.ndarray:
-    rng = np.random.default_rng(11)
-    return CENTERS[rng.integers(0, 3, size=N)]
+    return make_dataset("centers", N, 11)
 
 
 def _build(merge_cache: bool, **kwargs):

@@ -32,6 +32,7 @@ import numpy as np
 import pytest
 
 from repro.core.weights import Quantization
+from repro.data import make_dataset
 from repro.ml.reduction import reduce_mixture
 from repro.network.topology import complete
 from repro.protocols.classification import build_classification_network
@@ -133,9 +134,7 @@ def test_greedy_partition_micro(n):
 
 def test_gm_round_equivalent_n1000():
     n = 1000
-    rng = np.random.default_rng(11)
-    centers = np.array([[0.0, 0.0], [8.0, 8.0], [-8.0, 8.0]])
-    values = centers[rng.integers(0, 3, size=n)] + rng.normal(0, 1.0, size=(n, 2))
+    values = make_dataset("paper", n, 11)
     kernel, _ = build_classification_network(
         values, GaussianMixtureScheme(seed=0), k=5, graph=complete(n), seed=11
     )

@@ -49,6 +49,7 @@ import time
 
 import numpy as np
 
+from repro.data import make_dataset
 from repro.mega import ArenaEngine, ShardedArenaEngine
 from repro.network.topology import complete
 from repro.protocols.classification import build_classification_network
@@ -66,7 +67,6 @@ MILLION_BUDGET_S = 3600.0
 SPEEDUP_TARGET = 1.5
 TWO_SHARD_GATE_N = 100000
 TWO_SHARD_GATE_REPEATS = 3
-CENTERS = np.array([[0.0, 0.0], [8.0, 8.0], [-8.0, 8.0]])
 
 CURVE_SIZES = {
     "fast": [1000, 10000],
@@ -94,8 +94,7 @@ def _available_cores() -> int:
 
 
 def _values(n: int) -> np.ndarray:
-    rng = np.random.default_rng(11)
-    return CENTERS[rng.integers(0, 3, size=n)]
+    return make_dataset("centers", n, 11)
 
 
 def _arena_run(n: int, shards: int = 0) -> dict:

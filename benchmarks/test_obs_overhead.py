@@ -31,6 +31,7 @@ import time
 
 import numpy as np
 
+from repro.data import make_dataset
 from repro.network.topology import complete
 from repro.obs import TelemetryConfig, TimeSeriesRecorder
 from repro.protocols.classification import build_classification_network
@@ -41,7 +42,6 @@ RESULTS_PATH = pathlib.Path(__file__).parent / "results" / "BENCH_obs.json"
 N = 1000
 K = 3
 ROUNDS = 30
-CENTERS = np.array([[0.0, 0.0], [8.0, 8.0], [-8.0, 8.0]])
 
 #: Acceptance ceiling for the sampled configuration, as a ratio of medians.
 MAX_SAMPLED_OVERHEAD = 1.05
@@ -51,8 +51,7 @@ PAIRS = 5
 
 
 def _values() -> np.ndarray:
-    rng = np.random.default_rng(11)
-    return CENTERS[rng.integers(0, 3, size=N)]
+    return make_dataset("centers", N, 11)
 
 
 def _build(recorder):

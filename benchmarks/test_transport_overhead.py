@@ -26,6 +26,7 @@ import time
 import numpy as np
 
 from repro.core.serialization import codec_for_scheme, encode_payload
+from repro.data.generators import CENTERS, make_dataset
 from repro.network.frames import DATA, encode_frame
 from repro.network.membership import PeerInfo
 from repro.network.tcp_transport import AsyncioTCPTransport
@@ -44,12 +45,10 @@ ROUNDS = 30
 SEED = 11
 REPEATS = 7
 OVERHEAD_GATE = 1.02  # extraction may add at most 2%
-CENTERS = np.array([[0.0, 0.0], [8.0, 8.0], [-8.0, 8.0]])
 
 
 def _values() -> np.ndarray:
-    rng = np.random.default_rng(SEED)
-    return CENTERS[rng.integers(0, 3, size=N)]
+    return make_dataset("centers", N, SEED)
 
 
 def _run_in_memory() -> tuple[float, int]:

@@ -17,11 +17,16 @@ workloads, parameterised exactly where the paper gives numbers:
 - :func:`two_cluster_values` — two balanced, well-separated clusters in
   R^2, the workload of the ablations, the scalability experiments and
   the sweep's ``two_cluster`` cells.
+- :func:`center_values` / :func:`paper_values` — three exact cluster
+  centers, alone or plus unit Gaussian noise (Section 5.3's inputs).
+
+Callers that pick inputs by name build them through :data:`DATASETS`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -29,6 +34,11 @@ from repro.ml.gaussian import density as normal_density
 from repro.ml.gmm import GaussianMixtureModel
 
 __all__ = [
+    "CENTERS",
+    "DATASETS",
+    "center_values",
+    "make_dataset",
+    "paper_values",
     "fence_fire_mixture",
     "fence_fire_values",
     "OutlierScenario",
@@ -155,6 +165,50 @@ def two_cluster_values(n: int, seed: int = 0, separation: float = 8.0) -> np.nda
             rng.normal([separation, separation], 0.6, size=(n - half, 2)),
         ]
     )
+
+
+#: Three well-separated, exactly representable cluster centers: every
+#: merge of same-center summaries is float-exact, so a population drawn
+#: from them reaches a byte-stable classification.
+CENTERS = np.array([[0.0, 0.0], [8.0, 8.0], [-8.0, 8.0]])
+
+
+def center_values(n: int, seed: int = 0) -> np.ndarray:
+    """Each reading one of :data:`CENTERS`, drawn uniformly."""
+    rng = np.random.default_rng(seed)
+    return CENTERS[rng.integers(0, len(CENTERS), size=n)]
+
+
+def paper_values(n: int, seed: int = 0) -> np.ndarray:
+    """The paper's noisy inputs: :func:`center_values`' draw plus unit
+    Gaussian noise from the same generator, so no two readings are equal."""
+    rng = np.random.default_rng(seed)
+    return CENTERS[rng.integers(0, len(CENTERS), size=n)] + rng.normal(size=(n, 2))
+
+
+#: Inputs by name.  Each builder takes the node count and a seed, then
+#: its own shape parameters: ``outlier`` needs ``delta`` and
+#: ``n_outliers`` (of the ``n`` readings, the last ones), ``two_cluster``
+#: takes ``separation``.
+DATASETS: dict[str, Callable[..., np.ndarray]] = {
+    "centers": center_values,
+    "normal": standard_normal_values,
+    "paper": paper_values,
+    "outlier": lambda n, seed, delta, n_outliers: outlier_scenario(
+        delta, n_good=n - n_outliers, n_outliers=n_outliers, seed=seed
+    ).values,
+    "two_cluster": two_cluster_values,
+    "fence_fire": lambda n, seed: fence_fire_values(n, seed=seed)[0],
+}
+
+
+def make_dataset(name: str, n: int, seed: int = 0, **shape: float) -> np.ndarray:
+    """The :data:`DATASETS` input ``name``: ``n`` readings drawn from ``seed``."""
+    try:
+        build = DATASETS[name]
+    except KeyError:
+        raise ValueError(f"unknown dataset {name!r}; choose from {sorted(DATASETS)}") from None
+    return build(n, seed=seed, **shape)
 
 
 def load_scenario(

@@ -23,8 +23,8 @@ import numpy as np
 
 from repro.core.scheme import SummaryScheme
 from repro.core.serialization import SummaryCodec, codec_for_scheme
-from repro.data.generators import fence_fire_values, outlier_scenario
-from repro.schemes.gm import GaussianMixtureScheme
+from repro.data import make_dataset
+from repro.schemes import make_scheme
 
 __all__ = ["WORKLOADS", "Workload", "build_workload"]
 
@@ -45,16 +45,13 @@ class Workload:
 
 
 def _fig1(n: int, seed: int) -> tuple[np.ndarray, SummaryScheme, int]:
-    values, _ = fence_fire_values(n, seed=seed)
-    return values, GaussianMixtureScheme(seed=seed), 3
+    return make_dataset("fence_fire", n, seed), make_scheme("gm"), 3
 
 
 def _fig4(n: int, seed: int) -> tuple[np.ndarray, SummaryScheme, int]:
-    n_outliers = max(1, n // 20)  # the paper's 5% outlier fraction
-    scenario = outlier_scenario(
-        delta=6.0, n_good=n - n_outliers, n_outliers=n_outliers, seed=seed
-    )
-    return scenario.values, GaussianMixtureScheme(seed=seed), 2
+    # The paper's 5% outlier fraction, rounded down.
+    values = make_dataset("outlier", n, seed, delta=6.0, n_outliers=max(1, n // 20))
+    return values, make_scheme("gm"), 2
 
 
 WORKLOADS = {

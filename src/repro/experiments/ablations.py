@@ -34,10 +34,9 @@ from repro.ml.gmm import GaussianMixtureModel
 from repro.ml.kmeans import weighted_kmeans
 from repro.ml.linalg import regularize_covariance
 from repro.network import topology
-from repro.schemes.centroid import CentroidScheme
+from repro.schemes import make_scheme
 from repro.schemes.gaussian import classification_to_gmm
 from repro.schemes.gm import GaussianMixtureScheme
-from repro.schemes.histogram import HistogramScheme
 from repro.sweep import SweepSpec
 
 __all__ = [
@@ -86,20 +85,8 @@ def weighted_assignment_accuracy(
 _TOPOLOGY_NAMES = ("complete", "ring", "grid", "geometric", "small_world")
 
 
-def _ablation_graph(name: str, n: int, seed: int):
-    """The topology ablation's graphs, rebuilt from parameters alone."""
-    grid_side = int(np.sqrt(n))
-    if name == "complete":
-        return topology.complete(n)
-    if name == "ring":
-        return topology.ring(n)
-    if name == "grid":
-        return topology.grid(grid_side, (n + grid_side - 1) // grid_side)
-    if name == "geometric":
-        return topology.random_geometric(n, seed=seed)
-    if name == "small_world":
-        return topology.watts_strogatz(n, k=4, rewire=0.2, seed=seed)
-    raise ValueError(f"unknown ablation topology {name!r}")
+#: The scheme ablation's histogram binning: 48 bins over the 1-D values.
+_HISTOGRAM_BINNING = {"low": -4.0, "high": 12.0, "bins": 48}
 
 
 def ablation_cell(params: dict) -> dict:
@@ -115,15 +102,15 @@ def ablation_cell(params: dict) -> dict:
     n = int(params["n"])
 
     if mode == "topology":
-        graph = _ablation_graph(str(params["topology"]), n, seed)
+        graph = topology.make_topology(str(params["topology"]), n, seed)
         graph_n = graph.number_of_nodes()
-        values = two_cluster_values(n, seed)
+        values = two_cluster_values(graph_n, seed)
         scheme = GaussianMixtureScheme(seed=seed)
         run_scale = scale.with_overrides(
             n_nodes=graph_n, max_rounds=max(scale.max_rounds, 60 * graph_n)
         )
         engine, nodes, rounds = run_until_convergence(
-            values[:graph_n], scheme, k=2, scale=run_scale, seed=seed, graph=graph
+            values, scheme, k=2, scale=run_scale, seed=seed, graph=graph
         )
         return {
             "n": graph_n,
@@ -196,14 +183,9 @@ def ablation_cell(params: dict) -> dict:
         labels = np.concatenate([np.zeros(half, dtype=int), np.ones(n - half, dtype=int)])
         scheme_name = str(params["scheme"])
         scheme: SummaryScheme
-        if scheme_name == "centroid":
-            scheme = CentroidScheme()
-        elif scheme_name == "gaussian_mixture":
-            scheme = GaussianMixtureScheme(seed=seed)
-        elif scheme_name == "histogram":
-            scheme = HistogramScheme(low=-4.0, high=12.0, bins=48)
-        else:
-            raise ValueError(f"unknown ablation scheme {scheme_name!r}")
+        scheme = make_scheme(
+            scheme_name, **(_HISTOGRAM_BINNING if scheme_name == "histogram" else {})
+        )
         _, nodes, rounds = run_until_convergence(
             values, scheme, k=2, scale=scale.with_overrides(n_nodes=n), seed=seed, track_aux=True
         )

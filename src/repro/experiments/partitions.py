@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.convergence import classification_distance
+from repro.data import make_dataset
 from repro.experiments.common import Scale, PAPER
 from repro.network.links import WindowedOutage, cut_edges
 from repro.network.topology import complete
@@ -72,12 +73,9 @@ def run_partition_heal(
     """
     n = min(scale.n_nodes, 120)
     half = n // 2
-    rng = np.random.default_rng(seed)
     # Side A holds cluster-0-heavy data, side B cluster-1-heavy data, so
     # a partition visibly starves each side of the other cluster.
-    values = np.vstack(
-        [rng.normal([0, 0], 0.6, size=(half, 2)), rng.normal([8, 8], 0.6, size=(n - half, 2))]
-    )
+    values = make_dataset("two_cluster", n, seed)
     graph = complete(n)
     outage = WindowedOutage(
         cut_edges(graph, range(half)),

@@ -28,10 +28,9 @@ from repro.data.generators import two_cluster_values
 from repro.experiments.ablations import AblationRow
 from repro.experiments.common import Scale, PAPER, run_until_convergence
 from repro.network.schedulers import PoissonScheduler
-from repro.network.topology import complete, ring
+from repro.network.topology import make_topology
 from repro.protocols.classification import build_classification_network
-from repro.schemes.centroid import CentroidScheme
-from repro.schemes.diagonal import DiagonalGaussianScheme
+from repro.schemes import make_scheme
 from repro.schemes.gm import GaussianMixtureScheme
 
 __all__ = [
@@ -75,17 +74,12 @@ def run_message_size_ablation(scale: Scale = PAPER, seed: int = 21) -> list[Abla
     and the collection count is bounded by k).
     """
     sizes = sorted({min(scale.n_nodes, 64), min(scale.n_nodes, 192)})
-    schemes = [
-        ("centroid", lambda s: CentroidScheme()),
-        ("diagonal_gaussian", lambda s: DiagonalGaussianScheme(seed=s)),
-        ("gaussian_mixture", lambda s: GaussianMixtureScheme(seed=s)),
-    ]
     rows = []
-    for name, factory in schemes:
+    for name in ("centroid", "diagonal_gaussian", "gaussian_mixture"):
         measured = {}
         for n in sizes:
             values = two_cluster_values(n, seed)
-            scheme = factory(seed)
+            scheme = make_scheme(name)
             run_scale = scale.with_overrides(n_nodes=n, max_rounds=min(scale.max_rounds, 30))
             _, nodes, _ = run_until_convergence(values, scheme, k=2, scale=run_scale, seed=seed)
             measured[n] = measured_payload_bytes(nodes, scheme, dimension=2)
@@ -150,12 +144,11 @@ def run_async_ablation(
     """
     n = min(scale.n_nodes, 32)
     values = two_cluster_values(n, seed)
-    graphs = {"complete": complete(n), "ring": ring(n)}
     rows = []
-    for name, graph in graphs.items():
+    for name in ("complete", "ring"):
         scheme = GaussianMixtureScheme(seed=seed)
         engine, nodes = build_classification_network(
-            values, scheme, k=2, graph=graph, seed=seed, engine="async"
+            values, scheme, k=2, graph=make_topology(name, n), seed=seed, engine="async"
         )
         scheduler = engine.scheduler
         assert isinstance(scheduler, PoissonScheduler)

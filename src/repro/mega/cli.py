@@ -14,12 +14,14 @@ prints a round/time/cache summary (optionally as JSON for scripting).
 Sharded runs move payload rows through shared-memory slabs; the summary
 names the segments' count and the exchange's per-phase seconds.
 
-``--data centers`` (the default) draws each node's value from three
-well-separated cluster centers: merges are float-exact, so the
-population byte-converges and quiescence detection can stop the run —
-the regime the mega-scale benchmark measures.  ``--data normal`` draws
-continuous values, which never byte-converge; use a fixed ``--rounds``
-budget there.
+``--data``, ``--scheme`` and ``--topology`` are names in
+:data:`repro.data.DATASETS`, :data:`repro.schemes.SCHEMES` and
+:data:`repro.network.topology.TOPOLOGIES`.  ``--data centers`` (the
+default) draws each node's value from three well-separated cluster
+centers: merges are float-exact, so the population byte-converges and
+quiescence detection can stop the run — the regime the mega-scale
+benchmark measures.  ``--data normal`` draws one N(0, I) blob, which
+never byte-converges; use a fixed ``--rounds`` budget there.
 """
 
 from __future__ import annotations
@@ -30,52 +32,16 @@ import sys
 import time
 from typing import Any, Optional
 
-import numpy as np
-
 from repro.analysis.reporting import banner, format_table
+from repro.data import make_dataset
 from repro.mega.engine import ArenaEngine
 from repro.mega.shard import ShardedArenaEngine
+from repro.schemes import make_scheme
 
-__all__ = ["build_values", "build_scheme", "main"]
+__all__ = ["main"]
 
-#: Three well-separated, exactly-representable cluster centers: every
-#: merge of same-center summaries is float-exact, so the population
-#: reaches a byte-stable classification (cf. benchmarks/test_convergence_cache.py).
-CENTER_POINTS = np.array([[0.0, 0.0], [8.0, 8.0], [-8.0, 8.0]])
-
-
-def build_values(data: str, nodes: int, data_seed: int, scheme_name: str) -> np.ndarray:
-    """The per-node input values for a CLI/benchmark run."""
-    rng = np.random.default_rng(data_seed)
-    if data == "centers":
-        values = CENTER_POINTS[rng.integers(0, len(CENTER_POINTS), size=nodes)]
-    elif data == "normal":
-        values = rng.normal(size=(nodes, 2))
-    else:
-        raise ValueError(f"unknown data generator {data!r}")
-    if scheme_name == "histogram":
-        return values[:, :1]
-    return values
-
-
-def build_scheme(scheme_name: str, scheme_seed: int = 0) -> Any:
-    if scheme_name == "gm":
-        from repro.schemes.gm import GaussianMixtureScheme
-
-        return GaussianMixtureScheme(seed=scheme_seed)
-    if scheme_name == "diagonal":
-        from repro.schemes.diagonal import DiagonalGaussianScheme
-
-        return DiagonalGaussianScheme(seed=scheme_seed)
-    if scheme_name == "centroid":
-        from repro.schemes.centroid import CentroidScheme
-
-        return CentroidScheme()
-    if scheme_name == "histogram":
-        from repro.schemes.histogram import HistogramScheme
-
-        return HistogramScheme(low=-12.0, high=12.0, bins=32)
-    raise ValueError(f"unknown scheme {scheme_name!r}")
+#: The histogram's binning: 32 bins over every center's first coordinate.
+_HISTOGRAM_BINNING = {"low": -12.0, "high": 12.0, "bins": 32}
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -114,8 +80,10 @@ def main(argv: Optional[list[str]] = None) -> int:
                         help="also write the summary as JSON ('-' for stdout)")
     args = parser.parse_args(argv)
 
-    values = build_values(args.data, args.nodes, args.data_seed, args.scheme)
-    scheme = build_scheme(args.scheme)
+    values = make_dataset(args.data, args.nodes, args.data_seed)
+    scheme = make_scheme(
+        args.scheme, **(_HISTOGRAM_BINNING if args.scheme == "histogram" else {})
+    )
     use_cache = not args.no_cache
 
     start = time.perf_counter()

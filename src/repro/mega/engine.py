@@ -56,7 +56,7 @@ from repro.core.receive import (
 from repro.core.weights import Quantization
 from repro.mega.arena import NetworkArena
 from repro.network.simulator import NeighborSelector, RandomSelector
-from repro.network.topology import TOPOLOGY_BUILDERS, neighbors_map, validate_topology
+from repro.network.topology import make_topology, neighbors_map, validate_topology
 from repro.obs.profiling import current_registry
 
 __all__ = ["ArenaEngine", "ArenaStats", "GossipPairing", "ReceiveSolver"]
@@ -96,19 +96,11 @@ class GossipPairing:
                 self._complete = True
                 self._uniform_degree = n - 1
                 return
-            builder = TOPOLOGY_BUILDERS.get(topology)
-            if builder is None:
-                raise ValueError(
-                    f"unknown topology {topology!r}; "
-                    f"expected 'complete', one of {sorted(TOPOLOGY_BUILDERS)}, or a graph"
-                )
-            graph = builder(n)
+            graph = make_topology(topology, n, seed)
         else:
             graph = validate_topology(topology)
-            if graph.number_of_nodes() != n:
-                raise ValueError(
-                    f"topology has {graph.number_of_nodes()} nodes, arena has {n}"
-                )
+        if graph.number_of_nodes() != n:
+            raise ValueError(f"topology has {graph.number_of_nodes()} nodes, arena has {n}")
         neighbors = neighbors_map(graph)
         degrees = np.asarray([len(neighbors[i]) for i in range(n)], dtype=np.int64)
         width = int(degrees.max())
@@ -631,9 +623,9 @@ class ArenaEngine:
         the deterministic cross-shard exchange) possible.
     topology:
         ``"complete"`` (the default; never materialised as a graph, so
-        million-node arenas stay O(n)), a name from
-        :data:`repro.network.topology.TOPOLOGY_BUILDERS`, or an explicit
-        ``networkx`` graph.
+        million-node arenas stay O(n)), another
+        :data:`repro.network.topology.TOPOLOGIES` name (random families
+        drawn from ``seed``) or a ``networkx`` graph, one node per value.
     selector:
         Pairing strategy; vectorised when it implements ``choose_batch``
         and the topology is degree-uniform, scalar fallback otherwise

@@ -11,6 +11,7 @@ comes out disconnected).
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 import networkx as nx
 import numpy as np
@@ -28,7 +29,8 @@ __all__ = [
     "watts_strogatz",
     "neighbors_map",
     "validate_topology",
-    "TOPOLOGY_BUILDERS",
+    "TOPOLOGIES",
+    "make_topology",
 ]
 
 
@@ -144,10 +146,31 @@ def neighbors_map(graph: nx.Graph) -> dict[int, tuple[int, ...]]:
     return {node: tuple(sorted(graph.neighbors(node))) for node in graph.nodes}
 
 
-#: Name -> builder registry used by the topology ablation benchmark.
-TOPOLOGY_BUILDERS = {
-    "complete": complete,
-    "ring": ring,
-    "line": line,
-    "star": star,
+def _square_grid(n: int) -> nx.Graph:
+    """The squarest lattice of whole rows that fits in ``n`` nodes."""
+    side = max(1, math.isqrt(n))
+    return grid(side, n // side)
+
+
+#: The graph families by name, each built from a node count and a seed
+#: that only the random families read.  A family may build fewer than
+#: ``n`` nodes (``grid`` keeps whole rows), never more.
+TOPOLOGIES: dict[str, Callable[[int, int], nx.Graph]] = {
+    "complete": lambda n, seed: complete(n),
+    "ring": lambda n, seed: ring(n),
+    "line": lambda n, seed: line(n),
+    "star": lambda n, seed: star(n),
+    "grid": lambda n, seed: _square_grid(n),
+    "geometric": lambda n, seed: random_geometric(n, seed=seed),
+    "small_world": lambda n, seed: watts_strogatz(n, k=4, rewire=0.2, seed=seed),
+    "erdos_renyi": lambda n, seed: erdos_renyi(n, seed=seed),
 }
+
+
+def make_topology(name: str, n: int, seed: int = 0) -> nx.Graph:
+    """The :data:`TOPOLOGIES` graph ``name`` over at most ``n`` nodes."""
+    try:
+        build = TOPOLOGIES[name]
+    except KeyError:
+        raise ValueError(f"unknown topology {name!r}; choose from {sorted(TOPOLOGIES)}") from None
+    return build(n, seed)

@@ -34,15 +34,12 @@ from repro.analysis.accuracy import average_error
 from repro.analysis.outliers import robust_mean
 from repro.core.convergence import disagreement
 from repro.core.weights import Quantization
-from repro.data.generators import fence_fire_values, outlier_scenario, two_cluster_values
-from repro.network import topology
+from repro.data import make_dataset
 from repro.network.failures import BernoulliCrashes, NoFailures
+from repro.network.topology import make_topology
 from repro.protocols.classification import build_classification_network
 from repro.protocols.push_sum import build_push_sum_network
-from repro.schemes.centroid import CentroidScheme
-from repro.schemes.diagonal import DiagonalGaussianScheme
-from repro.schemes.gm import GaussianMixtureScheme
-from repro.schemes.histogram import HistogramScheme
+from repro.schemes import make_scheme
 
 __all__ = [
     "RUNNERS",
@@ -84,63 +81,24 @@ def resolve_runner(reference: str) -> CellRunner:
 # ----------------------------------------------------------------------
 # Shared builders
 # ----------------------------------------------------------------------
-def _build_graph(name: str, n: int, seed: int):
-    """A named topology at (or near) ``n`` nodes."""
-    if name == "complete":
-        return topology.complete(n)
-    if name == "ring":
-        return topology.ring(n)
-    if name == "line":
-        return topology.line(n)
-    if name == "star":
-        return topology.star(n)
-    if name == "grid":
-        side = max(1, int(np.sqrt(n)))
-        return topology.grid(side, (n + side - 1) // side)
-    if name == "geometric":
-        return topology.random_geometric(n, seed=seed)
-    if name == "small_world":
-        return topology.watts_strogatz(n, k=4, rewire=0.2, seed=seed)
-    if name == "erdos_renyi":
-        return topology.erdos_renyi(n, seed=seed)
-    raise ValueError(f"unknown topology {name!r}")
-
-
-def _build_scheme(name: str, seed: int, params: Mapping[str, Any]):
-    if name in ("gm", "gaussian_mixture"):
-        return GaussianMixtureScheme(seed=seed)
-    if name == "centroid":
-        return CentroidScheme()
-    if name in ("diagonal", "diagonal_gaussian"):
-        return DiagonalGaussianScheme(seed=seed)
-    if name == "histogram":
-        return HistogramScheme(
-            low=float(params.get("histogram_low", -5.0)),
-            high=float(params.get("histogram_high", 25.0)),
-            bins=int(params.get("histogram_bins", 48)),
-        )
-    raise ValueError(f"unknown scheme {name!r}")
-
-
-def _build_dataset(params: Mapping[str, Any], seed: int):
-    """(values, true_mean_or_None) for the named dataset."""
-    dataset = params.get("dataset", "outlier")
-    n = int(params["n"])
-    if dataset == "outlier":
-        fraction = float(params.get("outlier_fraction", 0.05))
-        delta = float(params.get("delta", 10.0))
-        n_outliers = max(1, round(n * fraction))
-        scenario = outlier_scenario(
-            delta, n_good=n - n_outliers, n_outliers=n_outliers, seed=seed
-        )
-        return scenario.values, scenario.true_mean
-    if dataset == "two_cluster":
-        separation = float(params.get("separation", 8.0))
-        return two_cluster_values(n, seed=seed, separation=separation), None
-    if dataset == "fence_fire":
-        values, _ = fence_fire_values(n, seed=seed)
-        return values, None
-    raise ValueError(f"unknown dataset {dataset!r}")
+def _inputs(params: Mapping[str, Any], seed: int):
+    """(values, graph, true_mean_or_None) for a cell: one reading per node
+    of the graph, which may have fewer than ``n`` nodes (a ``grid`` keeps
+    whole rows).  Only the ``outlier`` readings have a robust-average
+    target: the good readings' mean, the origin."""
+    graph = make_topology(str(params.get("topology", "complete")), int(params["n"]), seed)
+    n = graph.number_of_nodes()
+    dataset = str(params.get("dataset", "outlier"))
+    shape = {
+        "outlier": {
+            "delta": float(params.get("delta", 10.0)),
+            "n_outliers": max(1, round(n * float(params.get("outlier_fraction", 0.05)))),
+        },
+        "two_cluster": {"separation": float(params.get("separation", 8.0))},
+    }.get(dataset, {})
+    values = make_dataset(dataset, n, seed, **shape)
+    true_mean = np.zeros(values.shape[1]) if dataset == "outlier" else None
+    return values, graph, true_mean
 
 
 def _failure_model(params: Mapping[str, Any]):
@@ -157,9 +115,12 @@ def classification_cell(params: Mapping[str, Any]) -> dict[str, Any]:
     """Run Algorithm 1 on one grid cell; return its scalar measurements.
 
     Recognised parameters (with defaults): ``n`` (required), ``seed``
-    (injected), ``scheme`` ("gm"), ``topology`` ("complete"), ``engine``
+    (injected), ``scheme`` ("gm"; a :data:`repro.schemes.SCHEMES` name,
+    the histogram binned by ``histogram_low`` / ``histogram_high`` /
+    ``histogram_bins``, -5 / 25 / 48), ``topology`` ("complete"; a
+    :data:`repro.network.topology.TOPOLOGIES` name), ``engine``
     ("rounds"), ``variant`` ("push"), ``k`` (2), ``rounds`` (15),
-    ``dataset`` ("outlier"; also "two_cluster", "fence_fire"),
+    ``dataset`` ("outlier"; a :data:`repro.data.DATASETS` name),
     ``delta`` / ``outlier_fraction`` / ``separation`` (dataset shape),
     ``crash_rate`` / ``min_survivors`` (failure injection),
     ``quanta_per_unit`` (weight lattice), ``early_exit`` (stop once the
@@ -167,13 +128,15 @@ def classification_cell(params: Mapping[str, Any]) -> dict[str, Any]:
     with ``quiescence_patience`` (3).
     """
     seed = int(params["seed"])
-    values, true_mean = _build_dataset(params, seed)
+    values, graph, true_mean = _inputs(params, seed)
     n = len(values)
-    graph = _build_graph(str(params.get("topology", "complete")), n, seed)
-    if graph.number_of_nodes() != n:
-        values = values[: graph.number_of_nodes()]
-        n = len(values)
-    scheme = _build_scheme(str(params.get("scheme", "gm")), seed, params)
+    scheme_name = str(params.get("scheme", "gm"))
+    binning = {
+        "low": float(params.get("histogram_low", -5.0)),
+        "high": float(params.get("histogram_high", 25.0)),
+        "bins": int(params.get("histogram_bins", 48)),
+    }
+    scheme = make_scheme(scheme_name, **(binning if scheme_name == "histogram" else {}))
     quanta = params.get("quanta_per_unit")
     early_exit = bool(params.get("early_exit", False))
     engine, nodes = build_classification_network(
@@ -215,12 +178,8 @@ def classification_cell(params: Mapping[str, Any]) -> dict[str, Any]:
 def push_sum_cell(params: Mapping[str, Any]) -> dict[str, Any]:
     """Regular push-sum aggregation on the same grid axes."""
     seed = int(params["seed"])
-    values, true_mean = _build_dataset(params, seed)
+    values, graph, true_mean = _inputs(params, seed)
     n = len(values)
-    graph = _build_graph(str(params.get("topology", "complete")), n, seed)
-    if graph.number_of_nodes() != n:
-        values = values[: graph.number_of_nodes()]
-        n = len(values)
     engine, nodes = build_push_sum_network(
         values,
         graph,

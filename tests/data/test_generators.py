@@ -5,9 +5,12 @@ import pytest
 
 from repro.analysis.outliers import F_MIN
 from repro.data.generators import (
+    CENTERS,
+    DATASETS,
     fence_fire_mixture,
     fence_fire_values,
     load_scenario,
+    make_dataset,
     outlier_scenario,
     standard_normal_values,
 )
@@ -102,3 +105,31 @@ class TestLoadScenario:
         a, _ = load_scenario(50, seed=4)
         b, _ = load_scenario(50, seed=4)
         assert np.array_equal(a, b)
+
+
+class TestNamedDatasets:
+    SHAPES = {"outlier": {"delta": 6.0, "n_outliers": 2}}
+
+    @pytest.mark.parametrize("name", sorted(DATASETS))
+    def test_same_seed_same_bytes(self, name):
+        shape = self.SHAPES.get(name, {})
+        values = make_dataset(name, 20, 4, **shape)
+        assert values.shape == (20, 2)
+        assert make_dataset(name, 20, 4, **shape).tobytes() == values.tobytes()
+        assert make_dataset(name, 20, 5, **shape).tobytes() != values.tobytes()
+
+    def test_draws_keep_their_recipes(self):
+        """``centers`` and ``normal`` are the arena's old inputs, ``paper``
+        the benchmark's noisy recipe: labels, then noise, one generator."""
+        rng = np.random.default_rng(9)
+        labels = rng.integers(0, 3, size=30)
+        noisy = CENTERS[labels] + rng.normal(size=(30, 2))
+        assert make_dataset("centers", 30, 9).tobytes() == CENTERS[labels].tobytes()
+        assert make_dataset("paper", 30, 9).tobytes() == noisy.tobytes()
+        normal = np.random.default_rng(9).normal(size=(30, 2))
+        assert make_dataset("normal", 30, 9).tobytes() == normal.tobytes()
+
+    def test_unknown_name_lists_the_table(self):
+        with pytest.raises(ValueError, match="unknown dataset 'load'") as error:
+            make_dataset("load", 20)
+        assert all(repr(name) in str(error.value) for name in DATASETS)

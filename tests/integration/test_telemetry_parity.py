@@ -10,9 +10,9 @@ schedulers.
 
 import json
 
-import numpy as np
 import pytest
 
+from repro.data import make_dataset
 from repro.network.topology import complete
 from repro.obs import (
     JsonlSink,
@@ -24,17 +24,10 @@ from repro.obs import (
 from repro.protocols.classification import build_classification_network
 from repro.schemes.gm import GaussianMixtureScheme
 
-CENTERS = np.array([[0.0, 0.0], [8.0, 8.0], [-8.0, 8.0]])
-
-
-def _values(n: int, seed: int = 7) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    return CENTERS[rng.integers(0, 3, size=n)]
-
 
 def _build(n: int, engine: str, **kwargs):
     return build_classification_network(
-        _values(n),
+        make_dataset("centers", n, 7),
         GaussianMixtureScheme(seed=0),
         k=3,
         graph=complete(n),

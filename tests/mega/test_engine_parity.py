@@ -21,10 +21,10 @@ import pytest
 from repro.core import receive
 from repro.core.fingerprint import MergeCache
 from repro.core.weights import Quantization
+from repro.data import make_dataset
 from repro.mega import ArenaEngine
-from repro.mega.cli import build_values
 from repro.network.simulator import RoundRobinSelector
-from repro.network.topology import TOPOLOGY_BUILDERS
+from repro.network.topology import complete, grid, make_topology
 from repro.protocols.classification import build_classification_network
 from repro.schemes.centroid import CentroidScheme
 from repro.schemes.diagonal import DiagonalGaussianScheme
@@ -40,7 +40,7 @@ def _values(dimension: int) -> np.ndarray:
 
 
 def _kernel_states(values, scheme, k, seed, rounds, topology="complete", selector=None):
-    graph = TOPOLOGY_BUILDERS[topology](len(values))
+    graph = make_topology(topology, len(values), seed)
     kernel, nodes = build_classification_network(
         values, scheme, k, graph=graph, seed=seed, selector=selector, merge_cache=True
     )
@@ -75,20 +75,15 @@ def test_engine_matches_kernel(make_scheme, k, dimension, seed):
 
 
 CONVERGING = [
-    pytest.param(lambda: GaussianMixtureScheme(seed=0), "gm", True, id="gm"),
-    pytest.param(lambda: CentroidScheme(), "centroid", False, id="centroid"),
-    pytest.param(lambda: DiagonalGaussianScheme(seed=0), "diagonal", True, id="diagonal"),
-    pytest.param(
-        lambda: HistogramScheme(low=-12.0, high=12.0, bins=32),
-        "histogram",
-        False,
-        id="histogram",
-    ),
+    pytest.param(lambda: GaussianMixtureScheme(seed=0), True, id="gm"),
+    pytest.param(lambda: CentroidScheme(), False, id="centroid"),
+    pytest.param(lambda: DiagonalGaussianScheme(seed=0), True, id="diagonal"),
+    pytest.param(lambda: HistogramScheme(low=-12.0, high=12.0, bins=32), False, id="histogram"),
 ]
 
 
-@pytest.mark.parametrize("make_scheme, name, swept", CONVERGING)
-def test_engine_matches_kernel_on_converging_inputs(make_scheme, name, swept):
+@pytest.mark.parametrize("make_scheme, swept", CONVERGING)
+def test_engine_matches_kernel_on_converging_inputs(make_scheme, swept):
     """Exact centers converge byte for byte, so the no-op layers answer.
 
     Normal inputs rarely pose a certified no-op; here most receives after
@@ -96,7 +91,7 @@ def test_engine_matches_kernel_on_converging_inputs(make_scheme, name, swept):
     only) in the arena's vectorised sweep, and both must reproduce the
     kernel's bytes and row order.
     """
-    values = build_values("centers", 200, 11, name)
+    values = make_dataset("centers", 200, 11)
     expected = _kernel_states(values, make_scheme(), 3, 11, 30)
     engine = ArenaEngine(values, make_scheme(), 3, seed=11, use_cache=True)
     engine.run(30)
@@ -114,7 +109,7 @@ def test_noop_sweep_gathers_each_order_before_scattering_it():
     400 nodes on exact centers some rounds pose such blocks (at 200 none
     do); the cached run must equal the uncached one.
     """
-    values = build_values("centers", 400, 11, "gm")
+    values = make_dataset("centers", 400, 11)
     cached, uncached = (
         ArenaEngine(values, GaussianMixtureScheme(seed=0), 3, seed=11, use_cache=use_cache)
         for use_cache in (True, False)
@@ -125,7 +120,7 @@ def test_noop_sweep_gathers_each_order_before_scattering_it():
     assert _engine_states(cached) == _engine_states(uncached)
 
 
-@pytest.mark.parametrize("topology", ["ring", "star", "line"])
+@pytest.mark.parametrize("topology", ["ring", "star", "line", "geometric"])
 def test_engine_matches_kernel_on_sparse_topologies(topology):
     values = _values(2)
     scheme_a, scheme_b = GaussianMixtureScheme(seed=0), GaussianMixtureScheme(seed=0)
@@ -133,6 +128,14 @@ def test_engine_matches_kernel_on_sparse_topologies(topology):
     engine = ArenaEngine(values, scheme_b, 3, seed=5, topology=topology, use_cache=True)
     engine.run(ROUNDS)
     assert _engine_states(engine) == expected
+
+
+@pytest.mark.parametrize("topology", ["grid", grid(3, 3)], ids=["named", "explicit"])
+def test_topology_must_have_one_node_per_value(topology):
+    """The grid within 10 nodes is the 3 x 3 lattice: an arena of 10
+    values refuses it, by name as by graph."""
+    with pytest.raises(ValueError, match="topology has 9 nodes, arena has 10"):
+        ArenaEngine(_values(2)[:10], GaussianMixtureScheme(seed=0), 3, topology=topology)
 
 
 def test_engine_matches_kernel_with_round_robin_selector():
@@ -151,7 +154,7 @@ def test_engine_matches_kernel_with_round_robin_selector():
 
 def test_engine_matches_kernel_without_merge_cache():
     values = _values(2)
-    graph = TOPOLOGY_BUILDERS["complete"](N)
+    graph = complete(N)
     kernel, nodes = build_classification_network(
         values, GaussianMixtureScheme(seed=0), 3, graph=graph, seed=4, merge_cache=False
     )
@@ -177,8 +180,7 @@ def test_quanta_conserved_across_rounds():
 
 
 def test_quiescence_on_discrete_values():
-    centers = np.array([[0.0, 0.0], [8.0, 8.0], [-8.0, 8.0]])
-    values = centers[np.random.default_rng(11).integers(0, 3, size=200)]
+    values = make_dataset("centers", 200, 11)
     engine = ArenaEngine(values, GaussianMixtureScheme(seed=0), 3, seed=11, use_cache=True)
     executed = engine.run(100, stop_on_quiescence=True)
     assert engine.quiescent
@@ -265,7 +267,7 @@ def test_no_certificate_for_pooled_sets_within_k(monkeypatch, engine):
             values,
             GaussianMixtureScheme(seed=0),
             3,
-            graph=TOPOLOGY_BUILDERS["complete"](2),
+            graph=complete(2),
             quantization=Quantization(2),
             merge_cache=True,
         )
@@ -337,7 +339,7 @@ def test_failed_round_leaves_the_arena_as_it_was(monkeypatch, data):
     started from: every node's rows and the network's total weight, and
     the round counter does not move.  On centers inputs the failing round
     is one where the no-op sweep handled receivers before the solve."""
-    values = build_values(data, 64, 2, "gm")
+    values = make_dataset(data, 64, 2)
     if data == "normal":
         failing = 2
     else:

@@ -20,6 +20,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from repro.data import make_dataset
 from repro.mega import ArenaEngine, ShardedArenaEngine
 from repro.mega.engine import ArenaStats
 from repro.mega.shard import CRASH_FLAG_ENV, CRASH_SHARD_ENV
@@ -65,8 +66,7 @@ def test_sharded_matches_single_on_ring(values):
 
 
 def test_sharded_quiescence_matches_single():
-    centers = np.array([[0.0, 0.0], [8.0, 8.0], [-8.0, 8.0]])
-    values = centers[np.random.default_rng(11).integers(0, 3, size=200)]
+    values = make_dataset("centers", 200, 11)
     single = ArenaEngine(values, GaussianMixtureScheme(seed=0), 3, seed=11, use_cache=True)
     executed_single = single.run(100, stop_on_quiescence=True)
     with ShardedArenaEngine(
@@ -101,8 +101,7 @@ def test_sharded_stats_match_single(values):
 def test_sharded_stats_sum_every_worker_counter():
     """Each aggregate counter, the batched no-op sweep's included, is the
     sum of the workers' final counters after a converging 2-shard run."""
-    centers = np.array([[0.0, 0.0], [8.0, 8.0], [-8.0, 8.0]])
-    values = centers[np.random.default_rng(11).integers(0, 3, size=400)]
+    values = make_dataset("centers", 400, 11)
     with ShardedArenaEngine(
         values, GaussianMixtureScheme(seed=0), 3, seed=11, shards=2, use_cache=True
     ) as engine:

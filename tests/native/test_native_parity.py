@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 from oracle import oracle_nodes, state_bytes
 
+from repro.data import make_dataset
 from repro.network.failures import BernoulliCrashes
 from repro.network.topology import complete, ring
 from repro.obs.events import RingBufferSink
@@ -118,8 +119,7 @@ def test_crash_run_matches_oracle(engine):
 def test_agreeing_run_matches_oracle(name):
     """A 60-node ring on three exact centers reaches agreement, so every
     layer of the pipeline fires: fast path, certified no-op, full solve."""
-    centers = np.array([[0.0, 0.0], [8.0, 8.0], [-8.0, 8.0]])
-    values = centers[np.random.default_rng(11).integers(0, 3, size=60)]
+    values = make_dataset("centers", 60, 11)
     stats = _assert_matches_oracle(
         values, lambda: _scheme(name), ring(60), 30, k=3, engine="rounds"
     )

@@ -8,25 +8,18 @@ freeze bytes (weighted means keep drifting in the last ulps), which is
 why quiescence is opt-in.
 """
 
-import numpy as np
 import pytest
 
+from repro.data import make_dataset
 from repro.network.failures import ScheduledCrashes
 from repro.network.topology import complete
 from repro.protocols.classification import build_classification_network
 from repro.schemes.gm import GaussianMixtureScheme
 
-CENTERS = np.array([[0.0, 0.0], [8.0, 8.0], [-8.0, 8.0]])
-
-
-def _discrete_values(n: int, seed: int = 7) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    return CENTERS[rng.integers(0, 3, size=n)]
-
 
 def _build(n: int, engine: str, **kwargs):
     return build_classification_network(
-        _discrete_values(n),
+        make_dataset("centers", n, 7),
         GaussianMixtureScheme(seed=0),
         k=3,
         graph=complete(n),

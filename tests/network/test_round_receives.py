@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from oracle import state_bytes
 
-from repro.network.topology import TOPOLOGY_BUILDERS
+from repro.network.topology import complete
 from repro.obs.events import RingBufferSink
 from repro.protocols.classification import build_classification_network
 from repro.schemes.gm import GaussianMixtureScheme
@@ -29,7 +29,7 @@ def _four_nodes():
         values,
         GaussianMixtureScheme(seed=0),
         1,
-        graph=TOPOLOGY_BUILDERS["complete"](4),
+        graph=complete(4),
         event_sink=sink,
         merge_cache=True,
         validate=True,
@@ -101,7 +101,7 @@ def _noisy_network(engine):
         values,
         GaussianMixtureScheme(seed=0),
         2,
-        graph=TOPOLOGY_BUILDERS["complete"](24),
+        graph=complete(24),
         seed=3,
         engine=engine,
         merge_cache=False,

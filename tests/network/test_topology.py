@@ -119,3 +119,18 @@ class TestGeometricGrowth:
         """The builder grows the radius until the draw connects."""
         graph = topology.random_geometric(30, radius=0.01, seed=3)
         assert nx.is_connected(graph)
+
+
+class TestNamedTopologies:
+    @pytest.mark.parametrize("name", sorted(topology.TOPOLOGIES))
+    def test_builds_connected_within_n(self, name):
+        graph = topology.make_topology(name, 10, seed=4)
+        assert 2 <= graph.number_of_nodes() <= 10
+        assert nx.is_connected(graph)
+        again = topology.make_topology(name, 10, seed=4)
+        assert topology.neighbors_map(again) == topology.neighbors_map(graph)
+
+    def test_unknown_name_lists_the_table(self):
+        with pytest.raises(ValueError, match="unknown topology 'torus'") as error:
+            topology.make_topology("torus", 10)
+        assert all(repr(name) in str(error.value) for name in topology.TOPOLOGIES)

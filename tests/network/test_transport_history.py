@@ -20,6 +20,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.core.node import ClassifierNode
+from repro.data import make_dataset
 from repro.network.channel import Channel, InFlightMessage
 from repro.network.events import EventQueue
 from repro.network.kernel import SimulationKernel
@@ -34,8 +35,6 @@ from repro.protocols.classification import (
 )
 from repro.schemes.centroid import CentroidScheme
 from repro.schemes.gm import GaussianMixtureScheme
-
-CENTERS = np.array([[0.0, 0.0], [8.0, 8.0], [-8.0, 8.0]])
 
 
 class _EdgeLedger(EventSink):
@@ -69,7 +68,7 @@ class TestRoundSchedule:
     def _check_rounds(variant: str) -> None:
         n = 40
         crashed = 7
-        values = CENTERS[np.random.default_rng(3).integers(0, 3, size=n)]
+        values = make_dataset("centers", n, 3)
         sink = RingBufferSink(capacity=1 << 20)
         # Exact centers quiesce within the run, so the probe's in-flight
         # scan runs too; the patience keeps the run going all 30 rounds.

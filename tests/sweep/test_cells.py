@@ -1,8 +1,11 @@
-"""Built-in cell runners: the early-exit knob and runner resolution."""
+"""Built-in cell runners: the early-exit knob, runner resolution and the
+cells' inputs."""
 
 import pytest
 
-from repro.sweep.cells import classification_cell, resolve_runner
+from repro.experiments.ablations import ablation_cell
+from repro.experiments.common import FAST
+from repro.sweep.cells import classification_cell, push_sum_cell, resolve_runner
 
 
 class TestResolveRunner:
@@ -46,3 +49,19 @@ class TestEarlyExit:
         assert early["rounds_saved"] == 0
         for key, value in full.items():
             assert early[key] == value
+
+
+@pytest.mark.parametrize(
+    "cell, params",
+    [
+        (classification_cell, {"rounds": 2}),
+        (push_sum_cell, {"rounds": 2}),
+        (ablation_cell, {"mode": "topology", "scale": FAST.as_dict()}),
+    ],
+    ids=["classification", "push_sum", "ablation"],
+)
+def test_grid_cell_keeps_whole_rows(cell, params):
+    """A grid never has more nodes than the cell asks for: at n = 10 it
+    is the 3 x 3 lattice, and the cell draws one reading per node."""
+    result = cell(dict(params, n=10, seed=3, topology="grid"))
+    assert result["n"] == 9
