@@ -271,14 +271,18 @@ class IdentityCertificate:
         The batched form of :meth:`margin_ok`: a log-total vector ``t``
         (in location-index order) passes iff
         ``(t[None, :] - t[:, None] < matrix).all()`` — the diagonal is
-        ``+inf`` so the zero self-difference never fails.  Cached; None
-        when the certificate carries no margins (greedy style).
+        ``+inf`` so the zero self-difference never fails.  Finite entries
+        are tightened by a relative 1e-12, leaving a pass that log rounding
+        could decide either way to :meth:`margin_ok`.  Cached; None when
+        the certificate carries no margins (greedy style, one location).
         """
         matrix = self._threshold_matrix
         if matrix is None:
             if self._margins is None or self._slack is None:
                 return None
             matrix = np.asarray(self._margins) - np.asarray(self._slack)
+            finite = np.isfinite(matrix)
+            matrix[finite] -= 1e-12 * (1.0 + np.abs(matrix[finite]))
             np.fill_diagonal(matrix, np.inf)
             self._threshold_matrix = matrix
         return matrix

@@ -40,8 +40,6 @@ from repro.core.packed import PackedPayload, PackedState, unpack_collections
 from repro.core.receive import (
     PendingSolve,
     ReceiveBatch,
-    ReceiveRows,
-    certified_noop,
     takes_fast_path,
 )
 from repro.core.scheme import SummaryScheme, validate_partition
@@ -55,6 +53,11 @@ __all__ = ["ClassifierNode", "NodeStats"]
 
 def _unchanged() -> None:
     """The completion of a receive with nothing left to do."""
+
+
+def _pool(payloads: Sequence[PackedPayload]) -> "PackedState | PackedPayload":
+    """One receive's incoming rows: its payloads, in delivery order."""
+    return payloads[0] if len(payloads) == 1 else PackedState.concat_many(payloads)
 
 
 @dataclass(slots=True)
@@ -379,14 +382,14 @@ class ClassifierNode:
 
         The decisions are :mod:`repro.core.receive`'s, taken in this
         order: the identity fast path (below the compression bound), the
-        certified no-op, then the full solve, which is queued on
-        ``batch``.  The fast path and a no-op need nothing from the
-        batch: the node adopts their rows here, and the returned call
-        only emits their events.  A full solve is adopted by the
-        returned call, after ``batch.solve()``, with the node's own
-        work: aux rows, stats and events (``validate`` runs in the
-        batch).  Every layer yields the bytes, stats deltas and
-        ``merge`` events the full solve would; the parity suites pin
+        certified no-op, then the full solve.  A receive whose incoming
+        digests are all local ones is queued on ``batch`` as a no-op
+        candidate, which ``batch.solve()`` answers or queues for the full
+        solve; any other full solve is queued at once.  Nothing is adopted
+        here: the returned call adopts the rows after ``batch.solve()``,
+        with the node's own work (aux rows, stats, events; ``validate``
+        runs in the batch).  Every layer yields the bytes, stats deltas
+        and ``merge`` events the full solve would; the parity suites pin
         the result against the test-side Algorithm 1 oracle.
         """
         stats = self.stats
@@ -398,57 +401,77 @@ class ClassifierNode:
         if total_in == 0:
             return _unchanged
         local = self._packed
-        incoming: PackedState | PackedPayload = (
-            payloads[0] if len(payloads) == 1 else PackedState.concat_many(payloads)
-        )
-        pooled_size = len(local) + total_in
         scheme = self.scheme
+        k = self.k
+        pooled_size = len(local) + total_in
         registry = current_registry()
-        if takes_fast_path(scheme, self.k, self.quantization, local.quanta, incoming.quanta):
-            pooled = PackedState.concat_many((local, incoming))
-            if self.validate:
-                identity = [[index] for index in range(pooled_size)]
-                validate_partition(identity, pooled, self.k, self.quantization)
-            self._adopt(pooled)
-            stats.fastpath_hits += 1
-            if registry is not None:
-                registry.inc("partition.fastpath_hit")
-            return self._events_after((), "fastpath", pooled_size, None)
+        if pooled_size <= k:
+            incoming = _pool(payloads)
+            if takes_fast_path(scheme, k, self.quantization, local.quanta, incoming.quanta):
+                pooled = PackedState.concat_many((local, incoming))
+                if self.validate:
+                    identity = [[index] for index in range(pooled_size)]
+                    validate_partition(identity, pooled, k, self.quantization)
+                stats.fastpath_hits += 1
+                if registry is not None:
+                    registry.inc("partition.fastpath_hit")
+                return partial(self._adopt_fast, pooled)
         stats.fastpath_misses += 1
         if registry is not None:
             registry.inc("partition.fastpath_miss")
         cache = self.merge_cache
         if cache is not None:
-            local_digests = self._row_digests()
-            in_digests = incoming.row_digests
-            if in_digests is None:
-                digest_row = scheme.digest_row
-                in_digests = tuple(digest_row(incoming.columns, index) for index in range(total_in))
-                incoming.row_digests = in_digests
-            rows = certified_noop(
-                cache,
-                scheme,
-                self.k,
-                self.quantization,
-                local_digests,
-                local.quanta,
-                in_digests,
-                incoming.quanta,
-                local.columns,
-                lambda digest, position: (digest, scheme.unpack_summary(local.columns, position)),
-            )
-            if rows is not None:
-                cache.record_noop()
-                self._adopt_noop(rows)
-                return self._events_after(rows.group_sizes, "cache", pooled_size, "noop")
-            cache.record_miss()
-            stats.cache_misses += 1
-            if registry is not None:
-                registry.inc("merge_cache.miss")
+            local_digests = set(self._row_digests())
+            all_local = True
+            for payload in payloads:
+                if payload.row_digests is None:
+                    payload.row_digests = tuple(
+                        scheme.digest_row(payload.columns, index) for index in range(len(payload))
+                    )
+                all_local = all_local and local_digests.issuperset(payload.row_digests)
+            if all_local and pooled_size > k:
+                pending = batch.queue(
+                    scheme, k, self.quantization, self.validate, local, payloads, cache
+                )
+                return partial(self._adopt_candidate, pending, cache, pooled_size)
+            self._record_miss(cache, registry)
         return partial(
             self._adopt_solved,
-            batch.queue(scheme, self.k, self.quantization, self.validate, local, incoming),
+            batch.queue(scheme, k, self.quantization, self.validate, local, _pool(payloads)),
         )
+
+    def _record_miss(self, cache: MergeCache, registry: Any) -> None:
+        cache.record_miss()
+        self.stats.cache_misses += 1
+        if registry is not None:
+            registry.inc("merge_cache.miss")
+
+    def _adopt_fast(self, pooled: PackedState) -> None:
+        """Complete a fast-path receive: the pooled rows are the output."""
+        self._adopt(pooled)
+        if self.event_sink is not None:
+            self._emit_receive((), "fastpath", len(pooled))
+
+    def _adopt_candidate(self, pending: PendingSolve, cache: MergeCache, pooled_size: int) -> None:
+        """Complete a no-op candidate as its batch decided it.  A certified
+        no-op's rows (arrays shared, never mutated in place) are adopted
+        with the stats and events of the full solve they stand for."""
+        registry = current_registry()
+        if not pending.noop:
+            self._record_miss(cache, registry)
+            self._adopt_solved(pending)
+            return
+        rows = pending.rows
+        cache.record_noop()
+        self._adopt(PackedState(quanta=rows.quanta, columns=rows.columns, row_digests=rows.tokens))
+        stats = self.stats
+        stats.partition_calls += 1
+        stats.merges += rows.merges
+        stats.cache_noop_hits += 1
+        if registry is not None:
+            registry.inc("merge_cache.noop")
+        if self.event_sink is not None:
+            self._emit_receive(rows.group_sizes, "cache", pooled_size, "noop")
 
     def _adopt_solved(self, pending: PendingSolve) -> None:
         """Complete a full solve once its batch has solved (and validated) it."""
@@ -475,29 +498,6 @@ class ClassifierNode:
                 quanta=rows.quanta, columns=rows.columns, row_digests=rows.tokens, aux=out_aux
             )
         )
-
-    def _adopt_noop(self, rows: ReceiveRows) -> None:
-        """Adopt a certified no-op's rows with the full solve's stats.
-
-        Arrays are shared, never mutated in place (splits rebuild the
-        quanta vector; receipts assemble fresh rows).
-        """
-        self._adopt(PackedState(quanta=rows.quanta, columns=rows.columns, row_digests=rows.tokens))
-        stats = self.stats
-        stats.partition_calls += 1
-        stats.merges += rows.merges
-        stats.cache_noop_hits += 1
-        registry = current_registry()
-        if registry is not None:
-            registry.inc("merge_cache.noop")
-
-    def _events_after(
-        self, group_sizes: Sequence[int], kind: str, pooled_size: int, path: Optional[str]
-    ) -> Callable[[], None]:
-        """The completion of a receive adopted at once: its events, if anyone listens."""
-        if self.event_sink is None:
-            return _unchanged
-        return partial(self._emit_receive, group_sizes, kind, pooled_size, path)
 
     def _emit_receive(
         self,

@@ -198,7 +198,7 @@ class PackedState:
     aux: Optional[np.ndarray] = None
 
     def __len__(self) -> int:
-        return int(self.quanta.shape[0])
+        return len(self.quanta)
 
     @staticmethod
     def concat_many(
@@ -295,7 +295,7 @@ class PackedPayload:
     _materialized: Optional[List["Collection"]] = field(default=None, repr=False)
 
     def __len__(self) -> int:
-        return int(self.quanta.shape[0])
+        return len(self.quanta)
 
     def to_collections(self) -> List["Collection"]:
         """Materialise (and cache) the equivalent collection list."""

@@ -15,13 +15,15 @@ the engines holds because there is one decision to make:
   ones reduces, when an :class:`~repro.core.fingerprint.IdentityCertificate`
   proves it, to quanta arithmetic on a :class:`NoopPlan` kept on the
   run's :class:`~repro.core.fingerprint.MergeCache`;
+- :func:`sweep_noops` -- the same no-op for every receive on one local
+  block at once, as array operations;
 - :func:`solve_block` -- the full solve of any number of pooled sets held
   in one block (:func:`partition_pooled`, then :func:`merge_pooled`: one
   partition call, one merge call, and the assembly of groups into
   output rows), written into outcomes queued before the solve;
-- :class:`ReceiveBatch` -- the queue of a synchronous round's full
-  solves on :class:`~repro.core.node.ClassifierNode` receivers, solved
-  in one :func:`solve_block` call per scheme, ``k`` and lattice.
+- :class:`ReceiveBatch` -- a synchronous round's no-op candidates and
+  full solves on :class:`~repro.core.node.ClassifierNode` receivers,
+  decided and solved together.
 
 Each engine keeps what is its own: the order in which it consults its
 layers (the arena also answers a receive posed twice in one round from
@@ -47,12 +49,14 @@ __all__ = [
     "PendingSolve",
     "ReceiveBatch",
     "ReceiveRows",
+    "SWEEP_MIN_BLOCK",
     "build_noop_plan",
     "certified_noop",
     "merge_pooled",
     "noop_plan",
     "partition_pooled",
     "solve_block",
+    "sweep_noops",
     "takes_fast_path",
 ]
 
@@ -61,6 +65,14 @@ _UNSOLVED = np.empty(0, dtype=np.int64)
 
 #: ``resolve(token, position) -> (digest, summary)`` for one local row.
 Resolver = Callable[[Hashable, int], Tuple[bytes, Any]]
+
+#: Fewest receives of one local block that both engines hand to
+#: :func:`sweep_noops`; fewer cost less through :func:`certified_noop`.
+SWEEP_MIN_BLOCK = 16
+
+#: One output order of :func:`sweep_noops`: accepted candidates, tokens,
+#: quanta and group sizes (a row per candidate), columns.
+Swept = Tuple[np.ndarray, Tuple[Hashable, ...], np.ndarray, np.ndarray, Dict[str, np.ndarray]]
 
 
 class ReceiveRows:
@@ -144,7 +156,6 @@ class NoopPlan:
         "pos_of_cert",
         "style_em",
         "orders",
-        "tight_thresholds",
     )
 
     def __init__(
@@ -163,8 +174,6 @@ class NoopPlan:
         # heaviest local position (-1 for greedy style) -> None when the
         # walk cannot be certified, else (order, tokens, columns).
         self.orders: Dict[int, Any] = {}
-        # Vectorised margin thresholds, filled by the arena's sweep.
-        self.tight_thresholds: Optional[np.ndarray] = None
 
     def order_for(
         self,
@@ -338,6 +347,69 @@ def certified_noop(
     )
 
 
+def sweep_noops(
+    cache: MergeCache,
+    scheme: SummaryScheme,
+    k: int,
+    quantization: Quantization,
+    tokens: Tuple[Hashable, ...],
+    columns: Dict[str, np.ndarray],
+    local_quanta: np.ndarray,
+    incoming_tokens: np.ndarray,
+    incoming_quanta: np.ndarray,
+    widths: np.ndarray,
+    resolve: Resolver,
+) -> List[Swept]:
+    """:func:`certified_noop` for many receives on one local block, decided at once.
+
+    Candidate ``r`` holds the block (``tokens``, ``columns``) at quanta
+    ``local_quanta[r]`` and receives ``widths[r] >= 1`` rows, held
+    candidate by candidate in ``incoming_tokens`` and ``incoming_quanta``
+    (tokens numpy orders: interned ids, or digests of one width).  Each
+    candidate of a returned order gets :func:`certified_noop`'s rows.
+    The margin test is tightened, so a candidate in no order (a
+    borderline one among them) is left to :func:`certified_noop`.
+    """
+    if type(quantization) is not Quantization:
+        return []  # another lattice's minimum weight is not known here
+    plan = noop_plan(cache, scheme, k, tokens, resolve)
+    tight = None if plan is None else plan.certificate.margin_threshold_matrix()
+    if plan is None or not plan.style_em or tight is None:
+        return []
+    m = len(tokens)
+    count = len(widths)
+    owner = np.repeat(np.arange(count), widths)
+    block = np.asarray(tokens)
+    by_token = np.argsort(block, kind="stable")
+    position = by_token[np.minimum(np.searchsorted(block[by_token], incoming_tokens), m - 1)]
+    ok = (local_quanta != 1).all(axis=1) & (widths > k - m)
+    ok[owner[(block[position] != incoming_tokens) | (incoming_quanta == 1)]] = False
+    cell = owner * m + position
+    totals = local_quanta.astype(np.int64)
+    np.add.at(totals.reshape(-1), cell, incoming_quanta)
+    sizes = np.bincount(cell, minlength=count * m).reshape(count, m) + 1
+    # The heaviest location is the first local argmax, unless an incoming
+    # row is heavier: then the first incoming row of the largest weight.
+    heaviest = local_quanta.argmax(axis=1)
+    incoming_max = np.maximum.reduceat(incoming_quanta, np.cumsum(widths) - widths)
+    rows = np.flatnonzero((incoming_max > local_quanta.max(axis=1))[owner])
+    rows = rows[incoming_quanta[rows] == incoming_max[owner[rows]]]
+    first = rows[np.diff(owner[rows], prepend=-1) != 0]
+    heaviest[owner[first]] = position[first]
+    log_totals = np.empty(totals.shape)
+    log_totals[:, plan.cert_of_pos] = np.log(totals)
+    ok &= (log_totals[:, None, :] - log_totals[:, :, None] < tight).all(axis=(1, 2))
+    swept: List[Swept] = []
+    for best in np.unique(heaviest[ok]).tolist():
+        entry = plan.order_for(best, tokens, columns)
+        if entry is not None:  # certified_noop refuses the receives of a None
+            order, out_tokens, out_columns = entry
+            accepted = np.flatnonzero(ok & (heaviest == best))
+            out_quanta, out_sizes = totals[accepted][:, order], sizes[accepted][:, order]
+            swept.append((accepted, out_tokens, out_quanta, out_sizes, out_columns))
+    return swept
+
+
 # ----------------------------------------------------------------------
 # The full solve
 # ----------------------------------------------------------------------
@@ -484,48 +556,54 @@ def solve_block(
 
 
 # ----------------------------------------------------------------------
-# A synchronous round's full solves on per-node receivers
+# A synchronous round's receives on per-node receivers
 # ----------------------------------------------------------------------
-class PendingSolve:
-    """One receiver's full solve, queued on a :class:`ReceiveBatch`.
+#: A no-op candidate's rows until the batch decides it (never filled).
+_UNDECIDED = ReceiveRows.unsolved()
 
-    ``local`` and ``incoming`` are the pooled set's two parts;
-    ``rows`` is the :meth:`ReceiveRows.unsolved` outcome the batch
-    fills, and ``groups`` the grouping it found (``None`` until then).
+
+class PendingSolve:
+    """One receiver's receive, queued on a :class:`ReceiveBatch`.
+
+    ``local`` and ``incoming`` are the pooled set's two parts (a no-op
+    candidate's ``incoming`` is its payloads until the batch decides it);
+    the batch fills ``rows``, and ``groups`` or ``noop``.
     """
 
-    __slots__ = ("local", "incoming", "rows", "groups")
+    __slots__ = ("local", "incoming", "rows", "groups", "noop")
 
     def __init__(self, local: PackedState, incoming: Any) -> None:
         self.local = local
         self.incoming = incoming
-        self.rows = ReceiveRows.unsolved()
+        self.rows = _UNDECIDED
         self.groups: Optional[List[List[int]]] = None
+        self.noop = False
 
 
 class ReceiveBatch:
-    """The full solves of a synchronous round's receives, solved together.
+    """A synchronous round's receives, decided and solved together.
 
     In a round all sends precede all receives (Section 5.3), so the
     receives of one round are independent problems.  Each receiver
-    decides its receive first and queues a full solve here
-    (:meth:`queue`); :meth:`solve` then solves every queued problem of
-    one scheme, ``k``, lattice and ``validate`` setting in one
-    :func:`solve_block` call: a stack of several runs the scheme's
-    ``partition_packed_batch``, a batch of one its scalar
-    ``partition_packed``.  Problems whose rows carry digests (or aux
-    rows) and problems whose rows do not are kept apart, so every output
-    row is named exactly when a one-at-a-time solve would name it.
-
-    A batch is local to the call that decides and completes its
-    receives, and nothing outside it holds its rows, so a batch that
-    raises leaves no outcome behind.
+    decides what it can alone and queues the rest (:meth:`queue`).
+    :meth:`solve` decides the no-op candidates of each local block
+    through :func:`sweep_noops` (from :data:`SWEEP_MIN_BLOCK` of them)
+    and :func:`certified_noop`, then solves the full solves of each
+    scheme, ``k``, lattice and ``validate`` setting in one
+    :func:`solve_block` call, keeping problems whose rows carry digests
+    (or aux rows) apart from those whose rows do not, so every output
+    row is named exactly when a one-at-a-time solve would name it.  A
+    batch is local to the call that decides and completes its receives,
+    so a batch that raises leaves no outcome behind.
     """
 
-    __slots__ = ("_queues",)
+    __slots__ = ("_queues", "_candidates")
 
     def __init__(self) -> None:
+        # (scheme id, k, lattice, validate, rows named, aux rows) -> full solves
         self._queues: Dict[Tuple[Any, ...], Tuple[SummaryScheme, List[PendingSolve]]] = {}
+        # (cache id, scheme id, k, lattice, validate, local tokens) -> candidates
+        self._candidates: Dict[Tuple[Any, ...], Tuple[Any, SummaryScheme, List[PendingSolve]]] = {}
 
     def queue(
         self,
@@ -535,25 +613,32 @@ class ReceiveBatch:
         validate: bool,
         local: PackedState,
         incoming: Any,
+        cache: Optional[MergeCache] = None,
     ) -> PendingSolve:
-        """Queue the full solve pooling ``local`` with ``incoming``."""
+        """Queue the full solve pooling ``local`` with ``incoming``; with a
+        ``cache``, first as a no-op candidate: ``incoming`` is then payloads
+        whose row digests are all ``local``'s, pooling more than ``k`` rows."""
         pending = PendingSolve(local, incoming)
-        key = (
-            id(scheme),
-            k,
-            quantization,
-            validate,
-            local.row_digests is not None and incoming.row_digests is not None,
-            local.aux is not None,
-        )
-        entry = self._queues.get(key)
-        if entry is None:
-            entry = self._queues[key] = (scheme, [])
-        entry[1].append(pending)
+        if cache is None:
+            self._queue_solve(scheme, (k, quantization, validate), pending)
+        else:
+            key = (id(cache), id(scheme), k, quantization, validate, local.row_digests)
+            self._candidates.setdefault(key, (cache, scheme, []))[2].append(pending)
         return pending
 
+    def _queue_solve(
+        self, scheme: SummaryScheme, setting: Tuple[int, Quantization, bool], pending: PendingSolve
+    ) -> None:
+        local, incoming = pending.local, pending.incoming
+        pending.rows = ReceiveRows.unsolved()
+        named = local.row_digests is not None and incoming.row_digests is not None
+        key = (id(scheme), *setting, named, local.aux is not None)
+        self._queues.setdefault(key, (scheme, []))[1].append(pending)
+
     def solve(self) -> None:
-        """Solve every queued problem and fill its :class:`PendingSolve`."""
+        """Decide every no-op candidate, then solve every queued full solve."""
+        for key, (cache, scheme, pending) in self._candidates.items():
+            self._decide(cache, scheme, key[2:5], key[5], pending)
         for (_, k, quantization, validate, _, _), (scheme, pending) in self._queues.items():
             parts: List[Any] = []
             bounds = [0]
@@ -575,3 +660,48 @@ class ReceiveBatch:
             )
             for item, groups in zip(pending, groupings):
                 item.groups = groups
+
+    def _decide(
+        self,
+        cache: MergeCache,
+        scheme: SummaryScheme,
+        setting: Tuple[int, Quantization, bool],
+        tokens: Tuple[bytes, ...],
+        pending: List[PendingSolve],
+    ) -> None:
+        """Answer one local block's candidates; queue the full solves of the rest."""
+        k, quantization, _ = setting
+        columns = pending[0].local.columns  # a digest bijects with its row's bytes
+
+        def resolve(digest: Any, position: int) -> Tuple[bytes, Any]:
+            return digest, scheme.unpack_summary(columns, position)
+
+        if len(pending) >= SWEEP_MIN_BLOCK:
+            payloads = [payload for item in pending for payload in item.incoming]
+            digests = [digest for payload in payloads for digest in payload.row_digests]
+            widths = np.array([sum(map(len, item.incoming)) for item in pending])
+            local_quanta = np.concatenate([item.local.quanta for item in pending])
+            digest_array = np.frombuffer(b"".join(digests), dtype=f"S{len(digests[0])}")
+            for accepted, out_tokens, quanta, sizes, out_columns in sweep_noops(
+                cache, scheme, k, quantization, tokens, columns,
+                local_quanta.reshape(len(pending), -1), digest_array,
+                np.concatenate([payload.quanta for payload in payloads]), widths, resolve,
+            ):
+                for index, row, row_sizes in zip(accepted.tolist(), quanta, sizes.tolist()):
+                    item = pending[index]
+                    item.rows = ReceiveRows(out_tokens, row, out_columns, tuple(row_sizes))
+                    item.noop = True
+        for item in pending:
+            if item.noop:
+                continue
+            payloads = item.incoming
+            incoming = payloads[0] if len(payloads) == 1 else PackedState.concat_many(payloads)
+            item.incoming = incoming
+            rows = certified_noop(
+                cache, scheme, k, quantization, tokens, item.local.quanta,
+                incoming.row_digests, incoming.quanta, columns, resolve,
+            )
+            if rows is None:
+                self._queue_solve(scheme, setting, item)
+            else:
+                item.rows, item.noop = rows, True

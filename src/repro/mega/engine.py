@@ -47,10 +47,11 @@ import numpy as np
 from repro.core.fingerprint import MergeCache, merge_cache_default
 from repro.core.packed import PackedState
 from repro.core.receive import (
+    SWEEP_MIN_BLOCK,
     ReceiveRows,
     certified_noop,
-    noop_plan,
     solve_block,
+    sweep_noops,
     takes_fast_path,
 )
 from repro.core.weights import Quantization
@@ -203,7 +204,8 @@ class ReceiveSolver:
       and re-pools the quanta, so an exact key almost never comes back
       in a later round;
     - the core's identity fast path and certified no-op, the no-op also
-      as a vectorised sweep over receivers that share a local block;
+      as the core's sweep (:func:`~repro.core.receive.sweep_noops`) over
+      receivers that share a local block;
     - the core's full solve, batched over the round: one partition call
       for every problem left, then one ``merge_groups_columns`` call for
       every multi-member group.
@@ -277,10 +279,10 @@ class ReceiveSolver:
         ascending-sender order — the in-memory transport's batch order.
 
         Three passes.  The first resolves every receiver in order from
-        the swept no-ops (:meth:`_noop_sweep`), the round memo, the fast
-        path or a certified no-op, and queues the rest as distinct
-        problems.  The second solves the queue in one batch
-        (:meth:`_solve_queued`), interning new summaries in queue order.
+        the swept no-ops (:meth:`_sweep`), the round memo, the fast path
+        or a certified no-op, and queues the rest as distinct problems.
+        The second solves the queue in one batch (:meth:`_solve_queued`),
+        interning new summaries in queue order.
         The third scatters, and is the only pass that writes the arena,
         so a batch that raises leaves every receiver's rows as they were.
         Receivers are distinct, so no receiver reads another's new rows.
@@ -294,7 +296,7 @@ class ReceiveSolver:
         handled: Optional[np.ndarray] = None
         swept: List[_Swept] = []
         if self.merge_cache is not None and len(dests) >= 32:
-            handled = self._noop_sweep(dests, bounds, ids, quanta, swept)
+            handled, swept = self._sweep(dests, bounds, ids, quanta)
         round_memo: Dict[Any, ReceiveRows] = {}
         resolved: List[Tuple[int, ReceiveRows]] = []
         queued: List[Tuple[int, int, int, int, ReceiveRows]] = []
@@ -351,147 +353,46 @@ class ReceiveSolver:
     # ------------------------------------------------------------------
     # Batched certified no-ops
     # ------------------------------------------------------------------
-    def _noop_sweep(
-        self,
-        dests: np.ndarray,
-        bounds: np.ndarray,
-        ids: np.ndarray,
-        quanta: np.ndarray,
-        swept: List[_Swept],
-    ) -> Optional[np.ndarray]:
-        """Decide certified no-op receives in bulk; returns a handled mask.
-
-        Post-convergence almost every receiver holds the same ``k``
-        interned summaries and every incoming id matches one of them, so
-        the scalar no-op check repeats identical id-dependent work per
-        receiver.  This pass groups receivers by their local id block,
-        reads the block's :class:`~repro.core.receive.NoopPlan` (the one
-        the scalar check uses), and runs the quanta-dependent checks
-        (minimum weights, membership, heaviest location, margin test) as
-        array operations.  Each accepted group's outcome — receivers,
-        ordered tokens, quanta, and the block's reordered columns — is
-        appended to ``swept`` for :meth:`receive_slab`'s scatter pass to
-        write in one broadcast per order; the sweep itself writes no row.
-
-        Only receivers that *pass* every check are marked handled; any
-        rejection simply leaves the receiver to the scalar path, whose
-        ``math.log``-based margin decision stays authoritative.  The
-        vector margin test is tightened by a relative epsilon so a
-        borderline acceptance can never disagree with the scalar check
-        beyond log rounding — and even then a certified no-op is byte
-        identical to the full pipeline by construction, so which path
-        computes the state never changes the state.
+    def _sweep(
+        self, dests: np.ndarray, bounds: np.ndarray, ids: np.ndarray, quanta: np.ndarray
+    ) -> Tuple[np.ndarray, List[_Swept]]:
+        """Decide certified no-op receives in bulk: a handled mask, and the
+        groups :meth:`receive_slab`'s scatter pass writes.  Receivers holding
+        ``k`` rows are grouped by local id block with one stable sort; each
+        block of ``SWEEP_MIN_BLOCK`` or more is one core ``sweep_noops`` call.
         """
-        if type(self.quantization) is not Quantization:
-            return None  # exotic lattice: is_minimum semantics unknown
+        swept: List[_Swept] = []
         arena = self.arena
         cache = self.merge_cache
         assert cache is not None
         k = self.k
-        n_pos = len(dests)
-        handled = np.zeros(n_pos, dtype=bool)
-        counts_d = arena.counts[dests]
-        candidate = counts_d == k
-        if not candidate.any():
-            return handled
-        widths = np.diff(bounds)
-        pos_idx = np.flatnonzero(candidate)
-        receivers = dests[pos_idx]
-        local_ids = np.ascontiguousarray(arena.ids[receivers, :k])
-        local_quanta = arena.quanta[receivers, :k]
-        blocks = local_ids.view([("v", f"V{k * 8}")]).ravel()
-        unique_blocks, inverse = np.unique(blocks, return_inverse=True)
-        a_columns = arena.columns
         stats = self.stats
-        for block_index in range(len(unique_blocks)):
-            members_mask = inverse == block_index
-            if int(members_mask.sum()) < 16:
-                continue  # scalar path amortises better on small groups
-            sub = np.flatnonzero(members_mask)
-            block_ids = local_ids[sub[0]]
-            block_tokens = tuple(block_ids.tolist())
-            plan = noop_plan(cache, self.scheme, k, block_tokens, self._resolve)
-            if plan is None or not plan.style_em:
+        handled = np.zeros(len(dests), dtype=bool)
+        candidates = np.flatnonzero(arena.counts[dests] == k)
+        local_ids = arena.ids[dests[candidates], :k]
+        order = np.lexsort(local_ids.T[::-1])
+        ordered = local_ids[order]
+        starts = np.flatnonzero(np.append(True, (ordered[1:] != ordered[:-1]).any(axis=1)))
+        widths = np.diff(bounds)
+        for start, size in zip(starts.tolist(), np.diff(starts, append=len(order)).tolist()):
+            if size < SWEEP_MIN_BLOCK:
                 continue
-            tight = plan.tight_thresholds
-            if tight is None:
-                thresholds = plan.certificate.margin_threshold_matrix()
-                if thresholds is None:
-                    continue
-                tight = thresholds.copy()
-                finite = np.isfinite(tight)
-                tight[finite] -= 1e-12 * (1.0 + np.abs(tight[finite]))
-                plan.tight_thresholds = tight
-            sub_pos = pos_idx[sub]
-            starts = bounds[sub_pos]
-            w = widths[sub_pos]
-            r_count = len(sub)
-            total_rows = int(w.sum())
-            # Ragged gather: payload row ranges per receiver, flattened.
-            seg = np.repeat(np.arange(r_count), w)
-            rows = np.repeat(starts - (np.cumsum(w) - w), w) + np.arange(total_rows)
-            in_ids = ids[rows]
-            in_quanta = quanta[rows]
-            # Map incoming ids to local positions via the sorted block.
-            sort_order = np.argsort(block_ids, kind="stable")
-            sorted_ids = block_ids[sort_order]
-            found = np.searchsorted(sorted_ids, in_ids)
-            found = np.minimum(found, k - 1)
-            row_ok = (sorted_ids[found] == in_ids) & (in_quanta != 1)
-            in_pos = sort_order[found]
-            sub_quanta = local_quanta[sub]
-            ok = (sub_quanta != 1).all(axis=1)
-            np.logical_and.at(ok, seg, row_ok)
-            if not ok.any():
-                continue
-            # Pooled totals and per-position incoming counts.
-            totals = sub_quanta.copy()
-            hits = np.zeros((r_count, k), dtype=np.int64)
-            np.add.at(totals, (seg, in_pos), in_quanta)
-            np.add.at(hits, (seg, in_pos), 1)
-            # Heaviest location: locals in position order, then incoming
-            # rows in delivery order, strict > (first-max ties).
-            best_pos = sub_quanta.argmax(axis=1)
-            best_q = np.take_along_axis(sub_quanta, best_pos[:, None], axis=1)[:, 0]
-            for j in range(int(w.max())):
-                has = np.flatnonzero(w > j)
-                if not len(has):
-                    break
-                row_j = starts[has] + j
-                iq = quanta[row_j]
-                ip_found = np.minimum(np.searchsorted(sorted_ids, ids[row_j]), k - 1)
-                beat = np.flatnonzero(iq > best_q[has])
-                target = has[beat]
-                best_q[target] = iq[beat]
-                best_pos[target] = sort_order[ip_found[beat]]
-            # Margin test, tightened so only clear passes are accepted.
-            log_totals = np.log(totals)
-            cert_totals = np.empty_like(log_totals)
-            cert_totals[:, plan.cert_of_pos] = log_totals
-            diffs = cert_totals[:, None, :] - cert_totals[:, :, None]
-            ok &= (diffs < tight[None]).all(axis=(1, 2))
-            if not ok.any():
-                continue
-            for b in np.unique(best_pos[ok]).tolist():
-                accepted = np.flatnonzero(ok & (best_pos == b))
-                out = receivers[sub[accepted]]
-                # The block's columns, as any of its receivers holds them.
-                entry = plan.order_for(
-                    b,
-                    block_tokens,
-                    {name: column[out[0], :k] for name, column in a_columns.items()},
-                )
-                if entry is None:
-                    continue  # the scalar path rejects identically
-                order, out_tokens, out_columns = entry
-                swept.append((out, out_tokens, totals[accepted][:, order], out_columns))
-                handled[sub_pos[accepted]] = True
-                hit_count = len(accepted)
-                stats.receivers += hit_count
-                stats.noop_hits += hit_count
-                stats.noop_sweep_hits += hit_count
-                stats.merges += int((hits[accepted] > 0).sum())
-        return handled
+            at = candidates[order[start : start + size]]
+            receivers = dests[at]
+            owner, slot = _ragged(widths[at])
+            rows = bounds[at][owner] + slot
+            block = {name: column[receivers[0], :k] for name, column in arena.columns.items()}
+            for accepted, tokens, out_quanta, sizes, columns in sweep_noops(
+                cache, self.scheme, k, self.quantization, tuple(ordered[start].tolist()), block,
+                arena.quanta[receivers, :k], ids[rows], quanta[rows], widths[at], self._resolve,
+            ):
+                swept.append((receivers[accepted], tokens, out_quanta, columns))
+                handled[at[accepted]] = True
+                stats.receivers += len(accepted)
+                stats.noop_hits += len(accepted)
+                stats.noop_sweep_hits += len(accepted)
+                stats.merges += int((sizes > 1).sum())
+        return handled, swept
 
     # ------------------------------------------------------------------
     # One distinct receive problem

@@ -323,8 +323,8 @@ class SimulationKernel(Network):
         Checks the edge first (a non-edge raises :class:`KeyError` before
         anything changes), then asks ``source``'s protocol for a payload
         (which may legally be ``None`` — nothing sendable), hands it to
-        the transport, and counts and emits the ``send``.  With no
-        ``deliver_time`` the payload is due at the next
+        the transport with the checked edge, and counts and emits the
+        ``send``.  With no ``deliver_time`` the payload is due at the next
         :meth:`flush_deliveries` (the round schedule); otherwise it
         travels in an envelope on the directed channel, delivered at
         ``deliver_time``, an absolute time or a thunk.  The thunk is only
@@ -334,7 +334,8 @@ class SimulationKernel(Network):
         with span("kernel.transport"):
             # Making the payload splits the source's weight, so a refused
             # send must be refused before it.
-            if self.neighbor_index(source, destination) is None:
+            edge = self.neighbor_index(source, destination)
+            if edge is None:
                 raise KeyError(f"no edge {source}->{destination} in the topology")
             payload = self.protocols[source].make_payload()
             if payload is None:
@@ -343,7 +344,7 @@ class SimulationKernel(Network):
             if callable(deliver_time):
                 deliver_time = deliver_time()
             deliver_at = None if deliver_time is None else float(deliver_time)
-            self.transport.send(source, destination, payload, send_time, deliver_at)
+            self.transport.send(source, destination, payload, send_time, deliver_at, edge)
             items = self.payload_size(payload)
             self.metrics.record_send(items)
             self._emit("send", node=source, peer=destination, items=items)
@@ -360,16 +361,17 @@ class SimulationKernel(Network):
         already taken ``payloads`` (sent by ``sources``, in the same
         order) out of its round buffer or off their channels.  Three
         passes: every live receiver decides its receive
-        (``defer_receive``), queueing any full solve on one
-        :class:`~repro.core.receive.ReceiveBatch`; the batch is
-        solved; then, destination by destination, the drops or
-        deliveries are recorded and emitted and the receiver completes
-        its receive.  Receivers are distinct and nothing they decide
-        depends on another's result, so the state is a one-at-a-time
-        loop's, and so is the event stream, which only the last pass
-        writes.  The batch is local to this call and no receive outcome
-        outlives it, so a decision or a solve that raises leaves no
-        outcome behind.
+        (``defer_receive``), queueing what it cannot decide alone on one
+        :class:`~repro.core.receive.ReceiveBatch`; the batch is solved;
+        then, destination by destination, the drops or deliveries are
+        recorded and emitted and the receiver completes its receive,
+        which is where it adopts its rows.  Receivers are distinct and
+        nothing they decide depends on another's result, so the state is
+        a one-at-a-time loop's, and so is the event stream, which only
+        the last pass writes.  The batch is local to this call and no
+        receive outcome outlives it, so a decision or a solve that raises
+        leaves every receiver as it was and no outcome behind; the round
+        transport then hands the payloads back to its round buffer.
         """
         with span("kernel.receive"):
             batch = ReceiveBatch()

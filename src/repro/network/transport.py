@@ -142,10 +142,12 @@ class SimulationTransport(Transport):
         payload: Any,
         send_time: float,
         deliver_at: Optional[float],
+        edge: Optional[int] = None,
     ) -> Optional[InFlightMessage]:
         """Put one payload in flight: ``deliver_at=None`` means due at the
         next :meth:`flush_deliveries` (the round schedule) and returns
-        ``None``; a time schedules delivery in the envelope returned."""
+        ``None``; a time schedules delivery in the envelope returned.
+        A caller that has checked the edge passes its ``edge`` index."""
 
     @abc.abstractmethod
     def flush_deliveries(self) -> None:
@@ -195,9 +197,10 @@ class InMemoryTransport(SimulationTransport):
     it is sent.  So :meth:`in_flight_payloads` (the round buffer and
     :attr:`channels`) costs O(messages in flight) however long the run.
 
-    Every send checks its edge with
+    A send checks its edge with
     :meth:`~repro.network.simulator.Network.neighbor_index` (a bisect of
-    the kernel's sorted neighbour tuples), and a non-edge raises
+    the kernel's sorted neighbour tuples) unless its caller passes the
+    ``edge`` it checked, and a non-edge raises
     :class:`KeyError`.  The edges used so far are one integer bit mask per
     source over its neighbour positions: no per-edge object for the
     garbage collector to walk, and at most one bit per directed edge.
@@ -257,9 +260,12 @@ class InMemoryTransport(SimulationTransport):
         payload: Any,
         send_time: float,
         deliver_at: Optional[float],
+        edge: Optional[int] = None,
     ) -> Optional[InFlightMessage]:
+        if edge is None:
+            edge = self._edge_index(source, destination)
         if deliver_at is None:
-            self._mark_used(source, self._edge_index(source, destination))
+            self._mark_used(source, edge)
             self._due_to.append(destination)
             self._due_from.append(source)
             self._due_payloads.append(payload)
@@ -272,11 +278,10 @@ class InMemoryTransport(SimulationTransport):
         else:
             # The edge's only message in flight: its channel joins the
             # registry, and a first use joins the source's mask.
-            index = self._edge_index(source, destination)
             channel = Channel(source, destination, fifo=self.kernel.fifo)
             message = channel.send(payload, send_time, deliver_at)
             self.channels[key] = channel
-            self._mark_used(source, index)
+            self._mark_used(source, edge)
         self.kernel.queue.push(message.deliver_time, _Delivery(channel, message))
         self.stats.frames_sent += 1
         return message
@@ -290,7 +295,8 @@ class InMemoryTransport(SimulationTransport):
         (the paper's "accumulate all the received collections and run EM
         once for the entire set"), and the kernel completes the round's
         batches in one call, in destination order.  Timed envelopes stay
-        on the event queue."""
+        on the event queue.  A round whose receives raise adopted nothing:
+        its payloads go back in the round buffer before the error does."""
         destinations, sources, payloads = self._due_to, self._due_from, self._due_payloads
         self._due_to, self._due_from, self._due_payloads = [], [], []
         batches: dict[int, tuple[int, list[int], list[Any]]] = {}
@@ -301,8 +307,13 @@ class InMemoryTransport(SimulationTransport):
             else:
                 batch[1].append(source)
                 batch[2].append(payload)
+        try:
+            self.kernel.complete_deliveries([batches[key] for key in sorted(batches)])
+        except BaseException:
+            self._due_to[:0], self._due_from[:0] = destinations, sources
+            self._due_payloads[:0] = payloads
+            raise
         self.stats.frames_received += len(destinations)
-        self.kernel.complete_deliveries([batches[destination] for destination in sorted(batches)])
 
     def dispatch_delivery(
         self, channel: Channel, message: InFlightMessage, coalesce_at: Optional[float] = None

@@ -7,6 +7,8 @@ order, quanta, group sizes and row bytes.  The blocks below mix tight,
 unit and wide spreads (tight ones fail the margin test), locations on a
 grid (equidistant seeds tie), one-quantum rows (conformance rule 2) and
 lopsided weights, so both the acceptances and the refusals get tested.
+``sweep_noops`` decides many receives of one block at once; it may
+accept only what ``certified_noop`` accepts, with the same rows.
 
 A receive's outcome lives for the round that computed it and no longer:
 neither engine keeps outcomes across rounds.
@@ -23,7 +25,13 @@ from hypothesis import strategies as st
 
 from repro.core.fingerprint import MergeCache
 from repro.core.packed import PackedState
-from repro.core.receive import ReceiveRows, certified_noop, merge_pooled, partition_pooled
+from repro.core.receive import (
+    ReceiveRows,
+    certified_noop,
+    merge_pooled,
+    partition_pooled,
+    sweep_noops,
+)
 from repro.core.weights import Quantization
 from repro.mega import ArenaEngine
 from repro.network.topology import complete
@@ -59,23 +67,64 @@ def _block(scheme, points, spread):
     return columns, tokens
 
 
-def _noop_and_full_solve(scheme, k, columns, tokens, local_quanta, incoming):
-    """The core's no-op (or None) and its full solve of the same pooled rows."""
-    positions = [position for position, _ in incoming]
-    in_tokens = tuple(tokens[position] for position in positions)
-    in_quanta = [weight for _, weight in incoming]
-    noop = certified_noop(
+#: A row token no block holds.
+FOREIGN = b"\xff" * 16
+
+
+def _resolver(scheme, columns):
+    return lambda token, position: (token, scheme.unpack_summary(columns, position))
+
+
+def _incoming_tokens(tokens, incoming):
+    return tuple(FOREIGN if position < 0 else tokens[position] for position, _ in incoming)
+
+
+def _noop(scheme, k, columns, tokens, local_quanta, incoming):
+    """The core's certified no-op of one receive, or None."""
+    return certified_noop(
         MergeCache(),
         scheme,
         k,
         QUANTIZATION,
         tokens,
         np.asarray(local_quanta, dtype=np.int64),
-        in_tokens,
-        np.asarray(in_quanta, dtype=np.int64),
+        _incoming_tokens(tokens, incoming),
+        np.asarray([weight for _, weight in incoming], dtype=np.int64),
         columns,
-        lambda token, position: (token, scheme.unpack_summary(columns, position)),
+        _resolver(scheme, columns),
     )
+
+
+def _swept(scheme, k, columns, tokens, receives):
+    """``sweep_noops`` over every ``(local_quanta, incoming)`` receive of
+    one block at once: each receive's rows, or None where it is left."""
+    out = [None] * len(receives)
+    in_tokens = [token for _, rows in receives for token in _incoming_tokens(tokens, rows)]
+    for accepted, out_tokens, quanta, sizes, out_columns in sweep_noops(
+        MergeCache(),
+        scheme,
+        k,
+        QUANTIZATION,
+        tokens,
+        columns,
+        np.asarray([local for local, _ in receives], dtype=np.int64),
+        np.array(in_tokens),
+        np.asarray([weight for _, incoming in receives for _, weight in incoming], dtype=np.int64),
+        np.asarray([len(incoming) for _, incoming in receives]),
+        _resolver(scheme, columns),
+    ):
+        for index, row_quanta, row_sizes in zip(accepted.tolist(), quanta, sizes.tolist()):
+            assert out[index] is None
+            out[index] = ReceiveRows(out_tokens, row_quanta, out_columns, tuple(row_sizes))
+    return out
+
+
+def _noop_and_full_solve(scheme, k, columns, tokens, local_quanta, incoming):
+    """The core's no-op (or None) and its full solve of the same pooled rows."""
+    positions = [position for position, _ in incoming]
+    in_tokens = tuple(tokens[position] for position in positions)
+    in_quanta = [weight for _, weight in incoming]
+    noop = _noop(scheme, k, columns, tokens, local_quanta, incoming)
     take = np.asarray(list(range(len(tokens))) + positions, dtype=np.intp)
     pooled = PackedState(
         quanta=np.asarray(local_quanta + in_quanta, dtype=np.int64),
@@ -98,20 +147,27 @@ def _assert_same_rows(noop, full):
 
 @st.composite
 def receives(draw, dimension, spreads):
+    """A block, one receive on it, and more receives on it for the sweep;
+    position -1 names a row the block does not hold."""
     k = draw(st.integers(min_value=1, max_value=4))
     m = draw(st.integers(min_value=1, max_value=k))
     grid = st.tuples(*[st.integers(min_value=-2, max_value=2)] * dimension)
     points = draw(st.lists(grid, min_size=m, max_size=m, unique=True))
     spread = draw(st.sampled_from(spreads))
-    local_quanta = draw(st.lists(WEIGHTS, min_size=m, max_size=m))
-    incoming = draw(
-        st.lists(
-            st.tuples(st.integers(min_value=0, max_value=m - 1), WEIGHTS),
-            min_size=1,
-            max_size=6,
-        )
-    )
-    return k, points, spread, local_quanta, incoming
+
+    def receive(positions):
+        local_quanta = draw(st.lists(WEIGHTS, min_size=m, max_size=m))
+        # Incoming rows as heavy as a local one tie for the heaviest location.
+        weights = st.one_of(WEIGHTS, st.sampled_from(local_quanta))
+        incoming = draw(st.lists(st.tuples(positions, weights), min_size=1, max_size=6))
+        return local_quanta, incoming
+
+    local_quanta, incoming = receive(st.integers(min_value=0, max_value=m - 1))
+    others = [
+        receive(st.integers(min_value=-1, max_value=m - 1))
+        for _ in range(draw(st.integers(min_value=0, max_value=4)))
+    ]
+    return k, points, spread, local_quanta, incoming, others
 
 
 @pytest.mark.parametrize("make_scheme, dimension, spreads", SCHEMES)
@@ -125,12 +181,18 @@ def test_certified_noop_equals_full_solve(make_scheme, dimension, spreads):
     )
     @given(receives(dimension, spreads))
     def check(receive):
-        k, points, spread, local_quanta, incoming = receive
+        k, points, spread, local_quanta, incoming, others = receive
         columns, tokens = _block(scheme, points, spread)
         assume(len(set(tokens)) == len(tokens))
         noop, full = _noop_and_full_solve(scheme, k, columns, tokens, local_quanta, incoming)
         if noop is not None:
             _assert_same_rows(noop, full)
+        receives = [(local_quanta, incoming)] + others
+        for (local, rows), swept in zip(receives, _swept(scheme, k, columns, tokens, receives)):
+            if swept is not None:
+                noop = _noop(scheme, k, columns, tokens, local, rows)
+                assert noop is not None
+                _assert_same_rows(swept, noop)
 
     check()
 

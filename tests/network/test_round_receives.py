@@ -1,12 +1,14 @@
 """A synchronous round's receives are decided one by one and solved together.
 
 ``SimulationKernel.complete_deliveries`` lets every receiver of a round
-decide its receive, solves the queued full solves in one batch, then
-records and applies the receives in destination order.  The state, the
-merge cache's counters and the event stream must be a one-at-a-time
-loop's, and the solves must really be batched: one partition call and
-one merge call per round, while the event-driven schedule keeps posing
-one problem per call.
+decide its receive, decides the queued no-op candidates and solves the
+queued full solves in one batch, then records and applies the receives
+in destination order.  The state, the merge cache's counters and the
+event stream must be a one-at-a-time loop's, and the work must really
+be batched: one partition call and one merge call per round, the no-ops
+of a large local block in one sweep, while the event-driven schedule
+keeps posing one problem per call.  A round that raises before its
+receives are applied adopts nothing and keeps its payloads in flight.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ import numpy as np
 import pytest
 from oracle import state_bytes
 
+import repro.core.receive as receive
+from repro.data import make_dataset
 from repro.network.topology import complete
 from repro.obs.events import RingBufferSink
 from repro.protocols.classification import build_classification_network
@@ -153,3 +157,65 @@ def test_round_whose_decision_raises_adopts_nothing_and_its_retry_solves():
     assert nodes[0].stats.partition_calls == 1
     assert nodes[0].stats.cache_misses == 2
     assert sum(c.quanta for c in nodes[0].classification) == nodes[0].quantization.unit * 3 // 2
+
+
+def test_round_whose_batch_raises_keeps_its_weight(monkeypatch):
+    """A 64-node GM round whose batched partition raises adopts nothing
+    and hands its payloads back, so no weight is lost; its retry solves."""
+    values = np.random.default_rng(5).normal(size=(64, 2))
+    kernel, nodes = build_classification_network(
+        values, GaussianMixtureScheme(seed=0), 3, graph=complete(64), seed=2, merge_cache=True
+    )
+    kernel.run(2)
+    unit = nodes[0].quantization.unit
+
+    def weight():
+        at_nodes = sum(node.total_quanta for node in nodes)
+        return at_nodes + sum(int(payload.quanta.sum()) for payload in kernel.in_flight_payloads())
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("refused")
+
+    monkeypatch.setattr(GaussianMixtureScheme, "partition_packed_batch", refuse)
+    with pytest.raises(RuntimeError, match="refused"):
+        kernel.run(1)
+    assert kernel.scheduler.round_index == 2
+    assert kernel.in_flight_payloads() != []
+    assert weight() == 64 * unit
+    monkeypatch.undo()
+    kernel.run(1)
+    assert kernel.scheduler.round_index == 3
+    assert kernel.in_flight_payloads() == []
+    assert weight() == 64 * unit
+
+
+def test_round_sweeps_a_large_blocks_noops(monkeypatch):
+    """200 exact-center nodes past quiescence: the core sweep answers
+    receives in bulk, and the run keeps the bytes and events of the run
+    without the merge cache."""
+    answered = []
+
+    def spy(*args):
+        swept = sweep(*args)
+        answered.append(sum(len(accepted) for accepted, *_ in swept))
+        return swept
+
+    sweep = receive.sweep_noops
+    monkeypatch.setattr(receive, "sweep_noops", spy)
+    runs = {}
+    for merge_cache in (True, False):
+        sink = RingBufferSink(capacity=1 << 21)
+        kernel, nodes = build_classification_network(
+            make_dataset("centers", 200, 4),
+            GaussianMixtureScheme(seed=0),
+            3,
+            graph=complete(200),
+            seed=6,
+            merge_cache=merge_cache,
+            event_sink=sink,
+        )
+        kernel.run(40)
+        events = [event.to_json_dict() for event in sink.events if event.kind != "cache"]
+        runs[merge_cache] = ([state_bytes(node) for node in nodes], events)
+    assert runs[True] == runs[False]
+    assert sum(answered) > 1000
