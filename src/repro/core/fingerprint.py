@@ -51,6 +51,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 
 __all__ = [
     "digest_arrays",
+    "digest_array_rows",
     "combine_digests",
     "state_fingerprint_of",
     "IdentityCertificate",
@@ -117,6 +118,23 @@ def digest_arrays(*arrays: np.ndarray) -> bytes:
         hasher.update(prefix)
         hasher.update(contiguous.tobytes())
     return hasher.digest()
+
+
+def digest_array_rows(*columns: np.ndarray) -> list[bytes]:
+    """:func:`digest_arrays` of row ``i`` of every column, for each row ``i``:
+    every row's bytes, shape prefixes included, laid out in one table."""
+    count = len(columns[0])
+    parts = []
+    for column in columns:
+        prefix = np.frombuffer(repr(column.shape[1:] or (1,)).encode(), dtype=np.uint8)
+        rows = np.ascontiguousarray(column, dtype=float).reshape(count, column[:1].size)
+        parts += [np.broadcast_to(prefix, (count, len(prefix))), rows.view(np.uint8)]
+    table = np.concatenate(parts, axis=1)
+    flat, width = memoryview(table.reshape(-1)), table.shape[1]
+    return [
+        blake2b(flat[at : at + width], digest_size=DIGEST_SIZE).digest()
+        for at in range(0, count * width, width)
+    ]
 
 
 def combine_digests(digests: Iterable[bytes]) -> bytes:

@@ -37,11 +37,7 @@ from repro.core.collection import Collection
 from repro.core.fingerprint import MergeCache, combine_digests, state_fingerprint_of
 from repro.core.mixture import MixtureVector
 from repro.core.packed import PackedPayload, PackedState, unpack_collections
-from repro.core.receive import (
-    PendingSolve,
-    ReceiveBatch,
-    takes_fast_path,
-)
+from repro.core.receive import PendingSolve, QueuedBlock, ReceiveBatch, takes_fast_path
 from repro.core.scheme import SummaryScheme, validate_partition
 from repro.core.weights import Quantization
 from repro.obs.context import current_sink
@@ -53,11 +49,6 @@ __all__ = ["ClassifierNode", "NodeStats"]
 
 def _unchanged() -> None:
     """The completion of a receive with nothing left to do."""
-
-
-def _pool(payloads: Sequence[PackedPayload]) -> "PackedState | PackedPayload":
-    """One receive's incoming rows: its payloads, in delivery order."""
-    return payloads[0] if len(payloads) == 1 else PackedState.concat_many(payloads)
 
 
 @dataclass(slots=True)
@@ -216,10 +207,7 @@ class ClassifierNode:
         """Per-row digests of the packed state, computed at most once."""
         packed = self._packed
         if packed.row_digests is None:
-            digest_row = self.scheme.digest_row
-            packed.row_digests = tuple(
-                digest_row(packed.columns, index) for index in range(len(packed))
-            )
+            packed.row_digests = tuple(self.scheme.digest_rows(packed.columns))
         return packed.row_digests
 
     def summary_digests(self) -> Optional[tuple[bytes, ...]]:
@@ -406,9 +394,9 @@ class ClassifierNode:
         pooled_size = len(local) + total_in
         registry = current_registry()
         if pooled_size <= k:
-            incoming = _pool(payloads)
-            if takes_fast_path(scheme, k, self.quantization, local.quanta, incoming.quanta):
-                pooled = PackedState.concat_many((local, incoming))
+            pooled = PackedState.concat_many((local, *payloads))
+            incoming_quanta = pooled.quanta[len(local) :]
+            if takes_fast_path(scheme, k, self.quantization, local.quanta, incoming_quanta):
                 if self.validate:
                     identity = [[index] for index in range(pooled_size)]
                     validate_partition(identity, pooled, k, self.quantization)
@@ -425,19 +413,17 @@ class ClassifierNode:
             all_local = True
             for payload in payloads:
                 if payload.row_digests is None:
-                    payload.row_digests = tuple(
-                        scheme.digest_row(payload.columns, index) for index in range(len(payload))
-                    )
+                    payload.row_digests = tuple(scheme.digest_rows(payload.columns))
                 all_local = all_local and local_digests.issuperset(payload.row_digests)
             if all_local and pooled_size > k:
-                pending = batch.queue(
+                pending = batch.queue_candidate(
                     scheme, k, self.quantization, self.validate, local, payloads, cache
                 )
                 return partial(self._adopt_candidate, pending, cache, pooled_size)
             self._record_miss(cache, registry)
         return partial(
             self._adopt_solved,
-            batch.queue(scheme, k, self.quantization, self.validate, local, _pool(payloads)),
+            *batch.queue(scheme, k, self.quantization, self.validate, local, payloads),
         )
 
     def _record_miss(self, cache: MergeCache, registry: Any) -> None:
@@ -457,11 +443,11 @@ class ClassifierNode:
         no-op's rows (arrays shared, never mutated in place) are adopted
         with the stats and events of the full solve they stand for."""
         registry = current_registry()
-        if not pending.noop:
-            self._record_miss(cache, registry)
-            self._adopt_solved(pending)
-            return
         rows = pending.rows
+        if rows is None:
+            self._record_miss(cache, registry)
+            self._adopt_solved(*pending.solve)  # type: ignore[misc]
+            return
         cache.record_noop()
         self._adopt(PackedState(quanta=rows.quanta, columns=rows.columns, row_digests=rows.tokens))
         stats = self.stats
@@ -473,31 +459,28 @@ class ClassifierNode:
         if self.event_sink is not None:
             self._emit_receive(rows.group_sizes, "cache", pooled_size, "noop")
 
-    def _adopt_solved(self, pending: PendingSolve) -> None:
-        """Complete a full solve once its batch has solved (and validated) it."""
-        rows = pending.rows
+    def _adopt_solved(self, block: QueuedBlock, problem: int) -> None:
+        """Complete a full solve once its block has been solved (and validated)."""
+        solved = block.solved
+        assert solved is not None
+        tokens, quanta, columns, sizes = solved.problem(problem)
         stats = self.stats
         stats.partition_calls += 1
-        stats.merges += rows.merges
+        stats.merges += len(sizes) - sizes.count(1)
         if self.event_sink is not None:
-            self._emit_receive(rows.group_sizes)
+            self._emit_receive(sizes)
         out_aux = None
-        local_aux = pending.local.aux
-        if local_aux is not None:
-            aux = np.concatenate([local_aux, pending.incoming.aux])
+        if block.aux is not None:
+            aux = block.aux[block.bounds[problem] :]
             out_aux = np.stack(
                 [
                     aux[group[0]]
                     if len(group) == 1
                     else MixtureVector.sum_of(MixtureVector(aux[i]) for i in group).components
-                    for group in pending.groups  # type: ignore[union-attr]
+                    for group in solved.groups(problem)
                 ]
             )
-        self._adopt(
-            PackedState(
-                quanta=rows.quanta, columns=rows.columns, row_digests=rows.tokens, aux=out_aux
-            )
-        )
+        self._adopt(PackedState(quanta=quanta, columns=columns, row_digests=tokens, aux=out_aux))
 
     def _emit_receive(
         self,

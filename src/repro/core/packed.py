@@ -40,11 +40,38 @@ __all__ = [
     "PackedState",
     "PackedPayload",
     "unpack_collections",
+    "flatten_groups",
+    "split_groups",
     "SLAB_HEADER_BYTES",
     "slab_region_bytes",
     "write_payload_slab",
     "read_payload_slab",
 ]
+
+def flatten_groups(
+    groupings: Sequence[Sequence[Sequence[int]]], bounds: Sequence[int]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-problem groupings (indices relative to each problem's first row
+    ``bounds[p]``) as one *flat grouping* of the block: ``members``, the
+    rows group by group, problem by problem, and each group's ``sizes``."""
+    members = [base + row for base, groups in zip(bounds, groupings) for g in groups for row in g]
+    sizes = [len(group) for groups in groupings for group in groups]
+    return np.array(members, dtype=np.intp), np.array(sizes, dtype=np.intp)
+
+
+def split_groups(
+    members: np.ndarray, sizes: np.ndarray, bounds: Sequence[int]
+) -> List[List[List[int]]]:
+    """The inverse of :func:`flatten_groups` (``members`` from problem 0's
+    first row on): one list of groups per problem."""
+    ends = np.cumsum(sizes)
+    cuts = np.searchsorted(ends, np.subtract(bounds, bounds[0]), side="right")
+    groups = np.split(members, ends[:-1])
+    return [
+        [(group - low).tolist() for group in groups[a:b]]
+        for low, a, b in zip(bounds, cuts[:-1], cuts[1:])
+    ]
+
 
 # ---------------------------------------------------------------------------
 # Payload slabs: packed dest/quanta/column rows in one contiguous buffer.

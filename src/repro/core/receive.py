@@ -18,9 +18,8 @@ the engines holds because there is one decision to make:
 - :func:`sweep_noops` -- the same no-op for every receive on one local
   block at once, as array operations;
 - :func:`solve_block` -- the full solve of any number of pooled sets held
-  in one block (:func:`partition_pooled`, then :func:`merge_pooled`: one
-  partition call, one merge call, and the assembly of groups into
-  output rows), written into outcomes queued before the solve;
+  in one block: one partition call into one flat grouping, one merge
+  call, and array operations that build a :class:`SolvedBlock`;
 - :class:`ReceiveBatch` -- a synchronous round's no-op candidates and
   full solves on :class:`~repro.core.node.ClassifierNode` receivers,
   decided and solved together.
@@ -39,7 +38,7 @@ from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tupl
 import numpy as np
 
 from repro.core.fingerprint import MISSING, IdentityCertificate, MergeCache
-from repro.core.packed import PackedState
+from repro.core.packed import PackedState, flatten_groups, split_groups
 from repro.core.scheme import SummaryScheme, validate_partition
 from repro.core.weights import Quantization
 from repro.obs.profiling import span
@@ -47,9 +46,11 @@ from repro.obs.profiling import span
 __all__ = [
     "NoopPlan",
     "PendingSolve",
+    "QueuedBlock",
     "ReceiveBatch",
     "ReceiveRows",
     "SWEEP_MIN_BLOCK",
+    "SolvedBlock",
     "build_noop_plan",
     "certified_noop",
     "merge_pooled",
@@ -59,9 +60,6 @@ __all__ = [
     "sweep_noops",
     "takes_fast_path",
 ]
-
-#: Placeholder arrays of a queued solve's rows (never mutated).
-_UNSOLVED = np.empty(0, dtype=np.int64)
 
 #: ``resolve(token, position) -> (digest, summary)`` for one local row.
 Resolver = Callable[[Hashable, int], Tuple[bytes, Any]]
@@ -76,18 +74,13 @@ Swept = Tuple[np.ndarray, Tuple[Hashable, ...], np.ndarray, np.ndarray, Dict[str
 
 
 class ReceiveRows:
-    """One receive's output rows, in output order.
+    """A fast-path or no-op receive's output rows, in output order.
 
-    ``tokens`` names each row (``None`` when the pooled rows carried no
-    tokens),
-    ``quanta`` weighs it, ``columns`` holds its packed summary, and
-    ``group_sizes`` counts the pooled rows behind it; every group of more
-    than one row is one merge.  Arrays are never mutated in place, so
-    one instance may serve every receive that produces it -- the arena's
-    round memo hands it to every receiver of a round that poses its
-    problem.  A full solve's instance is :meth:`unsolved` until
-    :func:`solve_block` fills it in place: receives are decided, and
-    their solves queued, before the round's block is solved.
+    ``tokens`` names each row, ``quanta`` weighs it, ``columns`` holds its
+    packed summary, and ``group_sizes`` counts the pooled rows behind it;
+    every group of more than one row is one merge.  Arrays are never
+    mutated in place, so the arena's round memo hands one instance to
+    every receiver of a round that poses its problem.
     """
 
     __slots__ = ("tokens", "quanta", "columns", "group_sizes", "merges")
@@ -104,11 +97,6 @@ class ReceiveRows:
         self.columns = columns
         self.group_sizes = group_sizes
         self.merges = len(group_sizes) - group_sizes.count(1)
-
-    @classmethod
-    def unsolved(cls) -> "ReceiveRows":
-        """A queued full solve's rows, empty until its block is solved."""
-        return cls(None, _UNSOLVED, {}, ())
 
 
 def takes_fast_path(
@@ -415,98 +403,96 @@ def sweep_noops(
 # ----------------------------------------------------------------------
 def partition_pooled(
     scheme: SummaryScheme,
-    problems: Sequence[PackedState],
+    pooled: PackedState,
+    bounds: Sequence[int],
     k: int,
     quantization: Quantization,
-) -> List[List[List[int]]]:
-    """Algorithm 1 line 10 for every pending pooled set, in one call.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Algorithm 1 line 10 for every problem of one pooled block, as one
+    flat grouping (:func:`~repro.core.packed.flatten_groups`).
 
-    One problem runs the scheme's scalar ``partition_packed``; several
-    run ``partition_packed_batch``, which solves them in stacks and
-    returns the groups each would get alone.  The choice is by problem
-    count: a stack of one pays the stack's bookkeeping for nothing (see
-    ``docs/performance.md``, "Batched solves").
+    Problem ``p`` pools rows ``bounds[p]:bounds[p+1]``.  One problem runs
+    the scheme's scalar ``partition_packed``, several one
+    ``partition_packed_batch`` call: a block of one pays the stack's
+    bookkeeping for nothing (``docs/performance.md``, "Batched solves").
     """
-    if len(problems) == 1:
-        return [scheme.partition_packed(problems[0], k, quantization)]
-    return scheme.partition_packed_batch(problems, k, quantization)
+    if len(bounds) == 2:
+        return flatten_groups([scheme.partition_packed(pooled, k, quantization)], bounds)
+    return scheme.partition_packed_batch(pooled, bounds, k, quantization)
+
+
+class SolvedBlock:
+    """Every output row of one block's problems, in output order.
+
+    Problem ``p`` pooled rows ``bounds[p]:bounds[p+1]`` and owns output
+    rows ``cuts[p]:cuts[p+1]``: ``tokens`` names each (``None`` without
+    pooled tokens), ``quanta`` weighs it, ``columns`` holds it, and
+    ``sizes`` counts its pooled rows, listed in ``members``.  Arrays are
+    never mutated in place, so a problem's rows are views of the block's.
+    """
+
+    __slots__ = ("tokens", "quanta", "columns", "members", "sizes", "bounds", "cuts")
+
+    def __init__(
+        self, tokens: Optional[np.ndarray], quanta: np.ndarray, columns: Dict[str, np.ndarray],
+        members: np.ndarray, sizes: np.ndarray, bounds: Sequence[int],
+    ) -> None:
+        self.tokens, self.quanta, self.columns = tokens, quanta, columns
+        self.members, self.sizes, self.bounds = members, sizes, bounds
+        self.cuts = np.searchsorted(np.cumsum(sizes), bounds, side="right").tolist()
+
+    def problem(self, p: int) -> Tuple[Any, np.ndarray, Dict[str, np.ndarray], Tuple[int, ...]]:
+        """Problem ``p``'s output tokens, quanta, columns and group sizes."""
+        low, high = self.cuts[p], self.cuts[p + 1]
+        return (
+            None if self.tokens is None else tuple(self.tokens[low:high].tolist()),
+            self.quanta[low:high],
+            {name: column[low:high] for name, column in self.columns.items()},
+            tuple(self.sizes[low:high].tolist()),
+        )
+
+    def groups(self, p: int) -> List[List[int]]:
+        """Problem ``p``'s groups, indices relative to its first pooled row."""
+        low, high = self.bounds[p], self.bounds[p + 1]
+        sizes = self.sizes[self.cuts[p] : self.cuts[p + 1]]
+        return split_groups(self.members[low:high], sizes, [low, high])[0]
 
 
 def merge_pooled(
     scheme: SummaryScheme,
     pooled: PackedState,
     bounds: Sequence[int],
-    groupings: Sequence[Sequence[Sequence[int]]],
-    tokens: Optional[Sequence[Hashable]] = None,
-    new_token: Optional[Callable[[Dict[str, np.ndarray], int], Hashable]] = None,
-) -> List[ReceiveRows]:
-    """Algorithm 1 line 11 for every problem of one pooled block.
+    members: np.ndarray,
+    sizes: np.ndarray,
+    tokens: Optional[np.ndarray] = None,
+    name_rows: Optional[Callable[[Dict[str, np.ndarray]], Sequence[Hashable]]] = None,
+) -> SolvedBlock:
+    """Algorithm 1 line 11: group ``g`` of the flat grouping becomes output row ``g``.
 
-    Problem ``p`` owns pooled rows ``bounds[p]`` onwards and
-    ``groupings[p]`` groups them (indices relative to its first row).
-    Each group becomes one output row, in group order.  A singleton keeps
-    its pooled row's bytes and token: merging one row is the identity
-    under R4, and skipping the arithmetic means repeated gossip cannot
-    accumulate float churn.  Every multi-member group of the block is
-    merged in one ``merge_groups_columns`` call (which merges group by
-    group, so no group's bytes depend on another's), and
-    ``new_token(merged, row)`` names the merged rows in that order --
-    problem by problem, group by group.  Quanta sum exactly as Python
-    ints.  ``tokens`` names the pooled rows; without it the output has
-    no tokens.
+    A singleton keeps its pooled row's bytes and token (merging one row
+    is the identity under R4, and skipping the arithmetic keeps gossip
+    free of float churn).  Every multi-member group is merged in one
+    ``merge_groups_columns`` call, which merges group by group, and
+    ``name_rows(merged)`` names the merged rows in that order.  Quanta
+    sum exactly in int64.  ``tokens`` names the pooled rows, if given.
     """
-    total = len(pooled)
-    quanta_of = pooled.quanta.tolist().__getitem__
-    multi: List[List[int]] = []
-    sources: List[int] = []
-    sums: List[int] = []
-    sizes: List[int] = []
-    cuts = [0]
-    for base, groups in zip(bounds, groupings):
-        for group in groups:
-            if len(group) == 1:
-                row = base + group[0]
-                sources.append(row)
-                sums.append(quanta_of(row))
-            else:
-                members = [base + member for member in group] if base else group
-                sources.append(total + len(multi))
-                multi.append(members)
-                sums.append(sum(map(quanta_of, members)))
-            sizes.append(len(group))
-        cuts.append(len(sources))
-    table = pooled.columns
-    names = None if tokens is None else list(tokens)
-    take_all: Optional[np.ndarray] = np.asarray(sources, dtype=np.intp)
-    if multi:
+    starts = np.cumsum(sizes) - sizes
+    heads = members[starts]
+    quanta = np.add.reduceat(pooled.quanta[members], starts)
+    merged_at = sizes > 1
+    columns = {name: column[heads] for name, column in pooled.columns.items()}
+    out_tokens = None if tokens is None else tokens[heads]
+    if merged_at.any():
         with span("scheme.merge_set"):
-            merged = scheme.merge_groups_columns(pooled, multi)
-        if names is not None:
-            assert new_token is not None
-            names.extend(new_token(merged, row) for row in range(len(multi)))
-        if len(multi) == len(sources):
-            # Every output row is a merged row, and merged rows are
-            # numbered in output order: each problem's rows are a slice.
-            table, take_all = merged, None
-        else:
-            table = {
-                name: np.concatenate([column, merged[name]]) for name, column in table.items()
-            }
-    out_names = None if names is None else tuple(map(names.__getitem__, sources))
-    quanta_all = np.array(sums, dtype=np.int64)
-    group_sizes = tuple(sizes)
-    out = []
-    for low, high in zip(cuts[:-1], cuts[1:]):
-        take = slice(low, high) if take_all is None else take_all[low:high]
-        out.append(
-            ReceiveRows(
-                None if out_names is None else out_names[low:high],
-                quanta_all[low:high],
-                {name: column[take] for name, column in table.items()},
-                group_sizes[low:high],
+            merged = scheme.merge_groups_columns(
+                pooled, members[np.repeat(merged_at, sizes)], sizes[merged_at]
             )
-        )
-    return out
+        for name, column in columns.items():
+            column[merged_at] = merged[name]
+        if out_tokens is not None:
+            assert name_rows is not None
+            out_tokens[merged_at] = np.array(name_rows(merged), dtype=out_tokens.dtype)
+    return SolvedBlock(out_tokens, quanta, columns, members, sizes, bounds)
 
 
 def solve_block(
@@ -515,93 +501,83 @@ def solve_block(
     quantization: Quantization,
     pooled: PackedState,
     bounds: Sequence[int],
-    outcomes: Sequence[ReceiveRows],
-    tokens: Optional[Sequence[Hashable]] = None,
-    new_token: Optional[Callable[[Dict[str, np.ndarray], int], Hashable]] = None,
+    tokens: Optional[np.ndarray] = None,
+    name_rows: Optional[Callable[[Dict[str, np.ndarray]], Sequence[Hashable]]] = None,
     validate: bool = False,
-) -> List[List[List[int]]]:
-    """The full solve of every pooled set in one block, written into its outcome.
-
-    Problem ``p`` pools rows ``bounds[p]:bounds[p+1]`` of ``pooled``;
-    ``outcomes[p]`` is the :meth:`ReceiveRows.unsolved` instance queued
-    for it, filled here in place.  One :func:`partition_pooled` call
-    groups every problem (with ``validate``, each grouping is checked
-    against Algorithm 1's rules before anything merges), and one
-    :func:`merge_pooled` call builds every output row; ``tokens`` and
-    ``new_token`` name rows as there.  Returns the groupings.
-    """
-    cuts = list(zip(bounds[:-1], bounds[1:]))
-
-    def problem(low: int, high: int) -> PackedState:
-        return PackedState(
-            quanta=pooled.quanta[low:high],
-            columns={name: rows[low:high] for name, rows in pooled.columns.items()},
-        )
-
-    # The problem views are dropped before the merge allocates its rows.
-    groupings = partition_pooled(
-        scheme, [problem(low, high) for low, high in cuts], k, quantization
-    )
+) -> SolvedBlock:
+    """The full solve of every pooled set in one block: :func:`partition_pooled`,
+    each problem's groups checked against Algorithm 1's rules under
+    ``validate`` before anything merges, then :func:`merge_pooled`."""
+    members, sizes = partition_pooled(scheme, pooled, bounds, k, quantization)
     if validate:
-        for (low, high), groups in zip(cuts, groupings):
-            validate_partition(groups, problem(low, high), k, quantization)
-    solved = merge_pooled(scheme, pooled, bounds, groupings, tokens, new_token)
-    for outcome, rows in zip(outcomes, solved):
-        outcome.tokens = rows.tokens
-        outcome.quanta = rows.quanta
-        outcome.columns = rows.columns
-        outcome.group_sizes = rows.group_sizes
-        outcome.merges = rows.merges
-    return groupings
+        for low, high, groups in zip(bounds[:-1], bounds[1:], split_groups(members, sizes, bounds)):
+            problem = PackedState(quanta=pooled.quanta[low:high], columns={})
+            validate_partition(groups, problem, k, quantization)
+    return merge_pooled(scheme, pooled, bounds, members, sizes, tokens, name_rows)
 
 
 # ----------------------------------------------------------------------
 # A synchronous round's receives on per-node receivers
 # ----------------------------------------------------------------------
-#: A no-op candidate's rows until the batch decides it (never filled).
-_UNDECIDED = ReceiveRows.unsolved()
-
-
 class PendingSolve:
-    """One receiver's receive, queued on a :class:`ReceiveBatch`.
+    """One receiver's no-op candidate, queued on a :class:`ReceiveBatch`:
+    the pooled set's two parts, then the no-op ``rows`` the batch decides
+    or, if none, its full solve's ``(block, problem)``."""
 
-    ``local`` and ``incoming`` are the pooled set's two parts (a no-op
-    candidate's ``incoming`` is its payloads until the batch decides it);
-    the batch fills ``rows``, and ``groups`` or ``noop``.
-    """
+    __slots__ = ("local", "payloads", "rows", "solve")
 
-    __slots__ = ("local", "incoming", "rows", "groups", "noop")
-
-    def __init__(self, local: PackedState, incoming: Any) -> None:
+    def __init__(self, local: PackedState, payloads: Sequence[Any]) -> None:
         self.local = local
-        self.incoming = incoming
-        self.rows = _UNDECIDED
-        self.groups: Optional[List[List[int]]] = None
-        self.noop = False
+        self.payloads = payloads
+        self.rows: Optional[ReceiveRows] = None
+        self.solve: Optional[Tuple[QueuedBlock, int]] = None
+
+
+class QueuedBlock:
+    """One setting's queued full solves: each problem's parts (the local
+    rows, then the payloads in delivery order) and ``bounds``, pooled in
+    one copy and solved as one block into ``solved`` (with the pooled aux
+    rows, if any, in ``aux``)."""
+
+    __slots__ = ("scheme", "setting", "parts", "bounds", "solved", "aux")
+
+    def __init__(self, scheme: SummaryScheme, setting: Tuple[int, Quantization, bool]) -> None:
+        self.scheme, self.setting = scheme, setting
+        self.parts: List[Any] = []
+        self.bounds = [0]
+        self.solved: Optional[SolvedBlock] = None
+        self.aux: Optional[np.ndarray] = None
+
+    def solve(self) -> None:
+        pooled = PackedState.concat_many(self.parts)
+        self.parts, self.aux = [], pooled.aux
+        tokens = None if pooled.row_digests is None else np.array(pooled.row_digests, dtype=object)
+        k, quantization, validate = self.setting
+        self.solved = solve_block(
+            self.scheme, k, quantization, pooled, self.bounds, tokens,
+            self.scheme.digest_rows, validate,
+        )
 
 
 class ReceiveBatch:
     """A synchronous round's receives, decided and solved together.
 
-    In a round all sends precede all receives (Section 5.3), so the
-    receives of one round are independent problems.  Each receiver
-    decides what it can alone and queues the rest (:meth:`queue`).
-    :meth:`solve` decides the no-op candidates of each local block
-    through :func:`sweep_noops` (from :data:`SWEEP_MIN_BLOCK` of them)
-    and :func:`certified_noop`, then solves the full solves of each
-    scheme, ``k``, lattice and ``validate`` setting in one
-    :func:`solve_block` call, keeping problems whose rows carry digests
-    (or aux rows) apart from those whose rows do not, so every output
-    row is named exactly when a one-at-a-time solve would name it.  A
-    batch is local to the call that decides and completes its receives,
-    so a batch that raises leaves no outcome behind.
+    In a round all sends precede all receives (Section 5.3), so its
+    receives are independent problems.  Each receiver decides what it
+    can alone and queues the rest.  :meth:`solve` decides the no-op
+    candidates of each local block through :func:`sweep_noops` (from
+    :data:`SWEEP_MIN_BLOCK` of them) and :func:`certified_noop`, then
+    solves each :class:`QueuedBlock`; rows with and without digests (or
+    aux rows) go to separate blocks, so a row is named exactly when a
+    one-at-a-time solve would name it.  A batch is local to the call
+    that decides and completes its receives.
     """
 
-    __slots__ = ("_queues", "_candidates")
+    __slots__ = ("_blocks", "_candidates")
 
     def __init__(self) -> None:
-        # (scheme id, k, lattice, validate, rows named, aux rows) -> full solves
-        self._queues: Dict[Tuple[Any, ...], Tuple[SummaryScheme, List[PendingSolve]]] = {}
+        # (scheme id, k, lattice, validate, rows named, aux rows) -> block
+        self._blocks: Dict[Tuple[Any, ...], QueuedBlock] = {}
         # (cache id, scheme id, k, lattice, validate, local tokens) -> candidates
         self._candidates: Dict[Tuple[Any, ...], Tuple[Any, SummaryScheme, List[PendingSolve]]] = {}
 
@@ -612,54 +588,44 @@ class ReceiveBatch:
         quantization: Quantization,
         validate: bool,
         local: PackedState,
-        incoming: Any,
-        cache: Optional[MergeCache] = None,
+        payloads: Sequence[Any],
+    ) -> Tuple[QueuedBlock, int]:
+        """Queue the full solve pooling ``local`` with ``payloads``; returns
+        its block and its problem index there."""
+        named = local.row_digests is not None and all(
+            payload.row_digests is not None for payload in payloads
+        )
+        key = (id(scheme), k, quantization, validate, named, local.aux is not None)
+        block = self._blocks.get(key)
+        if block is None:
+            block = self._blocks[key] = QueuedBlock(scheme, (k, quantization, validate))
+        block.parts += (local, *payloads)
+        block.bounds.append(block.bounds[-1] + len(local) + sum(map(len, payloads)))
+        return block, len(block.bounds) - 2
+
+    def queue_candidate(
+        self,
+        scheme: SummaryScheme,
+        k: int,
+        quantization: Quantization,
+        validate: bool,
+        local: PackedState,
+        payloads: Sequence[Any],
+        cache: MergeCache,
     ) -> PendingSolve:
-        """Queue the full solve pooling ``local`` with ``incoming``; with a
-        ``cache``, first as a no-op candidate: ``incoming`` is then payloads
-        whose row digests are all ``local``'s, pooling more than ``k`` rows."""
-        pending = PendingSolve(local, incoming)
-        if cache is None:
-            self._queue_solve(scheme, (k, quantization, validate), pending)
-        else:
-            key = (id(cache), id(scheme), k, quantization, validate, local.row_digests)
-            self._candidates.setdefault(key, (cache, scheme, []))[2].append(pending)
+        """Queue a receive as a no-op candidate: ``payloads``' row digests
+        are all ``local``'s, and the receive pools more than ``k`` rows."""
+        pending = PendingSolve(local, payloads)
+        key = (id(cache), id(scheme), k, quantization, validate, local.row_digests)
+        self._candidates.setdefault(key, (cache, scheme, []))[2].append(pending)
         return pending
 
-    def _queue_solve(
-        self, scheme: SummaryScheme, setting: Tuple[int, Quantization, bool], pending: PendingSolve
-    ) -> None:
-        local, incoming = pending.local, pending.incoming
-        pending.rows = ReceiveRows.unsolved()
-        named = local.row_digests is not None and incoming.row_digests is not None
-        key = (id(scheme), *setting, named, local.aux is not None)
-        self._queues.setdefault(key, (scheme, []))[1].append(pending)
-
     def solve(self) -> None:
-        """Decide every no-op candidate, then solve every queued full solve."""
+        """Decide every no-op candidate, then solve every queued block."""
         for key, (cache, scheme, pending) in self._candidates.items():
             self._decide(cache, scheme, key[2:5], key[5], pending)
-        for (_, k, quantization, validate, _, _), (scheme, pending) in self._queues.items():
-            parts: List[Any] = []
-            bounds = [0]
-            for item in pending:
-                parts.append(item.local)
-                parts.append(item.incoming)
-                bounds.append(bounds[-1] + len(item.local) + len(item.incoming))
-            pooled = PackedState.concat_many(parts)
-            groupings = solve_block(
-                scheme,
-                k,
-                quantization,
-                pooled,
-                bounds,
-                [item.rows for item in pending],
-                pooled.row_digests,
-                scheme.digest_row,
-                validate,
-            )
-            for item, groups in zip(pending, groupings):
-                item.groups = groups
+        for block in self._blocks.values():
+            block.solve()
 
     def _decide(
         self,
@@ -670,16 +636,16 @@ class ReceiveBatch:
         pending: List[PendingSolve],
     ) -> None:
         """Answer one local block's candidates; queue the full solves of the rest."""
-        k, quantization, _ = setting
+        k, quantization, validate = setting
         columns = pending[0].local.columns  # a digest bijects with its row's bytes
 
         def resolve(digest: Any, position: int) -> Tuple[bytes, Any]:
             return digest, scheme.unpack_summary(columns, position)
 
         if len(pending) >= SWEEP_MIN_BLOCK:
-            payloads = [payload for item in pending for payload in item.incoming]
+            payloads = [payload for item in pending for payload in item.payloads]
             digests = [digest for payload in payloads for digest in payload.row_digests]
-            widths = np.array([sum(map(len, item.incoming)) for item in pending])
+            widths = np.array([sum(map(len, item.payloads)) for item in pending])
             local_quanta = np.concatenate([item.local.quanta for item in pending])
             digest_array = np.frombuffer(b"".join(digests), dtype=f"S{len(digests[0])}")
             for accepted, out_tokens, quanta, sizes, out_columns in sweep_noops(
@@ -690,18 +656,18 @@ class ReceiveBatch:
                 for index, row, row_sizes in zip(accepted.tolist(), quanta, sizes.tolist()):
                     item = pending[index]
                     item.rows = ReceiveRows(out_tokens, row, out_columns, tuple(row_sizes))
-                    item.noop = True
         for item in pending:
-            if item.noop:
+            if item.rows is not None:
                 continue
-            payloads = item.incoming
-            incoming = payloads[0] if len(payloads) == 1 else PackedState.concat_many(payloads)
-            item.incoming = incoming
-            rows = certified_noop(
-                cache, scheme, k, quantization, tokens, item.local.quanta,
-                incoming.row_digests, incoming.quanta, columns, resolve,
-            )
-            if rows is None:
-                self._queue_solve(scheme, setting, item)
+            payloads = item.payloads
+            if len(payloads) == 1:
+                in_tokens, in_quanta = payloads[0].row_digests, payloads[0].quanta
             else:
-                item.rows, item.noop = rows, True
+                in_tokens = [digest for payload in payloads for digest in payload.row_digests]
+                in_quanta = np.concatenate([payload.quanta for payload in payloads])
+            item.rows = certified_noop(
+                cache, scheme, k, quantization, tokens, item.local.quanta,
+                in_tokens, in_quanta, columns, resolve,
+            )
+            if item.rows is None:
+                item.solve = self.queue(scheme, k, quantization, validate, item.local, payloads)

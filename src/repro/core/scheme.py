@@ -31,7 +31,7 @@ from typing import Any, Generic, Sequence, TypeVar
 import numpy as np
 
 from repro.core.collection import Collection
-from repro.core.packed import PackedState, unpack_collections
+from repro.core.packed import PackedState, flatten_groups, split_groups, unpack_collections
 from repro.core.weights import Quantization
 
 __all__ = ["SummaryScheme", "PartitionError", "validate_partition"]
@@ -156,20 +156,21 @@ class SummaryScheme(abc.ABC, Generic[S]):
         return self.partition(unpack_collections(self, packed), k, quantization)
 
     def partition_packed_batch(
-        self,
-        problems: Sequence[PackedState],
-        k: int,
-        quantization: Quantization,
-    ) -> list[list[list[int]]]:
-        """``partition_packed`` over many independent pooled sets.
+        self, pooled: PackedState, bounds: Sequence[int], k: int, quantization: Quantization
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``partition_packed`` of every problem of one pooled block.
 
-        Returns one grouping per problem, in order, each exactly what
-        ``partition_packed`` returns for that problem alone.  The arena
-        engine poses every distinct receive problem of a round through
-        this one call.  The default loops; schemes override it to solve
-        the problems in stacks.
+        Problem ``p`` owns rows ``bounds[p]:bounds[p+1]``.  Returns the
+        block's flat grouping (:func:`~repro.core.packed.flatten_groups`),
+        each problem's groups exactly as ``partition_packed`` returns them
+        for it alone, member order included.  The default loops over
+        problem views; schemes override it to solve them in stacks.
         """
-        return [self.partition_packed(packed, k, quantization) for packed in problems]
+        views = (
+            PackedState(pooled.quanta[lo:hi], {n: c[lo:hi] for n, c in pooled.columns.items()})
+            for lo, hi in zip(bounds[:-1], bounds[1:])
+        )
+        return flatten_groups([self.partition_packed(v, k, quantization) for v in views], bounds)
 
     # ------------------------------------------------------------------
     # Batch (whole-network) entry points — used by the arena engine
@@ -197,21 +198,23 @@ class SummaryScheme(abc.ABC, Generic[S]):
         return columns["summary"][index]
 
     def merge_groups_columns(
-        self, packed: PackedState, groups: Sequence[Sequence[int]]
+        self, packed: PackedState, members: np.ndarray, sizes: np.ndarray
     ) -> dict[str, Any]:
         """Array-native ``merge_set``: merge groups straight to packed column rows.
 
-        Returns the scheme's packed columns holding one merged row per
-        group, in group order.  Row ``g`` must be byte-identical to
-        packing ``merge_set`` over group ``g``'s
-        ``(unpack_summary(columns, i), float(quanta[i]))`` pairs; the
-        default computes exactly that.  Schemes with array-native merges
-        override it with batched kernels
+        The groups are a flat grouping over ``packed``'s rows (group ``g``
+        holds the next ``sizes[g]`` rows of ``members``).  Returns the
+        scheme's packed columns holding one merged row per group, in
+        group order.  Row ``g`` must be byte-identical to packing
+        ``merge_set`` over group ``g``'s ``(unpack_summary(columns, i),
+        float(quanta[i]))`` pairs; the default computes exactly that.
+        Schemes with array-native merges override it with batched kernels
         (:func:`repro.ml.gaussian.pool_moments_groups`,
         :func:`repro.schemes.centroid.weighted_average_groups`) so a
         receiving node never constructs summary objects at all.
         """
         quanta = packed.quanta.tolist()
+        (groups,) = split_groups(members, sizes, [0, len(members)])
         return self.pack_summaries(
             [
                 self.merge_set(
@@ -233,6 +236,12 @@ class SummaryScheme(abc.ABC, Generic[S]):
         summary object.
         """
         return self.summary_digest(self.unpack_summary(columns, index))
+
+    def digest_rows(self, columns: dict[str, Any]) -> list[bytes]:
+        """``digest_row`` of every row of ``columns``, in order.  The default
+        loops; schemes override it to hash the rows in one pass."""
+        count = len(next(iter(columns.values())))
+        return [self.digest_row(columns, index) for index in range(count)]
 
     def summary_digest(self, summary: S) -> bytes:
         """Stable content digest of one summary.

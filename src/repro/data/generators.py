@@ -186,10 +186,15 @@ def paper_values(n: int, seed: int = 0) -> np.ndarray:
     return CENTERS[rng.integers(0, len(CENTERS), size=n)] + rng.normal(size=(n, 2))
 
 
+def outlier_count(n: int, fraction: float = 0.05) -> int:
+    """The outliers among ``n`` readings: the paper's 5%, rounded to nearest, at least one."""
+    return max(1, round(n * fraction))
+
+
 #: Inputs by name.  Each builder takes the node count and a seed, then
 #: its own shape parameters: ``outlier`` needs ``delta`` and
-#: ``n_outliers`` (of the ``n`` readings, the last ones), ``two_cluster``
-#: takes ``separation``.
+#: ``n_outliers`` (of the ``n`` readings, the last ones: see
+#: :func:`outlier_count`), ``two_cluster`` takes ``separation``.
 DATASETS: dict[str, Callable[..., np.ndarray]] = {
     "centers": center_values,
     "normal": standard_normal_values,

@@ -24,6 +24,7 @@ import numpy as np
 from repro.core.scheme import SummaryScheme
 from repro.core.serialization import SummaryCodec, codec_for_scheme
 from repro.data import make_dataset
+from repro.data.generators import outlier_count
 from repro.schemes import make_scheme
 
 __all__ = ["WORKLOADS", "Workload", "build_workload"]
@@ -49,8 +50,7 @@ def _fig1(n: int, seed: int) -> tuple[np.ndarray, SummaryScheme, int]:
 
 
 def _fig4(n: int, seed: int) -> tuple[np.ndarray, SummaryScheme, int]:
-    # The paper's 5% outlier fraction, rounded down.
-    values = make_dataset("outlier", n, seed, delta=6.0, n_outliers=max(1, n // 20))
+    values = make_dataset("outlier", n, seed, delta=6.0, n_outliers=outlier_count(n))
     return values, make_scheme("gm"), 2
 
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.analysis.accuracy import average_error
 from repro.analysis.outliers import F_MIN, missed_outlier_fraction, robust_mean
-from repro.data.generators import OutlierScenario, outlier_scenario
+from repro.data.generators import OutlierScenario, outlier_count, outlier_scenario
 from repro.experiments.common import Scale, PAPER, run_until_convergence
 from repro.network.topology import complete
 from repro.protocols.push_sum import build_push_sum_network
@@ -63,7 +63,7 @@ class Fig3Result:
 
 def _scenario_for(scale: Scale, delta: float, seed: int) -> OutlierScenario:
     """The paper's 95%/5% split, rescaled to the preset's network size."""
-    n_outliers = max(1, round(scale.n_nodes * 0.05))
+    n_outliers = outlier_count(scale.n_nodes)
     return outlier_scenario(
         delta, n_good=scale.n_nodes - n_outliers, n_outliers=n_outliers, seed=seed
     )

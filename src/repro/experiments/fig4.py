@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from repro.analysis.accuracy import average_error
 from repro.analysis.outliers import robust_mean
-from repro.data.generators import OutlierScenario, outlier_scenario
+from repro.data.generators import OutlierScenario, outlier_count, outlier_scenario
 from repro.experiments.common import Scale, PAPER, run_experiment_sweep
 from repro.network.failures import BernoulliCrashes, NoFailures
 from repro.network.topology import complete
@@ -131,7 +131,7 @@ def fig4_cell(params: dict) -> dict:
     """
     n_nodes = int(params["n_nodes"])
     seed = int(params["seed"])
-    n_outliers = max(1, round(n_nodes * 0.05))
+    n_outliers = outlier_count(n_nodes)
     scenario = outlier_scenario(
         float(params["delta"]),
         n_good=n_nodes - n_outliers,

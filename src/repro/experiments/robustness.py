@@ -26,7 +26,7 @@ from typing import Sequence
 
 from repro.analysis.accuracy import average_error
 from repro.analysis.outliers import robust_mean
-from repro.data.generators import outlier_scenario
+from repro.data.generators import outlier_count, outlier_scenario
 from repro.experiments.ablations import AblationRow
 from repro.experiments.common import Scale, PAPER, run_experiment_sweep
 from repro.network.failures import BernoulliCrashes
@@ -93,8 +93,7 @@ def robustness_cell(params: dict) -> dict:
     delta = float(params["delta"])
     rounds = int(params["rounds"])
     engine_kind = str(params["engine"])
-    fraction = float(params.get("fraction", 0.05))
-    n_outliers = max(1, round(n_nodes * fraction))
+    n_outliers = outlier_count(n_nodes, float(params.get("fraction", 0.05)))
     scenario = outlier_scenario(
         delta, n_good=n_nodes - n_outliers, n_outliers=n_outliers, seed=seed
     )

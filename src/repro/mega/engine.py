@@ -49,6 +49,7 @@ from repro.core.packed import PackedState
 from repro.core.receive import (
     SWEEP_MIN_BLOCK,
     ReceiveRows,
+    SolvedBlock,
     certified_noop,
     solve_block,
     sweep_noops,
@@ -297,9 +298,11 @@ class ReceiveSolver:
         swept: List[_Swept] = []
         if self.merge_cache is not None and len(dests) >= 32:
             handled, swept = self._sweep(dests, bounds, ids, quanta)
-        round_memo: Dict[Any, ReceiveRows] = {}
+        # key -> the receive's rows, or its problem's index in the queue
+        round_memo: Dict[Any, Union[ReceiveRows, int]] = {}
         resolved: List[Tuple[int, ReceiveRows]] = []
-        queued: List[Tuple[int, int, int, int, ReceiveRows]] = []
+        solved: List[Tuple[int, int]] = []
+        queued: List[Tuple[int, int, int, int]] = []
         for position in range(len(dests)):
             if handled is not None and handled[position]:
                 continue
@@ -324,13 +327,15 @@ class ReceiveSolver:
                     receiver, count, local_ids, local_quanta, start, stop, ids, quanta, columns
                 )
                 if outcome is None:
-                    outcome = ReceiveRows.unsolved()
-                    queued.append((receiver, count, start, stop, outcome))
+                    outcome = len(queued)
+                    queued.append((receiver, count, start, stop))
                     stats.full_solves += 1
                 round_memo[key] = outcome
-            resolved.append((receiver, outcome))
-        if queued:
-            self._solve_queued(queued, ids, quanta, columns)
+            if isinstance(outcome, int):
+                solved.append((receiver, outcome))
+            else:
+                resolved.append((receiver, outcome))
+        block = self._solve_queued(queued, ids, quanta, columns) if queued else None
         k = self.k
         for out, tokens, out_quanta, out_columns in swept:
             a_counts[out] = k
@@ -349,6 +354,22 @@ class ReceiveSolver:
             a_quanta[receiver, width:] = 0
             for name, column in a_columns.items():
                 column[receiver, :width] = outcome.columns[name]
+        if block is not None:
+            # Every solved receiver at once: its problem's output rows.
+            receivers, problems = np.array(solved, dtype=np.intp).T
+            cuts = np.asarray(block.cuts)
+            widths = cuts[problems + 1] - cuts[problems]
+            owner, slot = _ragged(widths)
+            rows = cuts[problems][owner] + slot
+            at = receivers[owner]
+            stats.receivers += len(receivers)
+            stats.merges += int((block.sizes[rows] > 1).sum())
+            a_counts[receivers] = widths
+            a_ids[at, slot] = block.tokens[rows]
+            a_quanta[receivers] = 0
+            a_quanta[at, slot] = block.quanta[rows]
+            for name, column in a_columns.items():
+                column[at, slot] = block.columns[name][rows]
 
     # ------------------------------------------------------------------
     # Batched certified no-ops
@@ -448,27 +469,23 @@ class ReceiveSolver:
 
     def _solve_queued(
         self,
-        queued: List[Tuple[int, int, int, int, ReceiveRows]],
+        queued: List[Tuple[int, int, int, int]],
         ids: np.ndarray,
         quanta: np.ndarray,
         columns: Dict[str, np.ndarray],
-    ) -> None:
-        """Solve a round's queued problems together and fill their outcomes.
+    ) -> SolvedBlock:
+        """Solve a round's queued problems together.
 
-        Each queued ``(receiver, count, start, stop, outcome)`` pools the
+        Each queued ``(receiver, count, start, stop)`` pools the
         receiver's local rows with payload rows ``start:stop``.  Every
-        pooled set of the round is gathered into one block and the core's
-        :func:`~repro.core.receive.solve_block` solves them all: one
-        partition call, one merge call.  New
-        summaries are interned in the order the core names merged rows —
-        problem by problem, group by group, the order a one-at-a-time
-        loop interns them — so ids match it.
+        pooled set of the round is gathered into one block for the core's
+        :func:`~repro.core.receive.solve_block`.  New summaries are
+        interned one row at a time in the order the core names merged
+        rows, which is a one-at-a-time loop's, so ids match it.
         """
         arena = self.arena
-        receivers = np.array([entry[0] for entry in queued], dtype=np.intp)
-        counts = np.array([entry[1] for entry in queued], dtype=np.intp)
-        starts = np.array([entry[2] for entry in queued], dtype=np.intp)
-        widths = np.array([entry[3] for entry in queued], dtype=np.intp) - starts
+        receivers, counts, starts, stops = np.array(queued, dtype=np.intp).T
+        widths = stops - starts
         offsets = np.zeros(len(queued) + 1, dtype=np.intp)
         np.cumsum(counts + widths, out=offsets[1:])
         total = int(offsets[-1])
@@ -491,19 +508,18 @@ class ReceiveSolver:
             quanta=pool(arena.quanta, quanta),
             columns={name: pool(column, columns[name]) for name, column in arena.columns.items()},
         )
+        intern_row = arena.interner.intern_row
+
+        def intern(merged: Dict[str, np.ndarray]) -> List[int]:
+            return [intern_row(merged, row) for row in range(len(next(iter(merged.values()))))]
+
         # merge_groups_columns is contractually byte-identical to packing
         # merge_set's summary per group; the summary object behind each
         # new id materialises lazily in the interner when a certificate
         # needs it.
-        solve_block(
-            self.scheme,
-            self.k,
-            self.quantization,
-            pooled,
-            offsets.tolist(),
-            [entry[4] for entry in queued],
-            pool(arena.ids, ids).tolist(),
-            arena.interner.intern_row,
+        return solve_block(
+            self.scheme, self.k, self.quantization, pooled, offsets.tolist(),
+            pool(arena.ids, ids), intern,
         )
 
 

@@ -158,11 +158,13 @@ def pool_moments_groups(
     quanta: np.ndarray,
     means: np.ndarray,
     covs: np.ndarray,
-    groups: Sequence[Sequence[int]],
+    members: np.ndarray,
+    sizes: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """:func:`pool_moments` over many row groups at once (the GM merge).
 
-    Byte-parity contract with :func:`pool_moments` applied per group:
+    Group ``g`` holds the next ``sizes[g]`` rows of ``members`` (a flat
+    grouping).  Byte-parity contract with :func:`pool_moments` per group:
     identical components short-circuit to ``(mean[0],
     symmetrize(cov[0]))``; otherwise the weighted mean, scatter and
     within-group terms are computed with the same lane lengths and the
@@ -172,16 +174,16 @@ def pool_moments_groups(
     ``(G, m, ...)`` block is reduced over axis 1 in one shot.
     """
     d = means.shape[1]
-    by_size: dict[int, list[int]] = {}
-    for gi, group in enumerate(groups):
-        by_size.setdefault(len(group), []).append(gi)
-    single_bucket = len(by_size) == 1
+    starts = np.cumsum(sizes) - sizes
+    buckets = np.unique(sizes).tolist()
+    single_bucket = len(buckets) == 1
     out_means = out_covs = None
     if not single_bucket:
-        out_means = np.empty((len(groups), d))
-        out_covs = np.empty((len(groups), d, d))
-    for m, gids in by_size.items():
-        idx = np.array([groups[gi] for gi in gids], dtype=np.intp)
+        out_means = np.empty((len(sizes), d))
+        out_covs = np.empty((len(sizes), d, d))
+    for m in buckets:
+        gids = np.flatnonzero(sizes == m)
+        idx = members[starts[gids, None] + np.arange(m)]
         sub_means = means[idx]  # (G, m, d)
         sub_covs = covs[idx]  # (G, m, d, d)
         if m == 1:

@@ -18,12 +18,12 @@ fractionally shared (sharing happens upstream, through weight splitting).
 Hard EM exists in two spellings that share every piece of arithmetic
 (features, M-step, scores): :func:`reduce_mixture` solves one problem,
 and :func:`reduce_mixture_batch` solves a stack of equal-size problems in
-one pass (the arena's receive solver poses a round's problems this way).
-A problem's groups, iteration count and :func:`em_iterations_total`
-contribution do not depend on the spelling or on the batch it is solved
-in; ``tests/ml/test_reduction.py`` pins this byte for byte.  The per-node
-kernel keeps the scalar spelling: a batch of one pays the stack's
-bookkeeping, which measurably slowed the kernel's receives.
+one pass (both engines' batched receive solves pose a round's problems
+this way).  A problem's groups, iteration count and
+:func:`em_iterations_total` contribution do not depend on the spelling or
+on the batch it is solved in; ``tests/ml/test_reduction.py`` pins this
+byte for byte.  A receive posed alone keeps the scalar spelling: a batch
+of one pays the stack's bookkeeping.
 """
 
 from __future__ import annotations
@@ -85,8 +85,7 @@ class ReductionResult:
     """Outcome of an l-GM -> k-GM reduction.
 
     ``model`` is ``None`` when the caller requested ``build_model=False``
-    (the schemes' partition hot path only consumes ``groups``) and for
-    every result of :func:`reduce_mixture_batch`.
+    (the schemes' partition hot path only consumes ``groups``).
     """
 
     groups: tuple[tuple[int, ...], ...]
@@ -512,29 +511,26 @@ def reduce_mixture_batch(
     covs: np.ndarray,
     k: int,
     max_iterations: int = 50,
-) -> list[ReductionResult]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Group each of ``P`` equal-size ``l``-mixtures into at most ``k`` groups.
 
     ``weights``, ``means`` and ``covs`` have shapes ``(P, l)``,
-    ``(P, l, d)`` and ``(P, l, d, d)``.  Problem ``p``'s result is
-    exactly :func:`reduce_mixture`'s with ``build_model=False`` (the
-    same groups, iteration count and converged flag).  The stack runs in
-    slices of at most ``_BATCH_ROWS`` component rows.
+    ``(P, l, d)`` and ``(P, l, d, d)``.  Returns the label stack
+    ``(P, l)``, the iteration counts and the converged flags.  Problem
+    ``p``'s group ``j`` is the components holding the ``j``-th smallest
+    of its labels, ascending: exactly :func:`reduce_mixture`'s groups with
+    ``build_model=False``, and its iteration count and converged flag.
+    The stack runs in slices of at most ``_BATCH_ROWS`` component rows.
     """
     problems, size = weights.shape
     if size <= k:
-        singletons = tuple((i,) for i in range(size))
-        return [ReductionResult(singletons, None, 0, True)] * problems
-    results: list[ReductionResult] = []
+        labels = np.broadcast_to(np.arange(size), (problems, size))
+        return labels, np.zeros(problems, dtype=np.int64), np.ones(problems, dtype=bool)
     step = max(1, _BATCH_ROWS // size)
-    for start in range(0, problems, step):
-        stop = start + step
-        labels, iterations, converged = _hard_em(
-            weights[start:stop], means[start:stop], covs[start:stop], k, max_iterations
-        )
-        for row, count, done in zip(labels.tolist(), iterations.tolist(), converged.tolist()):
-            results.append(ReductionResult(_groups_of(row), None, count, done))
-    return results
+    cuts = [slice(low, low + step) for low in range(0, problems, step)]
+    slices = [_hard_em(weights[cut], means[cut], covs[cut], k, max_iterations) for cut in cuts]
+    labels, iterations, converged = (np.concatenate(part) for part in zip(*slices))
+    return labels, iterations, converged
 
 
 def reduce_mixture(

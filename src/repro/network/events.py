@@ -9,7 +9,7 @@ simulation test in this repository relies on.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Iterator
+from typing import Any, Iterator, Sequence
 
 __all__ = ["EventQueue"]
 
@@ -20,6 +20,7 @@ class EventQueue:
     def __init__(self) -> None:
         self._heap: list[tuple[float, int, Any]] = []
         self._sequence = 0
+        self._front = 0  # sequence numbers of events put back, descending
 
     def push(self, time: float, item: Any) -> None:
         """Schedule ``item`` at ``time`` (must be non-negative)."""
@@ -27,6 +28,12 @@ class EventQueue:
             raise ValueError(f"event time must be non-negative, got {time}")
         heapq.heappush(self._heap, (time, self._sequence, item))
         self._sequence += 1
+
+    def push_front(self, events: Sequence[tuple[float, Any]]) -> None:
+        """Put popped events back, in order, ahead of all queued at their times."""
+        for time, item in reversed(events):
+            self._front -= 1
+            heapq.heappush(self._heap, (time, self._front, item))
 
     def pop(self) -> tuple[float, Any]:
         """Remove and return the earliest ``(time, item)``."""

@@ -326,7 +326,10 @@ class InMemoryTransport(SimulationTransport):
         round schedule's receiver-side merge batching.  Random continuous
         delays make ties measure-zero, but FIFO clamping and adversarial
         test schedules produce them deliberately.  Each message is taken
-        off its channel, and a channel left empty is dropped.
+        off its channel once the receive completes, and a channel left
+        empty is dropped.  An event whose receive raises adopted nothing:
+        its envelopes stay on their channels, and their delivery entries
+        go back on the event queue ahead of every event they preceded.
         """
         kernel = self.kernel
         destination = channel.destination
@@ -342,15 +345,19 @@ class InMemoryTransport(SimulationTransport):
                     break
                 kernel.queue.pop()
                 entries.append((entry.channel, entry.message))
-        sources: list[int] = []
-        payloads: list[Any] = []
+        sources = [channel.source for channel, _ in entries]
+        try:
+            kernel.complete_deliveries(
+                [(destination, sources, [message.payload for _, message in entries])]
+            )
+        except BaseException:
+            kernel.queue.push_front([(m.deliver_time, _Delivery(c, m)) for c, m in entries])
+            raise
         for channel, message in entries:
-            payloads.append(channel.deliver(message))
-            sources.append(channel.source)
+            channel.deliver(message)
             if not channel:
                 del self.channels[(channel.source, destination)]
         self.stats.frames_received += len(entries)
-        kernel.complete_deliveries([(destination, sources, payloads)])
         return len(entries)
 
     # ------------------------------------------------------------------

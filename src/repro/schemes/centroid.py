@@ -14,7 +14,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro.core.collection import Collection
-from repro.core.fingerprint import digest_arrays
+from repro.core.fingerprint import digest_array_rows, digest_arrays
 from repro.core.packed import PackedState
 from repro.core.scheme import SummaryScheme
 from repro.core.weights import Quantization
@@ -105,29 +105,31 @@ def greedy_partition(
 def weighted_average_groups(
     rows: np.ndarray,
     quanta: np.ndarray,
-    groups: Sequence[Sequence[int]],
+    members: np.ndarray,
+    sizes: np.ndarray,
 ) -> np.ndarray:
     """Batched weighted average of row groups (the centroid and histogram merge).
 
-    Byte-parity contract with :meth:`CentroidScheme.merge_set` on each
+    Group ``g`` holds the next ``sizes[g]`` rows of ``members`` (a flat
+    grouping).  Byte-parity contract with :meth:`CentroidScheme.merge_set` on each
     group's ``(row_i, float(q_i))`` pairs: ``sum(float(q_i) * row_i) /
     total`` accumulated left-to-right from zero, with byte-identical
     groups short-circuiting to a copy of their first row.  Groups are
     bucketed by size and each bucket runs as one zero-seeded
     accumulation over the slot axis, the order Python's ``sum`` adds in.
     """
-    by_size: dict[int, list[int]] = {}
-    for gi, group in enumerate(groups):
-        by_size.setdefault(len(group), []).append(gi)
+    starts = np.cumsum(sizes) - sizes
+    buckets = np.unique(sizes).tolist()
     # One size bucket covers every group (the common receive shape:
     # all-pairs merges): its rows are already in group order, so the
     # gather into ``out`` is skipped entirely.
-    single_bucket = len(by_size) == 1
+    single_bucket = len(buckets) == 1
     out = None
     if not single_bucket:
-        out = np.empty((len(groups),) + rows.shape[1:], dtype=float)
-    for m, gids in by_size.items():
-        idx = np.array([groups[gi] for gi in gids], dtype=np.intp)
+        out = np.empty((len(sizes),) + rows.shape[1:], dtype=float)
+    for m in buckets:
+        gids = np.flatnonzero(sizes == m)
+        idx = members[starts[gids, None] + np.arange(m)]
         sub = rows[idx]  # (G, m, ...)
         if m == 1:
             merged = sub[:, 0].copy()
@@ -264,16 +266,19 @@ class CentroidScheme(SummaryScheme):
         )
 
     def merge_groups_columns(
-        self, packed: PackedState, groups: Sequence[Sequence[int]]
+        self, packed: PackedState, members: np.ndarray, sizes: np.ndarray
     ) -> dict[str, np.ndarray]:
         return {
             "position": weighted_average_groups(
-                packed.columns["position"], packed.quanta, groups
+                packed.columns["position"], packed.quanta, members, sizes
             )
         }
 
     def digest_row(self, columns: dict[str, np.ndarray], index: int) -> bytes:
         return digest_arrays(columns["position"][index])
+
+    def digest_rows(self, columns: dict[str, np.ndarray]) -> list[bytes]:
+        return digest_array_rows(columns["position"])
 
     def distance(self, a: np.ndarray, b: np.ndarray) -> float:
         return float(np.linalg.norm(np.asarray(a, dtype=float) - np.asarray(b, dtype=float)))

@@ -55,9 +55,9 @@ class DiagonalGaussianScheme(GaussianMixtureScheme):
         return diagonalize(super().merge_set(items))
 
     def merge_groups_columns(
-        self, packed: PackedState, groups: Sequence[Sequence[int]]
+        self, packed: PackedState, members: np.ndarray, sizes: np.ndarray
     ) -> dict[str, np.ndarray]:
-        columns = super().merge_groups_columns(packed, groups)
+        columns = super().merge_groups_columns(packed, members, sizes)
         covs = columns["cov"]
         # Batched diagonalize: fresh zeros with the diagonal copied in,
         # byte-identical to np.diag(np.diag(cov)) per row.

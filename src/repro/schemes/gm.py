@@ -18,11 +18,12 @@ from typing import Any, Optional, Sequence
 import numpy as np
 
 from repro.core.collection import Collection
-from repro.core.fingerprint import digest_arrays
-from repro.core.packed import PackedState
+from repro.core.fingerprint import digest_array_rows, digest_arrays
+from repro.core.packed import PackedState, flatten_groups, split_groups
 from repro.core.scheme import SummaryScheme
 from repro.core.weights import Quantization
 from repro.ml.gaussian import pool_moments_groups
+from repro.ml import reduction
 from repro.ml.reduction import reduce_mixture, reduce_mixture_batch
 from repro.schemes.gaussian import (
     GaussianSummary,
@@ -152,48 +153,64 @@ class GaussianMixtureScheme(SummaryScheme):
         )
 
     def partition_packed_batch(
-        self,
-        problems: Sequence[PackedState],
-        k: int,
-        quantization: Quantization,
-    ) -> list[list[list[int]]]:
-        """Solve the problems in stacks of equal pooled size.
-
-        Each size bucket is one :func:`~repro.ml.reduction.reduce_mixture_batch`
-        call (stacking needs equal sizes, and a bucket never pads a
-        problem); the minimum-weight rule then runs per problem, as in
-        :meth:`partition_packed`.
+        self, pooled: PackedState, bounds: Sequence[int], k: int, quantization: Quantization
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Stacks of equal pooled size, each gathered one ``_BATCH_ROWS`` slice
+        at a time for :func:`~repro.ml.reduction.reduce_mixture_batch`; a
+        stable sort of each problem's labels lays its groups out in
+        :meth:`partition_packed`'s order.  Only the problems one array test
+        flags with a lone minimum-weight group take the rule, one at a time.
         """
-        out: list[list[list[int]]] = [[] for _ in problems]
-        buckets: dict[int, list[int]] = {}
-        for index, packed in enumerate(problems):
-            buckets.setdefault(len(packed), []).append(index)
-        for members in buckets.values():
-            quanta = np.stack([problems[index].quanta for index in members])
-            means = np.stack([problems[index].columns["mean"] for index in members])
-            covs = np.stack([problems[index].columns["cov"] for index in members])
-            results = reduce_mixture_batch(
-                quanta.astype(float), means, covs, k, self.reduction_iterations
+        bounds = np.asarray(bounds, dtype=np.intp)
+        lengths = np.diff(bounds)
+        quanta, means, covs = pooled.quanta, pooled.columns["mean"], pooled.columns["cov"]
+        total = int(bounds[-1])
+        members = np.arange(total)
+        opens = np.ones(total, dtype=bool)  # members[i] is the first of its group
+        for size in np.unique(lengths[lengths > k]).tolist():
+            starts = bounds[:-1][lengths == size]
+            step = max(1, reduction._BATCH_ROWS // size)
+            for low in range(0, len(starts), step):
+                rows = starts[low : low + step, None] + np.arange(size)
+                labels = reduce_mixture_batch(
+                    quanta[rows].astype(float), means[rows], covs[rows], k,
+                    self.reduction_iterations,
+                )[0]
+                order = np.argsort(labels, axis=1, kind="stable")
+                ordered = np.take_along_axis(labels, order, axis=1)
+                members[rows] = rows[:, :1] + order
+                opens[rows[:, 1:]] = ordered[:, 1:] != ordered[:, :-1]
+        heads = np.flatnonzero(opens)
+        lone = members[heads[np.diff(heads, append=total) == 1]]
+        if type(quantization) is Quantization:  # another lattice may redefine the minimum
+            lone = lone[quanta[lone] == 1]
+        else:
+            lone = lone[[quantization.is_minimum(weight) for weight in quanta[lone].tolist()]]
+        for p in np.unique(np.searchsorted(bounds, lone, side="right") - 1).tolist():
+            low, high = bounds[p : p + 2].tolist()
+            own = np.diff(np.flatnonzero(opens[low:high]), append=high - low)
+            (groups,) = split_groups(members[low:high], own, [low, high])
+            groups = self._enforce_minimum_weight_rule(
+                groups, quanta[low:high], means[low:high], quantization
             )
-            for row, (index, result) in enumerate(zip(members, results)):
-                out[index] = self._enforce_minimum_weight_rule(
-                    [list(group) for group in result.groups],
-                    quanta[row],
-                    means[row],
-                    quantization,
-                )
-        return out
+            members[low:high], own = flatten_groups([groups], [low])
+            opens[low:high] = False
+            opens[low + np.cumsum(own) - own] = True
+        return members, np.diff(np.flatnonzero(opens), append=total)
 
     def merge_groups_columns(
-        self, packed: PackedState, groups: Sequence[Sequence[int]]
+        self, packed: PackedState, members: np.ndarray, sizes: np.ndarray
     ) -> dict[str, np.ndarray]:
         means, covs = pool_moments_groups(
-            packed.quanta, packed.columns["mean"], packed.columns["cov"], groups
+            packed.quanta, packed.columns["mean"], packed.columns["cov"], members, sizes
         )
         return {"mean": means, "cov": covs}
 
     def digest_row(self, columns: dict[str, np.ndarray], index: int) -> bytes:
         return digest_arrays(columns["mean"][index], columns["cov"][index])
+
+    def digest_rows(self, columns: dict[str, np.ndarray]) -> list[bytes]:
+        return digest_array_rows(columns["mean"], columns["cov"])
 
     @staticmethod
     def _enforce_minimum_weight_rule(

@@ -35,6 +35,7 @@ from repro.analysis.outliers import robust_mean
 from repro.core.convergence import disagreement
 from repro.core.weights import Quantization
 from repro.data import make_dataset
+from repro.data.generators import outlier_count
 from repro.network.failures import BernoulliCrashes, NoFailures
 from repro.network.topology import make_topology
 from repro.protocols.classification import build_classification_network
@@ -92,7 +93,7 @@ def _inputs(params: Mapping[str, Any], seed: int):
     shape = {
         "outlier": {
             "delta": float(params.get("delta", 10.0)),
-            "n_outliers": max(1, round(n * float(params.get("outlier_fraction", 0.05)))),
+            "n_outliers": outlier_count(n, float(params.get("outlier_fraction", 0.05))),
         },
         "two_cluster": {"separation": float(params.get("separation", 8.0))},
     }.get(dataset, {})

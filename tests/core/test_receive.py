@@ -131,9 +131,11 @@ def _noop_and_full_solve(scheme, k, columns, tokens, local_quanta, incoming):
         columns={name: column[take] for name, column in columns.items()},
         row_digests=tokens + in_tokens,
     )
-    (groups,) = partition_pooled(scheme, [pooled], k, QUANTIZATION)
-    (full,) = merge_pooled(scheme, pooled, [0], [groups], pooled.row_digests, scheme.digest_row)
-    return noop, full
+    bounds = [0, len(pooled)]
+    members, sizes = partition_pooled(scheme, pooled, bounds, k, QUANTIZATION)
+    tokens = np.array(pooled.row_digests, dtype=object)
+    solved = merge_pooled(scheme, pooled, bounds, members, sizes, tokens, scheme.digest_rows)
+    return noop, ReceiveRows(*solved.problem(0))
 
 
 def _assert_same_rows(noop, full):

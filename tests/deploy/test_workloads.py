@@ -32,3 +32,10 @@ class TestBuildWorkload:
     def test_too_few_nodes_is_an_error(self):
         with pytest.raises(ValueError):
             build_workload("fig1", n=1, seed=0)
+
+    @pytest.mark.parametrize("n", [30, 70])
+    def test_fig4_holds_the_experiments_outlier_count(self, n):
+        """The deployed ``fig4`` workload counts its outliers by the rule
+        ``run fig4`` uses: 5% of the readings, rounded to nearest."""
+        values = build_workload("fig4", n=n, seed=0).values
+        assert int((values[:, 1] > 3.5).sum()) == max(1, round(0.05 * n))

@@ -302,8 +302,8 @@ def test_receives_of_a_failed_batch_are_solved_when_posed_again(monkeypatch):
 
     batches = []
 
-    def failing_partition(problems, k, quantization):
-        batches.append(len(problems))
+    def failing_partition(pooled, bounds, k, quantization):
+        batches.append(len(bounds) - 1)
         raise RuntimeError("planted partition failure")
 
     monkeypatch.setattr(solver, "receive_slab", recording_receive_slab)
@@ -351,7 +351,7 @@ def test_failed_round_leaves_the_arena_as_it_was(monkeypatch, data):
     before = _engine_states(engine)
     swept = engine.stats.noop_sweep_hits
 
-    def failing_partition(problems, k, quantization):
+    def failing_partition(pooled, bounds, k, quantization):
         raise RuntimeError("planted partition failure")
 
     monkeypatch.setattr(engine.arena.scheme, "partition_packed_batch", failing_partition)

@@ -5,12 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.packed import PackedState
+from repro.core.packed import PackedState, flatten_groups
 from repro.core.weights import Quantization
 from repro.ml.gaussian import pool_moments
 from repro.ml import reduction
 from repro.ml.reduction import em_iterations_total, reduce_mixture, reduce_mixture_batch
 from repro.schemes.gm import GaussianMixtureScheme
+
+
+def groups_of(labels):
+    """A label row's groups: ascending labels, ascending indices."""
+    buckets = {}
+    for index, label in enumerate(np.asarray(labels).tolist()):
+        buckets.setdefault(label, []).append(index)
+    return tuple(tuple(buckets[label]) for label in sorted(buckets))
 
 
 def component_block(rng, center, count, spread=0.4):
@@ -174,20 +182,20 @@ def test_batched_solves_equal_solves_alone(seed, k, d, max_iterations, shapes):
         by_size.setdefault(len(quanta), []).append(index)
     before = em_iterations_total()
     for members in by_size.values():
-        batch = reduce_mixture_batch(
+        labels, iterations, converged = reduce_mixture_batch(
             np.stack([problems[i][0] for i in members]).astype(float),
             np.stack([problems[i][1] for i in members]),
             np.stack([problems[i][2] for i in members]),
             k,
             max_iterations,
         )
-        for index, result in zip(members, batch):
-            assert result.groups == alone[index].groups
-            assert result.iterations == alone[index].iterations
-            assert result.converged == alone[index].converged
+        for row, index in enumerate(members):
+            assert groups_of(labels[row]) == alone[index].groups
+            assert iterations[row] == alone[index].iterations
+            assert converged[row] == alone[index].converged
     assert em_iterations_total() - before == alone_iterations
 
-    # The GM scheme buckets a mixed-size list itself and then applies the
+    # The GM scheme buckets a mixed-size block itself and then applies the
     # minimum-weight rule per problem, exactly as partition_packed does.
     scheme = GaussianMixtureScheme(seed=0, reduction_iterations=max_iterations)
     packed = [
@@ -195,9 +203,15 @@ def test_batched_solves_equal_solves_alone(seed, k, d, max_iterations, shapes):
         for quanta, means, covs in problems
     ]
     quantization = Quantization()
-    assert scheme.partition_packed_batch(packed, k, quantization) == [
-        scheme.partition_packed(state, k, quantization) for state in packed
-    ]
+    bounds = np.cumsum([0] + [len(state) for state in packed]).tolist()
+    members, sizes = scheme.partition_packed_batch(
+        PackedState.concat_many(packed), bounds, k, quantization
+    )
+    alone_members, alone_sizes = flatten_groups(
+        [scheme.partition_packed(state, k, quantization) for state in packed], bounds
+    )
+    assert members.tolist() == alone_members.tolist()
+    assert sizes.tolist() == alone_sizes.tolist()
 
 
 def test_stack_repairs_and_caps_like_one_problem(monkeypatch):
@@ -217,7 +231,7 @@ def test_stack_repairs_and_caps_like_one_problem(monkeypatch):
         for quanta, means, covs in problems
     ]
     solo_repairs = len(repairs)
-    batch = reduce_mixture_batch(
+    labels, iterations, converged = reduce_mixture_batch(
         np.stack([p[0] for p in problems]).astype(float),
         np.stack([p[1] for p in problems]),
         np.stack([p[2] for p in problems]),
@@ -226,9 +240,8 @@ def test_stack_repairs_and_caps_like_one_problem(monkeypatch):
     )
     assert solo_repairs > 0 and len(repairs) == 2 * solo_repairs
     assert not all(result.converged for result in alone)
-    assert [(r.groups, r.iterations, r.converged) for r in batch] == [
-        (r.groups, r.iterations, r.converged) for r in alone
-    ]
+    batch = zip(map(groups_of, labels), iterations.tolist(), converged.tolist())
+    assert list(batch) == [(r.groups, r.iterations, r.converged) for r in alone]
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -261,10 +274,10 @@ def test_stack_runs_in_bounded_slices(monkeypatch):
     whole = reduce_mixture_batch(stacked[0].astype(float), stacked[1], stacked[2], 3)
     monkeypatch.setattr(reduction, "_BATCH_ROWS", 16)  # two problems per slice
     sliced = reduce_mixture_batch(stacked[0].astype(float), stacked[1], stacked[2], 3)
-    assert sliced == whole
+    assert [part.tolist() for part in sliced] == [part.tolist() for part in whole]
 
 
 def test_small_problems_keep_singletons():
     quanta = np.ones((3, 2))
-    batch = reduce_mixture_batch(quanta, np.zeros((3, 2, 2)), np.zeros((3, 2, 2, 2)), 2)
-    assert [result.groups for result in batch] == [((0,), (1,))] * 3
+    labels, _, _ = reduce_mixture_batch(quanta, np.zeros((3, 2, 2)), np.zeros((3, 2, 2, 2)), 2)
+    assert [groups_of(row) for row in labels] == [((0,), (1,))] * 3

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.core.collection import Collection
-from repro.core.packed import PackedState
+from repro.core.packed import PackedState, flatten_groups
 from repro.core.weights import Quantization
 from repro.ml.gaussian import pool_moments, pool_moments_groups
 from repro.ml.reduction import compact_labels, maximin_seed_walk, pairwise_sq_matrix
@@ -26,6 +26,11 @@ from repro.schemes.centroid import CentroidScheme, greedy_partition, weighted_av
 from repro.schemes.gm import GaussianMixtureScheme
 
 QUANT = Quantization(16)
+
+
+def _flat(groups):
+    """One problem's groups as the flat ``(members, sizes)`` the batched merges take."""
+    return flatten_groups([groups], [0])
 
 
 def _random_groups(rng: np.random.Generator, n: int) -> list[list[int]]:
@@ -98,7 +103,7 @@ class TestWeightedAverageGroups:
         quanta = rng.integers(1, 1 << 12, size=n, dtype=np.int64)
         groups = _random_groups(rng, n)
         scheme = CentroidScheme()
-        batched = weighted_average_groups(rows, quanta, groups)
+        batched = weighted_average_groups(rows, quanta, *_flat(groups))
         for gi, group in enumerate(groups):
             reference = scheme.merge_set([(rows[i], float(quanta[i])) for i in group])
             assert batched[gi].tobytes() == reference.tobytes()
@@ -108,7 +113,7 @@ class TestWeightedAverageGroups:
         row = np.array([0.1, 0.2, 0.30000000000000004])
         rows = np.stack([row, row, row + 1.0])
         quanta = np.array([3, 5, 7], dtype=np.int64)
-        out = weighted_average_groups(rows, quanta, [[0, 1], [2]])
+        out = weighted_average_groups(rows, quanta, *_flat([[0, 1], [2]]))
         assert out[0].tobytes() == row.tobytes()
         assert out[1].tobytes() == (row + 1.0).tobytes()
 
@@ -122,7 +127,7 @@ class TestPoolMomentsGroups:
         covs = np.stack([np.eye(2) * s for s in rng.uniform(0.2, 2.0, size=n)])
         quanta = rng.integers(1, 1 << 12, size=n, dtype=np.int64)
         groups = _random_groups(rng, n)
-        b_means, b_covs = pool_moments_groups(quanta, means, covs, groups)
+        b_means, b_covs = pool_moments_groups(quanta, means, covs, *_flat(groups))
         for gi, group in enumerate(groups):
             idx = np.asarray(group, dtype=np.intp)
             ref_mean, ref_cov = pool_moments(
@@ -137,7 +142,7 @@ class TestPoolMomentsGroups:
         means = np.stack([mean, mean])
         covs = np.stack([cov, cov])
         quanta = np.array([9, 11], dtype=np.int64)
-        b_means, b_covs = pool_moments_groups(quanta, means, covs, [[0, 1]])
+        b_means, b_covs = pool_moments_groups(quanta, means, covs, *_flat([[0, 1]]))
         ref_mean, ref_cov = pool_moments(quanta.astype(float), means, covs)
         assert b_means[0].tobytes() == ref_mean.tobytes()
         assert b_covs[0].tobytes() == ref_cov.tobytes()
@@ -149,7 +154,7 @@ class TestPoolMomentsGroups:
         covs = np.stack([np.eye(2)] * n)
         quanta = rng.integers(1, 100, size=n, dtype=np.int64)
         groups = [[0], [1, 2], [3, 4], [5, 6, 7, 8]]  # three size buckets
-        b_means, b_covs = pool_moments_groups(quanta, means, covs, groups)
+        b_means, b_covs = pool_moments_groups(quanta, means, covs, *_flat(groups))
         assert b_means.shape == (4, 2)
         for gi, group in enumerate(groups):
             idx = np.asarray(group, dtype=np.intp)

@@ -189,6 +189,48 @@ def test_round_whose_batch_raises_keeps_its_weight(monkeypatch):
     assert weight() == 64 * unit
 
 
+def test_poisson_event_whose_receive_raises_keeps_its_weight(monkeypatch):
+    """A 64-node GM Poisson kernel whose receive raises adopts nothing: its
+    envelopes go back on their channels and their entries back on the
+    event queue, so no weight is lost, and once the raise is undone the
+    restored envelopes are delivered."""
+    values = np.random.default_rng(5).normal(size=(64, 2))
+    kernel, nodes = build_classification_network(
+        values, GaussianMixtureScheme(seed=0), 3, graph=complete(64), seed=2,
+        engine="async", merge_cache=True,
+    )
+    kernel.run(2)
+    unit = nodes[0].quantization.unit
+    transport = kernel.transport
+    dispatched = []
+    dispatch = type(transport).dispatch_delivery
+
+    def spy(self, channel, message, coalesce_at=None):
+        dispatched.append((channel, message, self.stats.frames_received))
+        return dispatch(self, channel, message, coalesce_at)
+
+    def weight():
+        at_nodes = sum(node.total_quanta for node in nodes)
+        return at_nodes + sum(int(payload.quanta.sum()) for payload in kernel.in_flight_payloads())
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("refused")
+
+    monkeypatch.setattr(type(transport), "dispatch_delivery", spy)
+    monkeypatch.setattr(GaussianMixtureScheme, "partition_packed", refuse)
+    with pytest.raises(RuntimeError, match="refused"):
+        kernel.run(1)
+    channel, message, frames = dispatched[-1]
+    assert transport.channels[(channel.source, channel.destination)] is channel
+    assert message in channel.in_flight
+    assert transport.stats.frames_received == frames
+    assert weight() == 64 * unit
+    monkeypatch.undo()
+    kernel.run(1)
+    assert message not in channel.in_flight
+    assert weight() == 64 * unit
+
+
 def test_round_sweeps_a_large_blocks_noops(monkeypatch):
     """200 exact-center nodes past quiescence: the core sweep answers
     receives in bulk, and the run keeps the bytes and events of the run

@@ -10,18 +10,23 @@ through the same shared numeric kernels and replicate the same
 accumulation order.  These tests pin that contract per scheme, pin the
 ``identity_below_k`` fast-path declaration against the scheme's actual
 ``partition``, and pin the default packed entry points that let a scheme
-implementing only the object contract run on any node.
+implementing only the object contract run on any node.  A block of many
+receive problems, partitioned and merged in one call each, must give
+every problem the groups (member order included) and rows it gets alone.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from oracle import OracleNode, oracle_nodes, state_bytes, summary_bytes
 
 from repro.core.collection import Collection
 from repro.core.node import ClassifierNode
-from repro.core.packed import PackedState
+from repro.core.packed import PackedState, flatten_groups, split_groups
+from repro.core.receive import solve_block
 from repro.core.scheme import SummaryScheme, validate_partition
 from repro.core.weights import Quantization
 from repro.mega import NetworkArena
@@ -232,7 +237,7 @@ class TestBatchedMerge:
             # Gaussian schemes' covariances are not zero and histogram rows
             # share bins.
             merged = scheme.merge_groups_columns(
-                singles, [list(range(4 * i, 4 * i + 4)) for i in range(n)]
+                singles, *flatten_groups([[list(range(4 * i, 4 * i + 4)) for i in range(n)]], [0])
             )
             # Row n copies row 0, so one group holds byte-identical rows.
             packed = PackedState(
@@ -243,9 +248,9 @@ class TestBatchedMerge:
                     key: np.concatenate([column, column[:1]]) for key, column in merged.items()
                 },
             )
-            groups = _mixed_groups(rng, n + 1, pinned=[0, n])
-            batched = scheme.merge_groups_columns(packed, groups)
-            reference = SummaryScheme.merge_groups_columns(scheme, packed, groups)
+            groups = flatten_groups([_mixed_groups(rng, n + 1, pinned=[0, n])], [0])
+            batched = scheme.merge_groups_columns(packed, *groups)
+            reference = SummaryScheme.merge_groups_columns(scheme, packed, *groups)
             assert set(batched) == set(reference)
             for key, rows in reference.items():
                 assert batched[key].shape == rows.shape, (seed, key)
@@ -321,3 +326,126 @@ class TestPackedDefault:
     def test_arena_rejects_object_only_scheme(self):
         with pytest.raises(ValueError, match="arena engine requires it"):
             NetworkArena.from_values(np.zeros((4, 2)), BoundingBoxScheme(), k=2)
+
+
+BLOCK_SCHEMES = SCHEME_NAMES + ["box"]
+
+
+def _block_scheme(name: str):
+    return BoundingBoxScheme() if name == "box" else _make_scheme(name)
+
+
+@st.composite
+def receive_blocks(draw, dimension: int):
+    """``k`` and a block of 2-12 pooled sets of mixed sizes (some at or
+    below ``k``): grid values, and quanta where a one-quantum row is
+    common, some problems holding exactly one (conformance rule 2)."""
+    k = draw(st.integers(min_value=1, max_value=4))
+    problems = []
+    for _ in range(draw(st.integers(min_value=2, max_value=12))):
+        size = draw(st.integers(min_value=1, max_value=k + 4))
+        grid = st.tuples(*[st.integers(min_value=-2, max_value=2)] * dimension)
+        points = draw(st.lists(grid, min_size=size, max_size=size))
+        spread = draw(st.sampled_from([0.25, 1.0, 4.0]))
+        quanta = draw(
+            st.lists(
+                st.one_of(st.sampled_from([1, 2, 3, 8]), st.integers(2, 2**41)),
+                min_size=size,
+                max_size=size,
+            )
+        )
+        if draw(st.booleans()):  # exactly one lone one-quantum row
+            lone = draw(st.integers(min_value=0, max_value=size - 1))
+            quanta = [1 if row == lone else max(2, weight) for row, weight in enumerate(quanta)]
+        problems.append((np.asarray(points, dtype=float) * spread, quanta))
+    return k, problems
+
+
+def _column_bytes(column: np.ndarray) -> list:
+    """Per-row bytes of a packed column; an object column holds box tuples."""
+    if column.dtype == object:
+        return [b"".join(np.asarray(part).tobytes() for part in row) for row in column]
+    return [row.tobytes() for row in column]
+
+
+class TestBlockSolve:
+    """A block's flat grouping and output rows, problem by problem, against
+    each problem solved alone (the scalar ``partition_packed`` path)."""
+
+    @pytest.mark.parametrize("name", BLOCK_SCHEMES)
+    def test_each_problem_solves_as_alone(self, name):
+        scheme = _block_scheme(name)
+        dimension = 1 if name == "histogram" else 2
+        named = scheme.supports_fingerprints
+
+        def rows_of(values, quanta):
+            columns = (
+                scheme.pack_values(values[:, 0])
+                if name == "histogram"
+                else scheme.pack_summaries([scheme.val_to_summary(v) for v in values])
+            )
+            packed = PackedState(quanta=np.asarray(quanta, dtype=np.int64), columns=columns)
+            if named:
+                packed.row_digests = tuple(scheme.digest_rows(columns))
+            return packed
+
+        def solve(pooled, bounds, k):
+            tokens = np.array(pooled.row_digests, dtype=object) if named else None
+            return solve_block(scheme, k, QUANT, pooled, bounds, tokens, scheme.digest_rows)
+
+        @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+        @given(receive_blocks(dimension))
+        def check(block):
+            k, problems = block
+            parts = [rows_of(values, quanta) for values, quanta in problems]
+            bounds = np.cumsum([0] + [len(part) for part in parts]).tolist()
+            pooled = PackedState.concat_many(parts)
+            members, sizes = scheme.partition_packed_batch(pooled, bounds, k, QUANT)
+            assert split_groups(members, sizes, bounds) == [
+                scheme.partition_packed(part, k, QUANT) for part in parts
+            ]
+            solved = solve(pooled, bounds, k)
+            for p, part in enumerate(parts):
+                tokens, quanta, columns, group_sizes = solved.problem(p)
+                alone = solve(part, [0, len(part)], k).problem(0)
+                assert tokens == alone[0]
+                assert quanta.tolist() == alone[1].tolist()
+                assert group_sizes == alone[3]
+                for key, column in columns.items():
+                    assert _column_bytes(column) == _column_bytes(alone[2][key])
+
+        check()
+
+    def test_repair_appends_the_lone_row(self):
+        """Rule 2 folds a lone one-quantum row into its nearest group, last."""
+        scheme = GaussianMixtureScheme(seed=0)
+        values = np.array([[0.1, 0.0], [0.0, 0.0], [9.0, 9.0]])
+        packed = PackedState(quanta=np.array([1, 5, 7]), columns=scheme.pack_values(values))
+        assert scheme.partition_packed(packed, 3, QUANT) == [[1, 0], [2]]
+        pooled = PackedState.concat_many([packed, packed])
+        members, sizes = scheme.partition_packed_batch(pooled, [0, 3, 6], 3, QUANT)
+        assert (members.tolist(), sizes.tolist()) == ([1, 0, 2, 4, 3, 5], [2, 1, 2, 1])
+
+
+@pytest.mark.parametrize("name", SCHEME_NAMES)
+def test_digest_rows_equals_digest_row_per_row(name):
+    """``digest_rows`` is ``digest_row`` of every row, on merged rows, on
+    non-contiguous column views and on zero rows."""
+    scheme = _make_scheme(name)
+    rng = np.random.default_rng(11)
+    values = [_make_value(name, rng) for _ in range(8)]
+    singles = PackedState(
+        quanta=rng.integers(2, 1 << 12, size=8, dtype=np.int64), columns=scheme.pack_values(values)
+    )
+    merged = scheme.merge_groups_columns(
+        singles, *flatten_groups([[[0, 1], [2, 3, 4], [5], [6, 7]]], [0])
+    )
+    for columns in (
+        merged,
+        {key: column[::2] for key, column in merged.items()},
+        {key: column[:0] for key, column in merged.items()},
+    ):
+        count = len(next(iter(columns.values())))
+        assert scheme.digest_rows(columns) == [
+            scheme.digest_row(columns, index) for index in range(count)
+        ]
