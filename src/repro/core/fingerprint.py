@@ -368,9 +368,9 @@ class MergeCache:
 
     Owned by the :class:`~repro.network.kernel.SimulationKernel` (which
     folds its counters into :class:`~repro.network.metrics.NetworkMetrics`)
-    and consulted by every :class:`~repro.core.node.ClassifierNode` of the
-    run from inside ``defer_receive`` (an arena's
-    :class:`~repro.mega.engine.ReceiveSolver` owns one the same way).
+    and consulted for every :class:`~repro.core.node.ClassifierNode` of the
+    run by the round driver, :func:`repro.core.receive.receive_round` (an
+    arena's :class:`~repro.mega.engine.ReceiveSolver` owns one the same way).
     Byte-identity contract: a certified no-op produces exactly the packed
     rows, stats deltas and ``merge`` events the uncached pipeline would
     have produced.  The parity and determinism suites pin this with the

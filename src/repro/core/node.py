@@ -11,9 +11,9 @@ atomic blocks of Algorithm 1:
 - :meth:`ClassifierNode.receive_packed` is the receipt handler (lines
   8-11): the incoming rows are pooled with the local ones, the scheme's
   ``partition_packed`` groups them into at most ``k`` sets, and each set
-  is merged into a single row.  It is :meth:`ClassifierNode.defer_receive`
-  run alone: a synchronous round calls that split form on every receiver,
-  so the round's partitions and merges run in one batch.
+  is merged into a single row.  It is a round of one: a synchronous
+  round poses every receiver's receive (:meth:`ClassifierNode.defer_receive`)
+  to the one round driver, :func:`repro.core.receive.receive_round`.
   :meth:`ClassifierNode.receive` takes a collection list (a decoded wire
   frame, a test's hand-built input), packs it and hands it on.
 
@@ -26,7 +26,7 @@ setting of the convergence proof).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 from typing import Any, Callable, Optional, Sequence
 
@@ -37,8 +37,8 @@ from repro.core.collection import Collection
 from repro.core.fingerprint import MergeCache, combine_digests, state_fingerprint_of
 from repro.core.mixture import MixtureVector
 from repro.core.packed import PackedPayload, PackedState, unpack_collections
-from repro.core.receive import PendingSolve, QueuedBlock, ReceiveBatch, takes_fast_path
-from repro.core.scheme import SummaryScheme, validate_partition
+from repro.core.receive import FAST, SOLVED, ReceiveBatch
+from repro.core.scheme import SummaryScheme
 from repro.core.weights import Quantization
 from repro.obs.context import current_sink
 from repro.obs.events import Event, EventSink
@@ -73,19 +73,7 @@ class NodeStats:
     cache_misses: int = 0
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "splits": self.splits,
-            "merges": self.merges,
-            "messages_made": self.messages_made,
-            "batches_received": self.batches_received,
-            "collections_received": self.collections_received,
-            "partition_calls": self.partition_calls,
-            "fastpath_hits": self.fastpath_hits,
-            "fastpath_misses": self.fastpath_misses,
-            "cache_memo_hits": self.cache_memo_hits,
-            "cache_noop_hits": self.cache_noop_hits,
-            "cache_misses": self.cache_misses,
-        }
+        return asdict(self)
 
 
 class ClassifierNode:
@@ -178,13 +166,6 @@ class ClassifierNode:
         self._collections: Optional[list[Collection]] = None
         self._summary_fp: Optional[bytes] = None
         self._state_fp: Optional[bytes] = None
-
-    def _adopt(self, state: PackedState) -> None:
-        """Make ``state`` the node's classification."""
-        self._packed = state
-        self._collections = None
-        self._summary_fp = None
-        self._state_fp = None
 
     # ------------------------------------------------------------------
     # Observation
@@ -354,9 +335,9 @@ class ClassifierNode:
     def receive_packed(self, payloads: Sequence[PackedPayload]) -> None:
         """Pool the payloads' rows with local state, partition, and merge.
 
-        :meth:`defer_receive` run as a round of one: decide, solve what
-        was queued, complete.  One problem is posed, so a full solve runs
-        the scheme's scalar ``partition_packed``.
+        :meth:`defer_receive` run as a round of one, whose slab views the
+        node's arrays; a full solve runs the scheme's scalar
+        ``partition_packed``.
         """
         batch = ReceiveBatch()
         complete = self.defer_receive(payloads, batch)
@@ -366,145 +347,101 @@ class ClassifierNode:
     def defer_receive(
         self, payloads: Sequence[PackedPayload], batch: ReceiveBatch
     ) -> Callable[[], None]:
-        """Decide one receive now; return the call that completes it.
+        """Pose one receive on ``batch``; return the call that adopts its answer.
 
-        The decisions are :mod:`repro.core.receive`'s, taken in this
-        order: the identity fast path (below the compression bound), the
-        certified no-op, then the full solve.  A receive whose incoming
-        digests are all local ones is queued on ``batch`` as a no-op
-        candidate, which ``batch.solve()`` answers or queues for the full
-        solve; any other full solve is queued at once.  Nothing is adopted
-        here: the returned call adopts the rows after ``batch.solve()``,
-        with the node's own work (aux rows, stats, events; ``validate``
-        runs in the batch).  Every layer yields the bytes, stats deltas
-        and ``merge`` events the full solve would; the parity suites pin
-        the result against the test-side Algorithm 1 oracle.
+        ``batch.solve()`` answers it through the round driver
+        :func:`repro.core.receive.receive_round`, and every answer yields
+        the bytes, stats deltas and ``merge`` events of the full solve (the
+        parity suites pin them against the test-side Algorithm 1 oracle).
+        With the merge cache the row digests are computed here, and a
+        receive pooling more than ``k`` rows, not all local, counts its
+        cache miss at once.
         """
         stats = self.stats
         stats.batches_received += 1
         total_in = 0
         for payload in payloads:
-            total_in += len(payload)
+            total_in += len(payload.quanta)
         stats.collections_received += total_in
         if total_in == 0:
             return _unchanged
         local = self._packed
-        scheme = self.scheme
-        k = self.k
-        pooled_size = len(local) + total_in
-        registry = current_registry()
-        if pooled_size <= k:
-            pooled = PackedState.concat_many((local, *payloads))
-            incoming_quanta = pooled.quanta[len(local) :]
-            if takes_fast_path(scheme, k, self.quantization, local.quanta, incoming_quanta):
-                if self.validate:
-                    identity = [[index] for index in range(pooled_size)]
-                    validate_partition(identity, pooled, k, self.quantization)
-                stats.fastpath_hits += 1
-                if registry is not None:
-                    registry.inc("partition.fastpath_hit")
-                return partial(self._adopt_fast, pooled)
-        stats.fastpath_misses += 1
-        if registry is not None:
-            registry.inc("partition.fastpath_miss")
         cache = self.merge_cache
+        missed = False
         if cache is not None:
             local_digests = set(self._row_digests())
-            all_local = True
             for payload in payloads:
                 if payload.row_digests is None:
-                    payload.row_digests = tuple(scheme.digest_rows(payload.columns))
-                all_local = all_local and local_digests.issuperset(payload.row_digests)
-            if all_local and pooled_size > k:
-                pending = batch.queue_candidate(
-                    scheme, k, self.quantization, self.validate, local, payloads, cache
-                )
-                return partial(self._adopt_candidate, pending, cache, pooled_size)
-            self._record_miss(cache, registry)
-        return partial(
-            self._adopt_solved,
-            *batch.queue(scheme, k, self.quantization, self.validate, local, payloads),
-        )
+                    payload.row_digests = tuple(self.scheme.digest_rows(payload.columns))
+                missed = missed or not local_digests.issuperset(payload.row_digests)
+            missed = missed and len(local.quanta) + total_in > self.k
+            if missed:
+                cache.record_miss()
+                stats.cache_misses += 1
+                registry = current_registry()
+                if registry is not None:
+                    registry.inc("merge_cache.miss")
+        return partial(self._adopt_receive, batch, batch.pose(self, local, payloads, total_in), missed)
 
-    def _record_miss(self, cache: MergeCache, registry: Any) -> None:
-        cache.record_miss()
-        self.stats.cache_misses += 1
-        if registry is not None:
-            registry.inc("merge_cache.miss")
-
-    def _adopt_fast(self, pooled: PackedState) -> None:
-        """Complete a fast-path receive: the pooled rows are the output."""
-        self._adopt(pooled)
-        if self.event_sink is not None:
-            self._emit_receive((), "fastpath", len(pooled))
-
-    def _adopt_candidate(self, pending: PendingSolve, cache: MergeCache, pooled_size: int) -> None:
-        """Complete a no-op candidate as its batch decided it.  A certified
-        no-op's rows (arrays shared, never mutated in place) are adopted
-        with the stats and events of the full solve they stand for."""
+    def _adopt_receive(self, batch: ReceiveBatch, index: int, missed: bool) -> None:
+        """Adopt receive ``index`` of ``batch`` with the node's own work (stats,
+        events, aux rows); answers share arrays, never mutated in place."""
+        result, position, payloads = batch.answer(index)
+        kind, tokens, quanta, columns, sizes = result.outcome(position)
+        stats = self.stats
         registry = current_registry()
-        rows = pending.rows
-        if rows is None:
-            self._record_miss(cache, registry)
-            self._adopt_solved(*pending.solve)  # type: ignore[misc]
-            return
-        cache.record_noop()
-        self._adopt(PackedState(quanta=rows.quanta, columns=rows.columns, row_digests=rows.tokens))
-        stats = self.stats
-        stats.partition_calls += 1
-        stats.merges += rows.merges
-        stats.cache_noop_hits += 1
+        cache = self.merge_cache
+        if kind == FAST:
+            stats.fastpath_hits += 1
+        else:
+            stats.fastpath_misses += 1
+            stats.partition_calls += 1
+            stats.merges += len(sizes) - sizes.count(1)
         if registry is not None:
-            registry.inc("merge_cache.noop")
-        if self.event_sink is not None:
-            self._emit_receive(rows.group_sizes, "cache", pooled_size, "noop")
-
-    def _adopt_solved(self, block: QueuedBlock, problem: int) -> None:
-        """Complete a full solve once its block has been solved (and validated)."""
-        solved = block.solved
-        assert solved is not None
-        tokens, quanta, columns, sizes = solved.problem(problem)
-        stats = self.stats
-        stats.partition_calls += 1
-        stats.merges += len(sizes) - sizes.count(1)
-        if self.event_sink is not None:
-            self._emit_receive(sizes)
-        out_aux = None
-        if block.aux is not None:
-            aux = block.aux[block.bounds[problem] :]
-            out_aux = np.stack(
-                [
-                    aux[group[0]]
-                    if len(group) == 1
-                    else MixtureVector.sum_of(MixtureVector(aux[i]) for i in group).components
-                    for group in solved.groups(problem)
-                ]
-            )
-        self._adopt(PackedState(quanta=quanta, columns=columns, row_digests=tokens, aux=out_aux))
-
-    def _emit_receive(
-        self,
-        group_sizes: Sequence[int],
-        kind: Optional[str] = None,
-        pooled_size: int = 0,
-        path: Optional[str] = None,
-    ) -> None:
-        """One ``merge`` event per output row built from several, then the
-        answering layer's ``kind`` event (``fastpath`` or ``cache``), if any."""
+            registry.inc("partition.fastpath_hit" if kind == FAST else "partition.fastpath_miss")
+        if kind == SOLVED:
+            if cache is not None and not missed:
+                cache.record_miss()
+                stats.cache_misses += 1
+                if registry is not None:
+                    registry.inc("merge_cache.miss")
+        elif kind != FAST:
+            assert cache is not None
+            cache.record_noop()
+            stats.cache_noop_hits += 1
+            if registry is not None:
+                registry.inc("merge_cache.noop")
         sink = self.event_sink
-        assert sink is not None
-        for size in group_sizes:
-            if size > 1:
-                sink.emit(Event(kind="merge", node=self.node_id, items=size))
-        if kind is not None:
-            sink.emit(
-                Event(
-                    kind=kind,
-                    node=self.node_id,
-                    items=pooled_size,
-                    extra=None if path is None else {"path": path},
+        if sink is not None:
+            for size in sizes:
+                if size > 1:
+                    sink.emit(Event(kind="merge", node=self.node_id, items=size))
+            if kind != SOLVED:
+                sink.emit(
+                    Event(
+                        kind="fastpath" if kind == FAST else "cache",
+                        node=self.node_id,
+                        items=sum(sizes),
+                        extra=None if kind == FAST else {"path": "noop"},
+                    )
                 )
-            )
+        aux = self._packed.aux
+        if aux is not None:
+            aux = np.concatenate([aux, *(payload.aux for payload in payloads)])
+            if kind != FAST:
+                assert result.block is not None
+                aux = np.stack(
+                    [
+                        aux[group[0]]
+                        if len(group) == 1
+                        else MixtureVector.sum_of(MixtureVector(aux[i]) for i in group).components
+                        for group in result.block.groups(int(result.at[position]))
+                    ]
+                )
+        self._packed = PackedState(quanta=quanta, columns=columns, row_digests=tokens, aux=aux)
+        self._collections = None
+        self._summary_fp = None
+        self._state_fp = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -227,42 +227,6 @@ class PackedState:
     def __len__(self) -> int:
         return len(self.quanta)
 
-    @staticmethod
-    def concat_many(
-        states: Sequence["PackedState | PackedPayload"],
-    ) -> "PackedState":
-        """Row-wise concatenation of packed states or payloads, in order.
-
-        A receiving node pools its local rows with every delivered
-        payload in a single allocation.  Digests survive when every part
-        carries them; aux rows are concatenated when the parts have them.
-        """
-        if not states:
-            raise ValueError("cannot concatenate zero packed states")
-        names = states[0].columns.keys()
-        for state in states[1:]:
-            if state.columns.keys() != names:
-                raise ValueError(
-                    f"packed column mismatch: {sorted(names)} vs {sorted(state.columns)}"
-                )
-        digests: Optional[Tuple[bytes, ...]] = None
-        if all(state.row_digests is not None for state in states):
-            digests = tuple(
-                digest for state in states for digest in state.row_digests  # type: ignore[union-attr]
-            )
-        aux = None
-        if states[0].aux is not None:
-            aux = np.concatenate([state.aux for state in states])  # type: ignore[misc]
-        return PackedState(
-            quanta=np.concatenate([state.quanta for state in states]),
-            columns={
-                name: np.concatenate([state.columns[name] for state in states])
-                for name in names
-            },
-            row_digests=digests,
-            aux=aux,
-        )
-
     def weights(self) -> np.ndarray:
         """Quanta as float weights (the scale partition math runs in)."""
         return self.quanta.astype(float)

@@ -21,6 +21,7 @@ collection holding a single quantum keeps it instead of evaporating.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 __all__ = ["Quantization", "WeightError", "DEFAULT_QUANTA_PER_UNIT", "MAX_TOTAL_QUANTA"]
 
@@ -144,9 +145,11 @@ class Quantization:
         kept = quanta - sent
         return kept, sent
 
-    def is_minimum(self, quanta: int) -> bool:
+    def is_minimum(self, quanta: Any) -> Any:
         """True when this weight is exactly one quantum (the paper's ``q``).
 
+        Takes an int or an integer array; on an array the test is
+        elementwise and returns a boolean array of the same shape.
         Collections at the minimum weight receive special treatment in
         ``partition``: they must be merged with at least one other
         collection (Section 4.1's conformance rule 2).

@@ -16,15 +16,12 @@ pipeline.  :class:`ArenaEngine` executes the *same* round over a
 3. **Routing** — a stable argsort by destination reproduces the
    in-memory transport's delivery order (destinations ascending, and
    within a destination payloads in ascending sender order).
-4. **Receive** — :class:`ReceiveSolver` runs the receive step per
-   *distinct problem* of a round, not per receiver: a receive is keyed
-   by its local and incoming ``(summary id, quanta)`` bytes, so
-   receivers of one round that pose one problem share its outcome.
-   Distinct problems are decided by :mod:`repro.core.receive`,
-   the code :meth:`repro.core.node.ClassifierNode.receive_packed` runs,
-   with interned ids as row tokens: the same fast path, certified no-op
-   and full solve; the problems left for the full solve are solved
-   together, in one partition call and one merge call per round.
+4. **Receive** — :class:`ReceiveSolver` hands the round to
+   :func:`repro.core.receive.receive_round`, the driver the per-node
+   kernel's rounds run too, with interned ids as row tokens: a round
+   memo (receivers that pose one problem share its outcome), the same
+   fast path, certified no-op and full solve, and one partition call and
+   one merge call for the round's distinct problems left.
 
 Byte-parity with the per-node kernel (same seeds, same schemes, same
 classifications down to collection order) is the contract; the scalar
@@ -38,23 +35,14 @@ which defeats whole-network batching.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import networkx as nx
 import numpy as np
 
 from repro.core.fingerprint import MergeCache, merge_cache_default
-from repro.core.packed import PackedState
-from repro.core.receive import (
-    SWEEP_MIN_BLOCK,
-    ReceiveRows,
-    SolvedBlock,
-    certified_noop,
-    solve_block,
-    sweep_noops,
-    takes_fast_path,
-)
+from repro.core.receive import FAST, NOOP, SOLVED, SWEPT, ReceiveSlab, ragged_slots, receive_round
 from repro.core.weights import Quantization
 from repro.mega.arena import NetworkArena
 from repro.network.simulator import NeighborSelector, RandomSelector
@@ -163,56 +151,18 @@ class ArenaStats:
     merges: int = 0
 
     def as_dict(self) -> Dict[str, int]:
-        return {
-            "rounds": self.rounds,
-            "messages": self.messages,
-            "receivers": self.receivers,
-            "fastpath_hits": self.fastpath_hits,
-            "memo_round_hits": self.memo_round_hits,
-            "memo_lru_hits": self.memo_lru_hits,
-            "noop_hits": self.noop_hits,
-            "noop_sweep_hits": self.noop_sweep_hits,
-            "full_solves": self.full_solves,
-            "merges": self.merges,
-        }
-
-
-#: One group of swept no-op receives, for the scatter pass: the receivers,
-#: their ordered tokens and quanta rows, and the block's reordered columns.
-_Swept = Tuple[np.ndarray, Tuple[Any, ...], np.ndarray, Dict[str, np.ndarray]]
-
-
-def _ragged(lengths: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Flatten ragged ranges: each element's entry and its index in ``range(lengths[entry])``."""
-    owner = np.repeat(np.arange(len(lengths)), lengths)
-    slot = np.arange(len(owner)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    return owner, slot
+        return asdict(self)
 
 
 class ReceiveSolver:
-    """The receive step of :mod:`repro.core.receive`, deduplicated over a payload slab.
+    """The receive step of :mod:`repro.core.receive` over a payload slab.
 
     Shared by :class:`ArenaEngine` and the shard workers: both hand it
     per-destination payload slabs (ids/quanta/columns sorted by receiver)
     and it updates the arena in place.  Rows are named by interned id,
-    the core's row token here.  Layers, cheapest first:
-
-    - the round memo, keyed by the exact ``(local state, incoming)``
-      bytes: a receiver that poses a problem another receiver of the
-      same round posed shares its outcome, which is byte-identical
-      because the receive is a deterministic pure function of that key.
-      It lives for one :meth:`receive_slab` call: every round halves
-      and re-pools the quanta, so an exact key almost never comes back
-      in a later round;
-    - the core's identity fast path and certified no-op, the no-op also
-      as the core's sweep (:func:`~repro.core.receive.sweep_noops`) over
-      receivers that share a local block;
-    - the core's full solve, batched over the round: one partition call
-      for every problem left, then one ``merge_groups_columns`` call for
-      every multi-member group.
-
-    The solver's own work is the round memo, the sweep, the gathers that
-    pool each problem's rows out of the slabs, interning and the scatter.
+    the core's row token here.  The core's round driver
+    (:func:`~repro.core.receive.receive_round`) answers the receives; the
+    solver's own work is the routing, interning, stats and the scatter.
     """
 
     def __init__(
@@ -222,17 +172,8 @@ class ReceiveSolver:
         stats: Optional[ArenaStats] = None,
     ) -> None:
         self.arena = arena
-        self.scheme = arena.scheme
-        self.k = arena.k
-        self.quantization = arena.quantization
         self.merge_cache = merge_cache if arena.scheme.supports_fingerprints else None
         self.stats = stats if stats is not None else ArenaStats()
-        interner = arena.interner
-        # The core's resolve: a local id's digest and summary.
-        self._resolve = lambda summary_id, position: (
-            interner.digest(summary_id),
-            interner.summary(summary_id),
-        )
 
     # ------------------------------------------------------------------
     # Batch entry points
@@ -279,14 +220,12 @@ class ReceiveSolver:
         ``ids`` / ``quanta`` / ``columns`` belong to ``dests[p]``, in
         ascending-sender order — the in-memory transport's batch order.
 
-        Three passes.  The first resolves every receiver in order from
-        the swept no-ops (:meth:`_sweep`), the round memo, the fast path
-        or a certified no-op, and queues the rest as distinct problems.
-        The second solves the queue in one batch (:meth:`_solve_queued`),
-        interning new summaries in queue order.
-        The third scatters, and is the only pass that writes the arena,
-        so a batch that raises leaves every receiver's rows as they were.
-        Receivers are distinct, so no receiver reads another's new rows.
+        The core's round driver answers every receive over the arena's
+        own arrays, interning new summaries in its queue order (a
+        one-at-a-time loop's, so ids match it); then the scatter, the
+        only step that writes the arena, so a round that raises leaves
+        every receiver's rows as they were.  Receivers are distinct, so
+        no receiver reads another's new rows.
         """
         arena = self.arena
         stats = self.stats
@@ -294,220 +233,6 @@ class ReceiveSolver:
         a_ids = arena.ids
         a_quanta = arena.quanta
         a_columns = arena.columns
-        handled: Optional[np.ndarray] = None
-        swept: List[_Swept] = []
-        if self.merge_cache is not None and len(dests) >= 32:
-            handled, swept = self._sweep(dests, bounds, ids, quanta)
-        # key -> the receive's rows, or its problem's index in the queue
-        round_memo: Dict[Any, Union[ReceiveRows, int]] = {}
-        resolved: List[Tuple[int, ReceiveRows]] = []
-        solved: List[Tuple[int, int]] = []
-        queued: List[Tuple[int, int, int, int]] = []
-        for position in range(len(dests)):
-            if handled is not None and handled[position]:
-                continue
-            receiver = int(dests[position])
-            start = int(bounds[position])
-            stop = int(bounds[position + 1])
-            count = int(a_counts[receiver])
-            local_ids = a_ids[receiver, :count]
-            local_quanta = a_quanta[receiver, :count]
-            key = (
-                count,
-                local_ids.tobytes(),
-                local_quanta.tobytes(),
-                ids[start:stop].tobytes(),
-                quanta[start:stop].tobytes(),
-            )
-            outcome = round_memo.get(key)
-            if outcome is not None:
-                stats.memo_round_hits += 1
-            else:
-                outcome = self._shortcut(
-                    receiver, count, local_ids, local_quanta, start, stop, ids, quanta, columns
-                )
-                if outcome is None:
-                    outcome = len(queued)
-                    queued.append((receiver, count, start, stop))
-                    stats.full_solves += 1
-                round_memo[key] = outcome
-            if isinstance(outcome, int):
-                solved.append((receiver, outcome))
-            else:
-                resolved.append((receiver, outcome))
-        block = self._solve_queued(queued, ids, quanta, columns) if queued else None
-        k = self.k
-        for out, tokens, out_quanta, out_columns in swept:
-            a_counts[out] = k
-            a_ids[out, :k] = tokens
-            a_quanta[out, :k] = out_quanta
-            a_quanta[out, k:] = 0
-            for name, column in a_columns.items():
-                column[out, :k] = out_columns[name][None]
-        for receiver, outcome in resolved:
-            stats.receivers += 1
-            stats.merges += outcome.merges
-            width = len(outcome.quanta)
-            a_counts[receiver] = width
-            a_ids[receiver, :width] = outcome.tokens
-            a_quanta[receiver, :width] = outcome.quanta
-            a_quanta[receiver, width:] = 0
-            for name, column in a_columns.items():
-                column[receiver, :width] = outcome.columns[name]
-        if block is not None:
-            # Every solved receiver at once: its problem's output rows.
-            receivers, problems = np.array(solved, dtype=np.intp).T
-            cuts = np.asarray(block.cuts)
-            widths = cuts[problems + 1] - cuts[problems]
-            owner, slot = _ragged(widths)
-            rows = cuts[problems][owner] + slot
-            at = receivers[owner]
-            stats.receivers += len(receivers)
-            stats.merges += int((block.sizes[rows] > 1).sum())
-            a_counts[receivers] = widths
-            a_ids[at, slot] = block.tokens[rows]
-            a_quanta[receivers] = 0
-            a_quanta[at, slot] = block.quanta[rows]
-            for name, column in a_columns.items():
-                column[at, slot] = block.columns[name][rows]
-
-    # ------------------------------------------------------------------
-    # Batched certified no-ops
-    # ------------------------------------------------------------------
-    def _sweep(
-        self, dests: np.ndarray, bounds: np.ndarray, ids: np.ndarray, quanta: np.ndarray
-    ) -> Tuple[np.ndarray, List[_Swept]]:
-        """Decide certified no-op receives in bulk: a handled mask, and the
-        groups :meth:`receive_slab`'s scatter pass writes.  Receivers holding
-        ``k`` rows are grouped by local id block with one stable sort; each
-        block of ``SWEEP_MIN_BLOCK`` or more is one core ``sweep_noops`` call.
-        """
-        swept: List[_Swept] = []
-        arena = self.arena
-        cache = self.merge_cache
-        assert cache is not None
-        k = self.k
-        stats = self.stats
-        handled = np.zeros(len(dests), dtype=bool)
-        candidates = np.flatnonzero(arena.counts[dests] == k)
-        local_ids = arena.ids[dests[candidates], :k]
-        order = np.lexsort(local_ids.T[::-1])
-        ordered = local_ids[order]
-        starts = np.flatnonzero(np.append(True, (ordered[1:] != ordered[:-1]).any(axis=1)))
-        widths = np.diff(bounds)
-        for start, size in zip(starts.tolist(), np.diff(starts, append=len(order)).tolist()):
-            if size < SWEEP_MIN_BLOCK:
-                continue
-            at = candidates[order[start : start + size]]
-            receivers = dests[at]
-            owner, slot = _ragged(widths[at])
-            rows = bounds[at][owner] + slot
-            block = {name: column[receivers[0], :k] for name, column in arena.columns.items()}
-            for accepted, tokens, out_quanta, sizes, columns in sweep_noops(
-                cache, self.scheme, k, self.quantization, tuple(ordered[start].tolist()), block,
-                arena.quanta[receivers, :k], ids[rows], quanta[rows], widths[at], self._resolve,
-            ):
-                swept.append((receivers[accepted], tokens, out_quanta, columns))
-                handled[at[accepted]] = True
-                stats.receivers += len(accepted)
-                stats.noop_hits += len(accepted)
-                stats.noop_sweep_hits += len(accepted)
-                stats.merges += int((sizes > 1).sum())
-        return handled, swept
-
-    # ------------------------------------------------------------------
-    # One distinct receive problem
-    # ------------------------------------------------------------------
-    def _shortcut(
-        self,
-        receiver: int,
-        count: int,
-        local_ids: np.ndarray,
-        local_quanta: np.ndarray,
-        start: int,
-        stop: int,
-        ids: np.ndarray,
-        quanta: np.ndarray,
-        columns: Dict[str, np.ndarray],
-    ) -> Optional[ReceiveRows]:
-        """The core's identity fast path or certified no-op, when one applies."""
-        scheme = self.scheme
-        local_columns = {
-            name: column[receiver, :count] for name, column in self.arena.columns.items()
-        }
-        incoming_ids = ids[start:stop]
-        incoming_quanta = quanta[start:stop]
-        if takes_fast_path(scheme, self.k, self.quantization, local_quanta, incoming_quanta):
-            self.stats.fastpath_hits += 1
-            return ReceiveRows(
-                np.concatenate([local_ids, incoming_ids]),
-                np.concatenate([local_quanta, incoming_quanta]),
-                {
-                    name: np.concatenate([local, columns[name][start:stop]])
-                    for name, local in local_columns.items()
-                },
-                (1,) * (count + stop - start),
-            )
-        cache = self.merge_cache
-        if cache is None:
-            return None
-        outcome = certified_noop(
-            cache,
-            scheme,
-            self.k,
-            self.quantization,
-            local_ids.tolist(),
-            local_quanta,
-            incoming_ids.tolist(),
-            incoming_quanta,
-            local_columns,
-            self._resolve,
-        )
-        if outcome is not None:
-            self.stats.noop_hits += 1
-        return outcome
-
-    def _solve_queued(
-        self,
-        queued: List[Tuple[int, int, int, int]],
-        ids: np.ndarray,
-        quanta: np.ndarray,
-        columns: Dict[str, np.ndarray],
-    ) -> SolvedBlock:
-        """Solve a round's queued problems together.
-
-        Each queued ``(receiver, count, start, stop)`` pools the
-        receiver's local rows with payload rows ``start:stop``.  Every
-        pooled set of the round is gathered into one block for the core's
-        :func:`~repro.core.receive.solve_block`.  New summaries are
-        interned one row at a time in the order the core names merged
-        rows, which is a one-at-a-time loop's, so ids match it.
-        """
-        arena = self.arena
-        receivers, counts, starts, stops = np.array(queued, dtype=np.intp).T
-        widths = stops - starts
-        offsets = np.zeros(len(queued) + 1, dtype=np.intp)
-        np.cumsum(counts + widths, out=offsets[1:])
-        total = int(offsets[-1])
-        # Problem p's pooled rows are offsets[p]:offsets[p+1]: its local
-        # block, then its payload rows in delivery order.
-        owner, local_slot = _ragged(counts)
-        local_at = offsets[owner] + local_slot
-        local_node = receivers[owner]
-        owner, incoming_slot = _ragged(widths)
-        incoming_at = offsets[owner] + counts[owner] + incoming_slot
-        incoming_rows = starts[owner] + incoming_slot
-
-        def pool(local: np.ndarray, incoming: np.ndarray) -> np.ndarray:
-            rows = np.empty((total,) + incoming.shape[1:], dtype=incoming.dtype)
-            rows[local_at] = local[local_node, local_slot]
-            rows[incoming_at] = incoming[incoming_rows]
-            return rows
-
-        pooled = PackedState(
-            quanta=pool(arena.quanta, quanta),
-            columns={name: pool(column, columns[name]) for name, column in arena.columns.items()},
-        )
         intern_row = arena.interner.intern_row
 
         def intern(merged: Dict[str, np.ndarray]) -> List[int]:
@@ -517,10 +242,56 @@ class ReceiveSolver:
         # merge_set's summary per group; the summary object behind each
         # new id materialises lazily in the interner when a certificate
         # needs it.
-        return solve_block(
-            self.scheme, self.k, self.quantization, pooled, offsets.tolist(),
-            pool(arena.ids, ids), intern,
+        result = receive_round(
+            arena.scheme, arena.k, arena.quantization,
+            ReceiveSlab(dests, a_counts, a_ids, a_quanta, a_columns, bounds, ids, quanta, columns),
+            self.merge_cache, intern, arena.interner.digest,
         )
+        kinds, fresh, block = result.kinds, ~result.memo, result.block
+        swept = int((kinds == SWEPT).sum())
+        stats.receivers += len(dests)
+        stats.memo_round_hits += len(dests) - int(fresh.sum())
+        stats.fastpath_hits += int((fresh & (kinds == FAST)).sum())
+        stats.noop_hits += swept + int((fresh & (kinds == NOOP)).sum())
+        stats.noop_sweep_hits += swept
+        stats.full_solves += 0 if block is None else len(block.bounds) - 1
+        k = arena.k
+        for accepted, tokens, out_quanta, sizes, out_columns in result.swept:
+            out = dests[accepted]
+            stats.merges += int((sizes > 1).sum())
+            a_counts[out] = k
+            a_ids[out, :k] = tokens
+            a_quanta[out, :k] = out_quanta
+            a_quanta[out, k:] = 0
+            for name, column in a_columns.items():
+                column[out, :k] = out_columns[name][None]
+        for position in np.flatnonzero((kinds == FAST) | (kinds == NOOP)).tolist():
+            outcome = result.rows[result.at[position]]
+            receiver = int(dests[position])
+            stats.merges += len(outcome.group_sizes) - outcome.group_sizes.count(1)
+            width = len(outcome.quanta)
+            a_counts[receiver] = width
+            a_ids[receiver, :width] = outcome.tokens
+            a_quanta[receiver, :width] = outcome.quanta
+            a_quanta[receiver, width:] = 0
+            for name, column in a_columns.items():
+                column[receiver, :width] = outcome.columns[name]
+        if block is not None:
+            # Every solved receiver at once: its problem's output rows.
+            solved = np.flatnonzero(kinds == SOLVED)
+            receivers, problems = dests[solved], result.at[solved]
+            cuts = np.asarray(block.cuts)
+            widths = cuts[problems + 1] - cuts[problems]
+            owner, slot = ragged_slots(widths)
+            rows = cuts[problems][owner] + slot
+            at = receivers[owner]
+            stats.merges += int((block.sizes[rows] > 1).sum())
+            a_counts[receivers] = widths
+            a_ids[at, slot] = block.tokens[rows]
+            a_quanta[receivers] = 0
+            a_quanta[at, slot] = block.quanta[rows]
+            for name, column in a_columns.items():
+                column[at, slot] = block.columns[name][rows]
 
 
 class ArenaEngine:

@@ -359,19 +359,15 @@ class SimulationKernel(Network):
         Each ``(destination, sources, payloads)`` entry is one
         receiver's batch, in destination order; the transport has
         already taken ``payloads`` (sent by ``sources``, in the same
-        order) out of its round buffer or off their channels.  Three
-        passes: every live receiver decides its receive
-        (``defer_receive``), queueing what it cannot decide alone on one
-        :class:`~repro.core.receive.ReceiveBatch`; the batch is solved;
-        then, destination by destination, the drops or deliveries are
-        recorded and emitted and the receiver completes its receive,
-        which is where it adopts its rows.  Receivers are distinct and
-        nothing they decide depends on another's result, so the state is
-        a one-at-a-time loop's, and so is the event stream, which only
-        the last pass writes.  The batch is local to this call and no
-        receive outcome outlives it, so a decision or a solve that raises
-        leaves every receiver as it was and no outcome behind; the round
-        transport then hands the payloads back to its round buffer.
+        order) out of its round buffer or off their channels.  Every
+        live receiver poses its receive on one
+        :class:`~repro.core.receive.ReceiveBatch` (``defer_receive``),
+        the batch answers them all, then, destination by destination,
+        the drops or deliveries are recorded and emitted and each
+        receiver adopts its rows.  Receivers are distinct, so the state
+        and the events are a one-at-a-time loop's; a pass that raises
+        leaves every receiver as it was, and the round transport then
+        hands the payloads back to its round buffer.
         """
         with span("kernel.receive"):
             batch = ReceiveBatch()

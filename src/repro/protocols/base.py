@@ -5,7 +5,9 @@ schedule, is protocol-agnostic: it moves opaque payloads between per-node
 protocol objects.  Both the classification protocol and the push-sum
 baseline implement this interface, which is what lets the Figure 3/4
 benchmarks run the paper's algorithm and its "regular aggregation"
-comparator under byte-identical network conditions.
+comparator under byte-identical network conditions.  The classification
+protocol poses its receives (:meth:`GossipProtocol.defer_receive`) to the
+one round driver, :func:`repro.core.receive.receive_round`.
 """
 
 from __future__ import annotations
@@ -52,13 +54,13 @@ class GossipProtocol(abc.ABC):
     def defer_receive(
         self, payloads: Sequence[Any], batch: "ReceiveBatch"
     ) -> Callable[[], None]:
-        """Decide a delivered batch's receive; return the call that completes it.
+        """Pose a delivered batch's receive; return the call that completes it.
 
         The kernel's receive phase runs in three passes: every receiver
-        decides (this hook, queueing any full solve on ``batch``), the
-        kernel solves ``batch``, then, in destination order, the kernel
-        records each receiver's deliveries and runs the returned call.
-        The default defers :meth:`receive_batch` to that last pass, so a
-        protocol that solves nothing jointly need not know about it.
+        poses its receive on ``batch`` (this hook), the kernel answers
+        ``batch``, then, in destination order, the kernel records each
+        receiver's deliveries and runs the returned call.  The default
+        defers :meth:`receive_batch` to that last pass, so a protocol
+        that solves nothing jointly need not know about it.
         """
         return partial(self.receive_batch, payloads)

@@ -58,7 +58,7 @@ class ClassificationProtocol(GossipProtocol):
     def defer_receive(
         self, payloads: Sequence[PackedPayload], batch: ReceiveBatch
     ) -> Callable[[], None]:
-        """The node decides now and queues a full solve on the kernel's batch."""
+        """The node poses its receive on the kernel's batch."""
         return self.node.defer_receive(payloads, batch)
 
     # Convenience pass-throughs used pervasively by analysis code.

@@ -184,10 +184,7 @@ def greedy_closest_pair_partition(
         raise ValueError("cannot partition zero collections")
 
     with span("schemes.greedy_partition"):
-        has_heavy = np.fromiter(
-            (not quantization.is_minimum(int(q)) for q in quanta), dtype=bool, count=n
-        )
-        return greedy_partition(positions, weights, has_heavy, k)
+        return greedy_partition(positions, weights, ~quantization.is_minimum(np.asarray(quanta)), k)
 
 
 class CentroidScheme(SummaryScheme):

@@ -182,10 +182,7 @@ class GaussianMixtureScheme(SummaryScheme):
                 opens[rows[:, 1:]] = ordered[:, 1:] != ordered[:, :-1]
         heads = np.flatnonzero(opens)
         lone = members[heads[np.diff(heads, append=total) == 1]]
-        if type(quantization) is Quantization:  # another lattice may redefine the minimum
-            lone = lone[quanta[lone] == 1]
-        else:
-            lone = lone[[quantization.is_minimum(weight) for weight in quanta[lone].tolist()]]
+        lone = lone[quantization.is_minimum(quanta[lone])]
         for p in np.unique(np.searchsorted(bounds, lone, side="right") - 1).tolist():
             low, high = bounds[p : p + 2].tolist()
             own = np.diff(np.flatnonzero(opens[low:high]), append=high - low)

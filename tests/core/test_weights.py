@@ -1,5 +1,6 @@
 """Quantised-weight arithmetic: the paper's Zeno-avoidance mechanism."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -116,6 +117,13 @@ class TestMinimum:
 
     def test_larger_weights_are_not_minimum(self):
         assert not Quantization(4).is_minimum(2)
+
+    def test_an_array_is_tested_elementwise(self):
+        quanta = np.array([[1, 2, 4], [3, 1, 1]], dtype=np.int64)
+        flags = Quantization(4).is_minimum(quanta)
+        assert flags.dtype == bool and flags.shape == quanta.shape
+        assert flags.tolist() == [[True, False, False], [False, True, True]]
+        assert not Quantization(4).is_minimum(np.array([2, 3, 4])).any()
 
 
 class TestPopulationBound:

@@ -349,16 +349,23 @@ def test_failed_round_leaves_the_arena_as_it_was(monkeypatch, data):
     unit = engine.arena.quantization.unit
     assert engine.arena.total_quanta() == 64 * unit
     before = _engine_states(engine)
-    swept = engine.stats.noop_sweep_hits
+    answered = []
+
+    def spy(*args):
+        swept = sweep(*args)
+        answered.append(sum(len(accepted) for accepted, *_ in swept))
+        return swept
 
     def failing_partition(pooled, bounds, k, quantization):
         raise RuntimeError("planted partition failure")
 
+    sweep = receive.sweep_noops
+    monkeypatch.setattr(receive, "sweep_noops", spy)
     monkeypatch.setattr(engine.arena.scheme, "partition_packed_batch", failing_partition)
     with pytest.raises(RuntimeError, match="planted"):
         engine.run_round()
     if data == "centers":
-        assert engine.stats.noop_sweep_hits > swept
+        assert sum(answered) > 0
     assert engine.arena.total_quanta() == 64 * unit
     assert _engine_states(engine) == before
     assert engine.round_index == failing

@@ -205,7 +205,16 @@ def test_batched_solves_equal_solves_alone(seed, k, d, max_iterations, shapes):
     quantization = Quantization()
     bounds = np.cumsum([0] + [len(state) for state in packed]).tolist()
     members, sizes = scheme.partition_packed_batch(
-        PackedState.concat_many(packed), bounds, k, quantization
+        PackedState(
+            quanta=np.concatenate([state.quanta for state in packed]),
+            columns={
+                name: np.concatenate([state.columns[name] for state in packed])
+                for name in ("mean", "cov")
+            },
+        ),
+        bounds,
+        k,
+        quantization,
     )
     alone_members, alone_sizes = flatten_groups(
         [scheme.partition_packed(state, k, quantization) for state in packed], bounds

@@ -361,6 +361,19 @@ def receive_blocks(draw, dimension: int):
     return k, problems
 
 
+def _pooled(parts) -> PackedState:
+    """The parts' rows in one packed state, in order, digests kept when every part has them."""
+    named = all(part.row_digests is not None for part in parts)
+    return PackedState(
+        quanta=np.concatenate([part.quanta for part in parts]),
+        columns={
+            name: np.concatenate([part.columns[name] for part in parts])
+            for name in parts[0].columns
+        },
+        row_digests=sum((part.row_digests for part in parts), ()) if named else None,
+    )
+
+
 def _column_bytes(column: np.ndarray) -> list:
     """Per-row bytes of a packed column; an object column holds box tuples."""
     if column.dtype == object:
@@ -399,7 +412,7 @@ class TestBlockSolve:
             k, problems = block
             parts = [rows_of(values, quanta) for values, quanta in problems]
             bounds = np.cumsum([0] + [len(part) for part in parts]).tolist()
-            pooled = PackedState.concat_many(parts)
+            pooled = _pooled(parts)
             members, sizes = scheme.partition_packed_batch(pooled, bounds, k, QUANT)
             assert split_groups(members, sizes, bounds) == [
                 scheme.partition_packed(part, k, QUANT) for part in parts
@@ -422,7 +435,7 @@ class TestBlockSolve:
         values = np.array([[0.1, 0.0], [0.0, 0.0], [9.0, 9.0]])
         packed = PackedState(quanta=np.array([1, 5, 7]), columns=scheme.pack_values(values))
         assert scheme.partition_packed(packed, 3, QUANT) == [[1, 0], [2]]
-        pooled = PackedState.concat_many([packed, packed])
+        pooled = _pooled([packed, packed])
         members, sizes = scheme.partition_packed_batch(pooled, [0, 3, 6], 3, QUANT)
         assert (members.tolist(), sizes.tolist()) == ([1, 0, 2, 4, 3, 5], [2, 1, 2, 1])
 
