@@ -1,10 +1,11 @@
-"""Transport-extraction overhead: the refactor must be free.
+"""Transport overhead: the kernel's own transport must be free.
 
-The tentpole claim of the transport seam is that moving the kernel's
-transmit/deliver pipeline behind ``InMemoryTransport`` costs nothing:
-the 100-node GM workload recorded *before* the refactor
+The kernel runs its transmit/deliver pipeline through the
+``InMemoryTransport`` it builds for itself, and that indirection must
+cost nothing: the 100-node GM workload recorded *before* the pipeline
+moved out of the kernel
 (``benchmarks/results/BENCH_transport_baseline.json``, same machine,
-best of 7) must still run within 2% after it.  That gate is asserted
+best of 7) must still run within 2% of it.  That gate is asserted
 here, and the result is recorded to
 ``benchmarks/results/BENCH_transport.json`` together with the price of
 going on the wire: the same number of gossip frames the in-memory run

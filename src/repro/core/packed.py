@@ -42,10 +42,6 @@ __all__ = [
     "unpack_collections",
     "flatten_groups",
     "split_groups",
-    "SLAB_HEADER_BYTES",
-    "slab_region_bytes",
-    "write_payload_slab",
-    "read_payload_slab",
 ]
 
 def flatten_groups(
@@ -71,127 +67,6 @@ def split_groups(
         [(group - low).tolist() for group in groups[a:b]]
         for low, a, b in zip(bounds, cuts[:-1], cuts[1:])
     ]
-
-
-# ---------------------------------------------------------------------------
-# Payload slabs: packed dest/quanta/column rows in one contiguous buffer.
-#
-# The sharded arena's cross-shard exchange writes one slab per (source
-# shard, target shard) into a shared-memory segment; only the tiny
-# (round, rows) control tuple crosses a pipe.  The layout is columnar —
-# the writer holds columnar payload arrays and the reader wants columnar
-# views, so rows never need interleaving:
-#
-#   [rows int64][round int64][dest cap*int64][quanta cap*int64]
-#   [col_0 cap*len_0 float64]...[col_m cap*len_m float64]
-#
-# ``cap`` (the row capacity) is fixed per slab so every region of a
-# double-buffered segment sits at a static offset; ``rows <= cap`` of
-# each array are valid.  Columns are laid out in the caller's name order
-# (by convention sorted, matching ``SummaryInterner``).  The header is
-# written last so a torn write can never present a plausible row count
-# with incomplete rows behind it.
-# ---------------------------------------------------------------------------
-
-#: Bytes of the per-slab header: row count + round index, both int64.
-SLAB_HEADER_BYTES = 16
-
-
-def slab_region_bytes(capacity: int, row_floats: int) -> int:
-    """Size in bytes of one slab region holding up to ``capacity`` rows.
-
-    ``row_floats`` is the total float64 count of one row's scheme
-    columns (e.g. 6 for GM in d=2: mean 2 + cov 4); dest and quanta add
-    two int64 fields per row.
-    """
-    if capacity < 0:
-        raise ValueError(f"slab capacity must be non-negative, got {capacity}")
-    return SLAB_HEADER_BYTES + capacity * 8 * (2 + row_floats)
-
-
-def _slab_views(
-    buf,
-    offset: int,
-    capacity: int,
-    column_specs: Sequence[Tuple[str, Tuple[int, ...]]],
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Dict[str, np.ndarray]]:
-    """Header/dest/quanta/column views over one slab region (full capacity)."""
-    header = np.frombuffer(buf, dtype=np.int64, count=2, offset=offset)
-    cursor = offset + SLAB_HEADER_BYTES
-    dest = np.frombuffer(buf, dtype=np.int64, count=capacity, offset=cursor)
-    cursor += capacity * 8
-    quanta = np.frombuffer(buf, dtype=np.int64, count=capacity, offset=cursor)
-    cursor += capacity * 8
-    columns: Dict[str, np.ndarray] = {}
-    for name, shape in column_specs:
-        length = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        flat = np.frombuffer(
-            buf, dtype=np.float64, count=capacity * length, offset=cursor
-        )
-        columns[name] = flat.reshape((capacity,) + tuple(shape))
-        cursor += capacity * length * 8
-    return header, dest, quanta, columns
-
-
-def write_payload_slab(
-    buf,
-    offset: int,
-    capacity: int,
-    round_index: int,
-    dest: np.ndarray,
-    quanta: np.ndarray,
-    columns: Dict[str, np.ndarray],
-    column_specs: Sequence[Tuple[str, Tuple[int, ...]]],
-) -> None:
-    """Write one payload slab into ``buf`` at ``offset``.
-
-    ``dest``/``quanta`` are int64 vectors of equal length ``rows``;
-    ``columns[name]`` has shape ``(rows,) + shape`` per ``column_specs``
-    entry.  Raises ``ValueError`` when ``rows`` exceeds the region's
-    ``capacity`` — slabs never grow, capacity is the static worst case.
-    """
-    rows = int(np.asarray(dest).shape[0])
-    if rows > capacity:
-        raise ValueError(f"slab overflow: {rows} rows into capacity {capacity}")
-    header, dest_view, quanta_view, column_views = _slab_views(
-        buf, offset, capacity, column_specs
-    )
-    dest_view[:rows] = dest
-    quanta_view[:rows] = quanta
-    for name, _ in column_specs:
-        column_views[name][:rows] = columns[name]
-    header[1] = round_index
-    header[0] = rows
-
-
-def read_payload_slab(
-    buf,
-    offset: int,
-    capacity: int,
-    column_specs: Sequence[Tuple[str, Tuple[int, ...]]],
-    copy: bool = False,
-) -> Tuple[int, int, np.ndarray, np.ndarray, Dict[str, np.ndarray]]:
-    """Read one payload slab; returns ``(round, rows, dest, quanta, columns)``.
-
-    With ``copy=False`` the returned arrays are zero-copy views into
-    ``buf`` — valid only until the slab's buffer is rewritten (the
-    double-buffer discipline gives readers a full round of slack).
-    ``copy=True`` returns owned arrays (the checkpoint/replay snapshot
-    path).
-    """
-    header, dest, quanta, columns = _slab_views(buf, offset, capacity, column_specs)
-    rows = int(header[0])
-    round_index = int(header[1])
-    if rows > capacity:
-        raise ValueError(f"corrupt slab header: {rows} rows in capacity {capacity}")
-    dest = dest[:rows]
-    quanta = quanta[:rows]
-    out_columns = {name: column[:rows] for name, column in columns.items()}
-    if copy:
-        dest = dest.copy()
-        quanta = quanta.copy()
-        out_columns = {name: column.copy() for name, column in out_columns.items()}
-    return round_index, rows, dest, quanta, out_columns
 
 
 @dataclass(slots=True)

@@ -2,9 +2,9 @@
 
 The model is the paper's Section 3.1: ``n`` nodes on a static connected
 topology joined by reliable asynchronous channels.  One simulation kernel
-(:class:`~repro.network.kernel.SimulationKernel`) owns the transport,
-delivery, failure and observability machinery; a pluggable scheduler
-decides *when* it runs —
+(:class:`~repro.network.kernel.SimulationKernel`) owns the network
+state, its in-memory transport, and the delivery, failure and
+observability machinery; a pluggable scheduler decides *when* it runs —
 :class:`~repro.network.schedulers.SynchronousRoundScheduler` reproduces
 the paper's round-counted simulations, and
 :class:`~repro.network.schedulers.PoissonScheduler` realises the fully
@@ -38,7 +38,6 @@ from repro.network.trace import RoundRecord, RunTracer
 from repro.network.transport import (
     FrameTransport,
     InMemoryTransport,
-    SimulationTransport,
     Transport,
     TransportStats,
     TRANSPORT_NAMES,
@@ -46,7 +45,6 @@ from repro.network.transport import (
 from repro.network.webapi import NodeWebAPI
 from repro.network.simulator import (
     NeighborSelector,
-    Network,
     RandomSelector,
     RoundRobinSelector,
 )
@@ -70,7 +68,6 @@ __all__ = [
     "LinkSchedule",
     "MembershipView",
     "NeighborSelector",
-    "Network",
     "NetworkMetrics",
     "NoFailures",
     "NodeRuntime",
@@ -85,7 +82,6 @@ __all__ = [
     "ScheduledCrashes",
     "Scheduler",
     "SimulationKernel",
-    "SimulationTransport",
     "SynchronousRoundScheduler",
     "TRANSPORT_NAMES",
     "Transport",

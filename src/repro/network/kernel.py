@@ -7,22 +7,23 @@ act — while everything else (what travels, how it can be lost, what is
 counted, what is observed) is schedule-independent.  The kernel owns that
 schedule-independent core:
 
-- **transport** — message movement is delegated to a pluggable
-  :class:`~repro.network.transport.SimulationTransport` (default
-  :class:`~repro.network.transport.InMemoryTransport`: a round buffer
+- **network state** — the validated topology (each node's sorted
+  neighbour tuple), one protocol object per node, the liveness set, the
+  seeded RNG and the metrics;
+- **transport** — message movement goes through the kernel's own
+  :class:`~repro.network.transport.InMemoryTransport` (a round buffer
   for the sends due at a synchronous round's flush, and for timed sends
   one reliable directed :class:`~repro.network.channel.Channel` per
   edge with a message in flight, message envelopes, and the
-  queued-delivery pipeline), while the kernel keeps the protocol
-  interaction and the edge and link-availability checks (link
+  queued-delivery pipeline), which the schedulers drive through
+  :attr:`SimulationKernel.transport`, while the kernel keeps the
+  protocol interaction and the edge and link-availability checks (link
   availability → send → delay → deliver → receiver-side batched merge,
   whose full solves a synchronous round poses together, see
   :meth:`SimulationKernel.complete_deliveries`);
 - **failure injection** — a :class:`~repro.network.failures.FailureModel`
   consulted at the end of every round (synchronous schedule) or at every
   round-equivalent epoch boundary (asynchronous schedule);
-- **liveness and metrics** — inherited from
-  :class:`~repro.network.simulator.Network`;
 - **observability** — the *single* site where transport events
   (``send`` / ``deliver`` / ``drop`` / ``round_close``) are materialised,
   so a trace's schema cannot drift between schedules.
@@ -41,18 +42,22 @@ called on :attr:`SimulationKernel.scheduler`.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Any, Callable, Mapping, Optional, Union
 
 import networkx as nx
+import numpy as np
 
 from repro.core.fingerprint import MergeCache
 from repro.core.receive import ReceiveBatch
-from repro.network.channel import Channel, InFlightMessage
 from repro.network.events import EventQueue
 from repro.network.failures import FailureModel, NoFailures
 from repro.network.links import AlwaysUp, LinkSchedule
-from repro.network.simulator import NeighborSelector, Network
-from repro.network.transport import InMemoryTransport, SimulationTransport
+from repro.network.metrics import NetworkMetrics
+from repro.network.simulator import NeighborSelector, RandomSelector
+from repro.network.topology import neighbors_map, validate_topology
+from repro.network.transport import InMemoryTransport
+from repro.obs.context import current_sink
 from repro.obs.events import Event, EventSink
 from repro.obs.profiling import span
 from repro.obs.timeseries import TimeSeriesRecorder, current_hub
@@ -77,9 +82,10 @@ class Scheduler:
     """Execution-order strategy: decides *when* the kernel's machinery runs.
 
     A scheduler owns the clock (rounds or continuous time), drives the
-    kernel's transport through :meth:`SimulationKernel.transmit` and the
-    delivery helpers, and stamps every emitted event.  Concrete
-    schedulers live in :mod:`repro.network.schedulers`.
+    kernel's send side through :meth:`SimulationKernel.transmit` and its
+    delivery side through :attr:`SimulationKernel.transport`, and stamps
+    every emitted event.  Concrete schedulers live in
+    :mod:`repro.network.schedulers`.
     """
 
     def attach(self, kernel: "SimulationKernel") -> None:
@@ -130,17 +136,32 @@ class _Fire:
         self.node = node
 
 
-class SimulationKernel(Network):
+class SimulationKernel:
     """Schedule-independent gossip engine core.
+
+    The topology is validated and kept only as :attr:`neighbors`, each
+    node's sorted neighbour tuple; the graph itself is not referenced
+    after construction, so it is freed when its caller drops it.
+    Messages move through :attr:`transport`, the kernel's own
+    :class:`~repro.network.transport.InMemoryTransport`, whose
+    :class:`~repro.network.transport.TransportStats` the kernel mirrors
+    into :attr:`metrics` at every round close.
 
     Parameters
     ----------
-    graph, protocols, seed, selector, event_sink:
-        See :class:`~repro.network.simulator.Network`.  When ``selector``
-        is ``None`` the scheduler's preference applies (round-robin for
-        the Poisson scheduler, uniform random otherwise).
+    graph:
+        A connected undirected topology over nodes ``0..n-1``; the kernel
+        treats each edge as a pair of reliable directed channels.
+    protocols:
+        One :class:`~repro.protocols.base.GossipProtocol` per node id.
     scheduler:
         The execution-order strategy; see :mod:`repro.network.schedulers`.
+    seed:
+        Seeds the engine RNG (neighbour choice, delays, crash draws).
+    selector:
+        Neighbour-selection strategy.  When ``None`` the scheduler's
+        preference applies (round-robin for the Poisson scheduler,
+        uniform random gossip otherwise).
     failure_model:
         Crash injection, consulted once per round / epoch; defaults to no
         failures.
@@ -152,13 +173,14 @@ class SimulationKernel(Network):
     fifo:
         Enforce per-channel FIFO delivery (only observable under delayed
         schedules; used by tests to build deterministic orderings).
-    transport:
-        The :class:`~repro.network.transport.SimulationTransport` that
-        moves messages; defaults to a fresh
-        :class:`~repro.network.transport.InMemoryTransport`, the
-        in-process path.  The kernel binds the transport to itself and mirrors
-        its :class:`~repro.network.transport.TransportStats` into
-        :attr:`metrics` at every round close.
+    event_sink:
+        Destination for structured :class:`~repro.obs.events.Event`
+        records (sends, deliveries, drops, crashes, round closes).
+        Defaults to the ambient tracing sink
+        (:func:`repro.obs.context.current_sink`), which is ``None``
+        unless a ``tracing(...)`` block is active — so by default no
+        events are materialised and emission sites cost one ``None``
+        check.
     merge_cache:
         The run-scoped :class:`~repro.core.fingerprint.MergeCache` the
         network's nodes share (``None`` when caching is disabled).  The
@@ -197,35 +219,30 @@ class SimulationKernel(Network):
         failure_model: Optional[FailureModel] = None,
         link_schedule: Optional[LinkSchedule] = None,
         fifo: bool = False,
-        transport: Optional[SimulationTransport] = None,
         event_sink: Optional[EventSink] = None,
         merge_cache: Optional[MergeCache] = None,
         stop_on_quiescence: bool = False,
         quiescence_patience: int = 3,
         telemetry: Optional[TimeSeriesRecorder] = None,
     ) -> None:
-        super().__init__(
-            graph,
-            protocols,
-            seed=seed,
-            selector=selector if selector is not None else scheduler.default_selector(),
-            event_sink=event_sink,
-        )
+        validate_topology(graph)
+        expected = set(range(graph.number_of_nodes()))
+        if set(protocols.keys()) != expected:
+            raise ValueError("protocols must cover exactly the topology's nodes")
+        self.protocols = dict(protocols)
+        self.neighbors = neighbors_map(graph)
+        self.rng = np.random.default_rng(seed)
+        if selector is None:
+            selector = scheduler.default_selector()
+        self.selector = selector if selector is not None else RandomSelector()
+        self.live: set[int] = set(expected)
+        self.metrics = NetworkMetrics()
+        self.event_sink = event_sink if event_sink is not None else current_sink()
         self.failure_model = failure_model if failure_model is not None else NoFailures()
         self.link_schedule = link_schedule if link_schedule is not None else AlwaysUp()
         self.fifo = fifo
         self.queue = EventQueue()
-        if transport is None:
-            transport = InMemoryTransport()
-        if not isinstance(transport, SimulationTransport):
-            raise TypeError(
-                "the simulation kernel needs a SimulationTransport (e.g. "
-                f"InMemoryTransport); got {type(transport).__name__}.  Frame "
-                "transports (process/tcp) are driven by repro.network.runtime, "
-                "not the kernel — see docs/deployment.md."
-            )
-        self.transport = transport
-        transport.bind(self)
+        self.transport = InMemoryTransport(self)
         self.merge_cache = merge_cache
         if quiescence_patience < 1:
             raise ValueError(
@@ -293,21 +310,48 @@ class SimulationKernel(Network):
                 self.event_sink.flush()
 
     # ------------------------------------------------------------------
-    # Transport (delegated to the pluggable seam)
+    # Topology and liveness
     # ------------------------------------------------------------------
+    def neighbor_index(self, source: int, destination: int) -> int | None:
+        """The destination's position in the source's sorted neighbour
+        tuple (a bisect), or ``None`` when the topology does not link
+        the two nodes."""
+        neighbors = self.neighbors.get(source, ())
+        index = bisect_left(neighbors, destination)
+        if index < len(neighbors) and neighbors[index] == destination:
+            return index
+        return None
+
+    def crash(self, node: int) -> None:
+        """Fail-stop the node: it never sends or receives again."""
+        if node in self.live:
+            self.live.discard(node)
+            self.metrics.crashes += 1
+            self._emit("crash", node=node)
+
+    def is_live(self, node: int) -> bool:
+        return node in self.live
+
     @property
-    def channels(self) -> dict[tuple[int, int], Channel]:
-        """The transport's channels with a timed message in flight, keyed
-        ``(source, dest)``; a channel leaves once its last message is
-        delivered, and a round send never opens one."""
-        return self.transport.channels  # type: ignore[attr-defined]
+    def live_nodes(self) -> list[int]:
+        """Sorted ids of surviving nodes."""
+        return sorted(self.live)
 
-    def channel(self, source: int, destination: int) -> Channel:
-        """The channel carrying an edge's timed in-flight messages, or a
-        new empty one when none is in flight (the transport registers a
-        channel when it sends a timed message on it)."""
-        return self.transport.channel(source, destination)
+    def live_protocols(self) -> list[GossipProtocol]:
+        """Protocol objects of surviving nodes, in node-id order."""
+        return [self.protocols[node] for node in self.live_nodes]
 
+    @staticmethod
+    def payload_size(payload: object) -> int:
+        """Item count of a payload, for metrics (1 when unsized)."""
+        try:
+            return len(payload)  # type: ignore[arg-type]
+        except TypeError:
+            return 1
+
+    # ------------------------------------------------------------------
+    # Send side
+    # ------------------------------------------------------------------
     def link_up(self, source: int, destination: int) -> bool:
         """Is the (undirected) link usable right now, per the schedule?"""
         return self.link_schedule.is_up(self.scheduler.tick(self), source, destination)
@@ -324,12 +368,13 @@ class SimulationKernel(Network):
         anything changes), then asks ``source``'s protocol for a payload
         (which may legally be ``None`` — nothing sendable), hands it to
         the transport with the checked edge, and counts and emits the
-        ``send``.  With no ``deliver_time`` the payload is due at the next
-        :meth:`flush_deliveries` (the round schedule); otherwise it
-        travels in an envelope on the directed channel, delivered at
-        ``deliver_time``, an absolute time or a thunk.  The thunk is only
-        evaluated once a payload exists, so random delay draws never
-        happen for skipped transmissions.
+        ``send``.  With no ``deliver_time`` the payload is due at the
+        transport's next
+        :meth:`~repro.network.transport.InMemoryTransport.flush_deliveries`
+        (the round schedule); otherwise it travels in an envelope on the
+        directed channel, delivered at ``deliver_time``, an absolute time
+        or a thunk.  The thunk is only evaluated once a payload exists, so
+        random delay draws never happen for skipped transmissions.
         """
         with span("kernel.transport"):
             # Making the payload splits the source's weight, so a refused
@@ -393,26 +438,6 @@ class SimulationKernel(Network):
                     metrics.record_delivery()
                     self._emit("deliver", node=source, peer=destination)
                 complete()
-
-    def flush_deliveries(self) -> None:
-        """Deliver every payload sent with no delivery time, batched per
-        destination.
-
-        The synchronous scheduler's receive phase: one
-        :meth:`complete_deliveries` call for the whole round; see
-        :meth:`repro.network.transport.InMemoryTransport.flush_deliveries`.
-        """
-        self.transport.flush_deliveries()
-
-    def dispatch_delivery(
-        self, channel: Channel, message: InFlightMessage, coalesce_at: Optional[float] = None
-    ) -> int:
-        """Deliver one due envelope; returns the number of envelopes consumed.
-
-        The event-driven path, with same-instant coalescing; see
-        :meth:`repro.network.transport.InMemoryTransport.dispatch_delivery`.
-        """
-        return self.transport.dispatch_delivery(channel, message, coalesce_at=coalesce_at)
 
     # ------------------------------------------------------------------
     # Failure injection

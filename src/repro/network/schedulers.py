@@ -94,7 +94,7 @@ class SynchronousRoundScheduler(Scheduler):
                 # The peer answers a pull only if it is still alive.
                 if kernel.is_live(peer):
                     messages += kernel.transmit(peer, node)
-        kernel.flush_deliveries()
+        kernel.transport.flush_deliveries()
         kernel.inject_crashes(self.round_index)
         kernel.emit_round_close(self.round_index, messages)
         self.round_index += 1
@@ -177,15 +177,16 @@ class PoissonScheduler(Scheduler):
         when, entry = kernel.queue.pop()
         self._cross_epochs(kernel, when)
         self.now = when
-        kernel.metrics.events += 1
         if isinstance(entry, _Fire):
             self._fire(kernel, entry.node)
+            kernel.metrics.events += 1
         else:
-            consumed = kernel.dispatch_delivery(
+            # An event counts once it has completed: a delivery whose
+            # receive raises goes back on the queue uncounted.  Coalesced
+            # same-instant deliveries count as processed too.
+            kernel.metrics.events += kernel.transport.dispatch_delivery(
                 entry.channel, entry.message, coalesce_at=when
             )
-            # Coalesced same-instant deliveries still count as processed.
-            kernel.metrics.events += consumed - 1
         return True
 
     def advance_unit(self, kernel: SimulationKernel) -> bool:

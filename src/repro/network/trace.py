@@ -9,15 +9,14 @@ registered: error against a ground truth, collection counts, live-node
 counts, cumulative messages.  Experiments and notebooks get one tidy
 record per sample instead of hand-rolled bookkeeping loops.
 
-The tracer is schedule-agnostic: it needs only ``live_nodes`` and
-``metrics`` (both provided by :class:`~repro.network.simulator.Network`).
-The round stamp is the closed-round count once a round has closed (the
-synchronous scheduler's round counter, and the Poisson scheduler's
-``round_close`` epochs), else the processed-event count.  When the
-observed kernel has an event sink attached, every sample is also emitted
-as a ``probe`` event, stamped with the scheduler's simulated time when it
-keeps one, so JSONL traces carry the convergence curve alongside the
-transport events.
+The tracer is schedule-agnostic: it needs only the kernel's
+``live_nodes`` and ``metrics``.  The round stamp is the closed-round
+count once a round has closed (the synchronous scheduler's round
+counter, and the Poisson scheduler's ``round_close`` epochs), else the
+processed-event count.  When the observed kernel has an event sink
+attached, every sample is also emitted as a ``probe`` event, stamped
+with the scheduler's simulated time when it keeps one, so JSONL traces
+carry the convergence curve alongside the transport events.
 """
 
 from __future__ import annotations

@@ -1,15 +1,15 @@
-"""Message movement as a pluggable seam: from simulation to real networks.
+"""Message movement: from simulation to real networks.
 
 The paper's protocol is specified for physically distributed sensors, but
 a reproduction naturally starts life inside one simulated event loop.
-This module is the seam that lets the *same* node and scheme code run on
+The transports in this module let the *same* node and scheme code run on
 either side of that divide:
 
 - :class:`Transport` — the common contract: every transport moves opaque
   gossip payloads between named nodes and accounts for what it moved in a
   :class:`TransportStats` block (frames, bytes, reconnects, peers).
-- :class:`InMemoryTransport` — the simulation implementation: the
-  :class:`~repro.network.kernel.SimulationKernel`'s transmit /
+- :class:`InMemoryTransport` — the simulation's message plumbing, owned
+  by one :class:`~repro.network.kernel.SimulationKernel`: its transmit /
   queued-deliver / batched-receive pipeline.  A round send waits in one
   round buffer until the round's flush; a timed send travels in a
   channel that exists only while a message is in flight on it.  It
@@ -23,7 +23,8 @@ either side of that divide:
   :class:`~repro.network.tcp_transport.AsyncioTCPTransport` (length-prefixed
   frames over real TCP sockets with per-peer reconnect/backoff).
 
-Selection matrix (see ``docs/architecture.md`` and ``docs/deployment.md``):
+What each transport name means (see ``docs/architecture.md`` and
+``docs/deployment.md``); ``memory`` is the kernel's own, not an option:
 
 ===============  ==================  ============================  =====================
 transport        runs where          moves                         driven by
@@ -50,15 +51,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "TransportStats",
     "Transport",
-    "SimulationTransport",
     "InMemoryTransport",
     "FrameTransport",
     "TRANSPORT_NAMES",
 ]
 
-#: The selectable transport names (``docs/architecture.md`` has the
-#: selection matrix).  ``memory`` plugs into the simulation kernel; the
-#: other two are deployment transports driven by per-node runtimes.
+#: The transport names (``docs/architecture.md`` has the table).
+#: ``memory`` is the simulation kernel's own transport; the other two are
+#: the deployment transports a per-node runtime selects between.
 TRANSPORT_NAMES = ("memory", "process", "tcp")
 
 
@@ -109,61 +109,6 @@ class Transport(abc.ABC):
         return {"transport": self.name, **self.stats.as_dict()}
 
 
-class SimulationTransport(Transport):
-    """Kernel-facing contract: the transmit/deliver pipeline as a strategy.
-
-    A simulation transport is *bound* to exactly one
-    :class:`~repro.network.kernel.SimulationKernel` and owns the message
-    plumbing the kernel's schedulers drive: the sends due at the next
-    flush, the per-edge channels that carry timed messages, the
-    queued-delivery entries, and the in-flight pool.
-    What it does *not* own is protocol interaction, metrics and event
-    emission — those stay on the kernel (its single observability site),
-    reached through the delivery callback
-    :meth:`SimulationKernel.complete_deliveries`.
-    """
-
-    kernel: "SimulationKernel"
-
-    def bind(self, kernel: "SimulationKernel") -> None:
-        """Attach to the kernel; called once from kernel init."""
-        self.kernel = kernel
-
-    @abc.abstractmethod
-    def channel(self, source: int, destination: int) -> Channel:
-        """The channel carrying an edge's in-flight messages, or a new
-        empty one when nothing is in flight on it."""
-
-    @abc.abstractmethod
-    def send(
-        self,
-        source: int,
-        destination: int,
-        payload: Any,
-        send_time: float,
-        deliver_at: Optional[float],
-        edge: Optional[int] = None,
-    ) -> Optional[InFlightMessage]:
-        """Put one payload in flight: ``deliver_at=None`` means due at the
-        next :meth:`flush_deliveries` (the round schedule) and returns
-        ``None``; a time schedules delivery in the envelope returned.
-        A caller that has checked the edge passes its ``edge`` index."""
-
-    @abc.abstractmethod
-    def flush_deliveries(self) -> None:
-        """Deliver every payload due at the flush, batched per destination."""
-
-    @abc.abstractmethod
-    def dispatch_delivery(
-        self, channel: Channel, message: InFlightMessage, coalesce_at: Optional[float] = None
-    ) -> int:
-        """Deliver one due envelope (plus same-instant coalescing)."""
-
-    @abc.abstractmethod
-    def in_flight_payloads(self) -> list[Any]:
-        """Payloads sent and not yet delivered (the Section 6.1 pool)."""
-
-
 class _Delivery:
     """Queue entry: a timed message envelope due at its channel's far end."""
 
@@ -174,8 +119,16 @@ class _Delivery:
         self.message = message
 
 
-class InMemoryTransport(SimulationTransport):
+class InMemoryTransport(Transport):
     """The simulation kernel's in-process transport.
+
+    It belongs to the one :class:`~repro.network.kernel.SimulationKernel`
+    it is built with, and owns the message plumbing the kernel's
+    schedulers drive: the sends due at the next flush, the per-edge
+    channels that carry timed messages, the queued-delivery entries, and
+    the in-flight pool.  Protocol interaction, metrics and event emission
+    stay on the kernel (its single observability site), reached through
+    :meth:`~repro.network.kernel.SimulationKernel.complete_deliveries`.
 
     A round send (no delivery time) is due at the round's flush, since a
     round's sends all precede its receives, so it never outlives its
@@ -198,9 +151,9 @@ class InMemoryTransport(SimulationTransport):
     :attr:`channels`) costs O(messages in flight) however long the run.
 
     A send checks its edge with
-    :meth:`~repro.network.simulator.Network.neighbor_index` (a bisect of
-    the kernel's sorted neighbour tuples) unless its caller passes the
-    ``edge`` it checked, and a non-edge raises
+    :meth:`~repro.network.kernel.SimulationKernel.neighbor_index` (a
+    bisect of the kernel's sorted neighbour tuples) unless its caller
+    passes the ``edge`` it checked, and a non-edge raises
     :class:`KeyError`.  The edges used so far are one integer bit mask per
     source over its neighbour positions: no per-edge object for the
     garbage collector to walk, and at most one bit per directed edge.
@@ -211,8 +164,9 @@ class InMemoryTransport(SimulationTransport):
 
     name = "memory"
 
-    def __init__(self) -> None:
+    def __init__(self, kernel: "SimulationKernel") -> None:
         super().__init__()
+        self.kernel = kernel
         #: Channels with at least one timed message in flight, keyed
         #: ``(source, destination)``.
         self.channels: dict[tuple[int, int], Channel] = {}
@@ -228,6 +182,9 @@ class InMemoryTransport(SimulationTransport):
     # Channels
     # ------------------------------------------------------------------
     def channel(self, source: int, destination: int) -> Channel:
+        """The channel carrying an edge's timed in-flight messages, or a
+        new empty one when none is in flight (:meth:`send` registers a
+        channel when it sends a timed message on it)."""
         found = self.channels.get((source, destination))
         if found is not None:
             return found
@@ -262,6 +219,10 @@ class InMemoryTransport(SimulationTransport):
         deliver_at: Optional[float],
         edge: Optional[int] = None,
     ) -> Optional[InFlightMessage]:
+        """Put one payload in flight: ``deliver_at=None`` means due at the
+        next :meth:`flush_deliveries` (the round schedule) and returns
+        ``None``; a time schedules delivery in the envelope returned.
+        A caller that has checked the edge passes its ``edge`` index."""
         if edge is None:
             edge = self._edge_index(source, destination)
         if deliver_at is None:
@@ -364,6 +325,7 @@ class InMemoryTransport(SimulationTransport):
     # Pool inspection (Section 6.1)
     # ------------------------------------------------------------------
     def in_flight_payloads(self) -> list[Any]:
+        """Payloads sent and not yet delivered (the Section 6.1 pool)."""
         return self._due_payloads + [
             message.payload for channel in self.channels.values() for message in channel
         ]
@@ -372,7 +334,7 @@ class InMemoryTransport(SimulationTransport):
 class FrameTransport(Transport):
     """Deployment contract: move encoded frames between real processes.
 
-    Unlike a :class:`SimulationTransport`, a frame transport has no
+    Unlike the :class:`InMemoryTransport`, a frame transport has no
     central kernel: each node process owns one endpoint, driven by a
     :class:`~repro.network.runtime.NodeRuntime`.  Payloads cross the
     boundary as :mod:`repro.network.frames` byte strings — the

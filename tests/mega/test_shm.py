@@ -22,13 +22,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.packed import (
+from repro.mega import ShardedArenaEngine, SlabExchange, SlabExchangeSpec
+from repro.mega.shm import (
     SLAB_HEADER_BYTES,
     read_payload_slab,
     slab_region_bytes,
     write_payload_slab,
 )
-from repro.mega import ShardedArenaEngine, SlabExchange, SlabExchangeSpec
 from repro.schemes.centroid import CentroidScheme
 
 #: Column layouts mirroring the real schemes: GM (mean + cov), diagonal

@@ -19,6 +19,7 @@ from oracle import state_bytes
 
 import repro.core.receive as receive
 from repro.data import make_dataset
+from repro.network.schedulers import PoissonScheduler
 from repro.network.topology import complete
 from repro.obs.events import RingBufferSink
 from repro.protocols.classification import build_classification_network
@@ -229,6 +230,37 @@ def test_poisson_event_whose_receive_raises_keeps_its_weight(monkeypatch):
     kernel.run(1)
     assert message not in channel.in_flight
     assert weight() == 64 * unit
+
+
+def test_poisson_event_whose_receive_raises_is_counted_once(monkeypatch):
+    """``metrics.events`` counts an event once it has completed: on the
+    64-node GM Poisson kernel of the test above, a delivery whose receive
+    raises goes back on the event queue uncounted, so after the retry the
+    count is every fire plus every envelope delivered."""
+    fires = []
+    fire = PoissonScheduler._fire
+
+    def spy(self, kernel, node):
+        fires.append(node)
+        return fire(self, kernel, node)
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("refused")
+
+    monkeypatch.setattr(PoissonScheduler, "_fire", spy)
+    values = np.random.default_rng(5).normal(size=(64, 2))
+    kernel, _ = build_classification_network(
+        values, GaussianMixtureScheme(seed=0), 3, graph=complete(64), seed=2,
+        engine="async", merge_cache=True,
+    )
+    kernel.run(2)
+    with monkeypatch.context() as refused:
+        refused.setattr(GaussianMixtureScheme, "partition_packed", refuse)
+        with pytest.raises(RuntimeError, match="refused"):
+            kernel.run(1)
+    kernel.run(1)
+    assert kernel.transport.stats.frames_received > 0
+    assert kernel.metrics.events == len(fires) + kernel.transport.stats.frames_received
 
 
 def test_round_sweeps_a_large_blocks_noops(monkeypatch):

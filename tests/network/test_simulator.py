@@ -1,9 +1,11 @@
-"""Shared network plumbing: Network base, selectors, liveness."""
+"""The kernel's network state (construction, topology, liveness) and the selectors."""
 
 import numpy as np
 import pytest
 
-from repro.network.simulator import Network, RandomSelector, RoundRobinSelector
+from repro.network.kernel import SimulationKernel
+from repro.network.schedulers import SynchronousRoundScheduler
+from repro.network.simulator import RandomSelector, RoundRobinSelector
 from repro.network.topology import complete, ring
 from repro.protocols.base import GossipProtocol
 
@@ -26,13 +28,13 @@ class EchoProtocol(GossipProtocol):
 def make_network(n=4, graph=None, **kwargs):
     graph = graph if graph is not None else complete(n)
     protocols = {i: EchoProtocol() for i in range(graph.number_of_nodes())}
-    return Network(graph, protocols, **kwargs)
+    return SimulationKernel(graph, protocols, SynchronousRoundScheduler(), **kwargs)
 
 
 class TestConstruction:
     def test_protocols_must_cover_nodes(self):
         with pytest.raises(ValueError):
-            Network(complete(3), {0: EchoProtocol()})
+            SimulationKernel(complete(3), {0: EchoProtocol()}, SynchronousRoundScheduler())
 
     def test_live_nodes_initially_all(self):
         network = make_network(5)
@@ -108,7 +110,7 @@ class TestSelectors:
 
 class TestPayloadSize:
     def test_sized_payload(self):
-        assert Network.payload_size([1, 2, 3]) == 3
+        assert SimulationKernel.payload_size([1, 2, 3]) == 3
 
     def test_unsized_payload(self):
-        assert Network.payload_size(42) == 1
+        assert SimulationKernel.payload_size(42) == 1

@@ -1,4 +1,4 @@
-"""The transport seam: kernel delegation, stats mirroring, frame transports."""
+"""The kernel's own in-memory transport, stats mirroring, frame transports."""
 
 import gc
 import weakref
@@ -45,26 +45,25 @@ class TestInMemorySeam:
         assert "memory" in TRANSPORT_NAMES
 
     def test_factory_threads_explicit_transport_through(self):
+        """Each engine's kernel holds its own transport, bound to it."""
+        transports = []
         for engine_name in ENGINES:
-            transport = InMemoryTransport()
             engine = SimulationKernel(
-                topology.complete(4),
-                _protocols(4),
-                make_scheduler(engine_name),
-                transport=transport,
+                topology.complete(4), _protocols(4), make_scheduler(engine_name)
             )
-            assert engine.transport is transport
-            assert transport.kernel is engine
+            assert isinstance(engine.transport, InMemoryTransport)
+            assert engine.transport.kernel is engine
+            transports.append(engine.transport)
+        assert len({id(transport) for transport in transports}) == len(ENGINES)
 
     def test_channels_property_delegates_to_transport(self):
         kernel, _ = build_classification_network(
             _values(6), CentroidScheme(), k=2, graph=topology.complete(6)
         )
         kernel.run(2)
-        assert kernel.channels is kernel.transport.channels
         # A channel is held only while a message is in flight on it, and
         # a synchronous round delivers everything it sent.
-        assert kernel.channels == {}
+        assert kernel.transport.channels == {}
         assert kernel.in_flight_payloads() == []
 
     def test_stats_are_mirrored_into_metrics(self):
@@ -99,18 +98,18 @@ class TestInMemorySeam:
         source_quanta = nodes[non_edge[0]].total_quanta
         network_quanta = sum(node.total_quanta for node in nodes)
         with pytest.raises(KeyError, match="no edge"):
-            kernel.channel(*non_edge)
+            kernel.transport.channel(*non_edge)
         with pytest.raises(KeyError, match="no edge"):
             kernel.transmit(*non_edge)
         # The refused send changed no state: no weight left the source.
         assert nodes[non_edge[0]].total_quanta == source_quanta
         assert sum(node.total_quanta for node in nodes) == network_quanta
         assert kernel.in_flight_payloads() == []
-        channel = kernel.channel(*edge)
+        channel = kernel.transport.channel(*edge)
         assert (channel.source, channel.destination) == edge
         assert kernel.transmit(*edge) == 1
         assert kernel.in_flight_payloads() != []
-        kernel.flush_deliveries()
+        kernel.transport.flush_deliveries()
         assert kernel.metrics.messages_delivered == 1
 
     def test_kernel_keeps_no_reference_to_its_graph(self):
@@ -124,8 +123,10 @@ class TestInMemorySeam:
         assert kernel.metrics.messages_delivered == 12
 
     def test_frame_transport_is_rejected_by_the_kernel(self):
+        """The kernel builds its own transport and takes none: frame
+        transports are driven by :mod:`repro.network.runtime`."""
         transport = ProcessTransport(0, {0: _FakeQueue()})
-        with pytest.raises(TypeError, match="repro.network.runtime"):
+        with pytest.raises(TypeError, match="transport"):
             SimulationKernel(
                 topology.complete(4),
                 _protocols(4),

@@ -26,7 +26,6 @@ from repro.network.events import EventQueue
 from repro.network.kernel import SimulationKernel
 from repro.network.schedulers import PoissonScheduler, SynchronousRoundScheduler
 from repro.network.topology import complete
-from repro.network.transport import InMemoryTransport
 from repro.obs.events import EventSink, RingBufferSink
 from repro.protocols.base import GossipProtocol
 from repro.protocols.classification import (
@@ -283,9 +282,7 @@ steps = st.lists(
 def test_fifo_delivery_times_match_a_registry_that_keeps_every_edge(schedule):
     n = N_INBOXES
     inboxes = {i: _Inbox() for i in range(n)}
-    kernel = SimulationKernel(
-        complete(n), inboxes, SynchronousRoundScheduler(), fifo=True, transport=InMemoryTransport()
-    )
+    kernel = SimulationKernel(complete(n), inboxes, SynchronousRoundScheduler(), fifo=True)
     transport = kernel.transport
     latest: dict[tuple[int, int], float] = {}
     sent = []
