@@ -511,6 +511,9 @@ class ReceiveSlab(NamedTuple):
     ``columns`` in delivery order.  Tokens are interned ids, or digests
     held as ``V`` bytes (which sort, search and compare on all their
     bytes); both token arrays are None when the rows are not named.
+    ``sources``, when given, names the row of ``columns`` that holds each
+    flat row, so a round can pose its incoming rows by reference: only
+    the rows a fast path or a pooled problem reads are gathered.
     """
 
     receivers: np.ndarray
@@ -522,6 +525,7 @@ class ReceiveSlab(NamedTuple):
     tokens: Optional[np.ndarray]
     quanta: np.ndarray
     columns: Dict[str, np.ndarray]
+    sources: Optional[np.ndarray] = None
 
 
 class RoundReceives:
@@ -598,7 +602,7 @@ def receive_round(
     it is None).  The driver writes no engine state.
     """
     receivers, counts, local_tokens, local_quanta, local_columns = slab[:5]
-    bounds, tokens, quanta, columns = slab[5:]
+    bounds, tokens, quanta, columns, sources = slab[5:]
     count = len(receivers)
     out = RoundReceives(count)
     kinds, at = out.kinds, out.at
@@ -676,11 +680,12 @@ def receive_round(
             own_quanta, in_quanta = local_quanta[row, :m], quanta[start:stop]
             if takes_fast_path(scheme, k, quantization, own_quanta, in_quanta):
                 kind = FAST
+                read = slice(start, stop) if sources is None else sources[start:stop]
                 outcome = ReceiveRows(
                     tuple(own_token_lists[i][:m] + token_list[start:stop]) if named else None,
                     np.concatenate([own_quanta, in_quanta]),
                     {
-                        name: np.concatenate([column[row, :m], columns[name][start:stop]])
+                        name: np.concatenate([column[row, :m], columns[name][read]])
                         for name, column in local_columns.items()
                     },
                     (1,) * (m + stop - start),
@@ -715,9 +720,10 @@ def receive_round(
         (r,) = queued
         row, m, start, stop = int(receivers[r]), int(held[r]), limits[r], limits[r + 1]
         offsets = [0, m + stop - start]
+        incoming_rows: Any = slice(start, stop)
 
-        def pool(local: np.ndarray, incoming: np.ndarray) -> np.ndarray:
-            return np.concatenate([local[row, :m], incoming[start:stop]])
+        def pool(local: np.ndarray, incoming: np.ndarray, rows: Any = incoming_rows) -> np.ndarray:
+            return np.concatenate([local[row, :m], incoming[rows]])
 
     elif queued:
         problems = np.asarray(queued, dtype=np.intp)
@@ -735,18 +741,19 @@ def receive_round(
         incoming_at = cuts[owner] + held[owner] + incoming_slot
         incoming_rows = starts[owner] + incoming_slot
 
-        def pool(local: np.ndarray, incoming: np.ndarray) -> np.ndarray:
+        def pool(local: np.ndarray, incoming: np.ndarray, rows: Any = incoming_rows) -> np.ndarray:
             pooled = np.empty((offsets[-1],) + incoming.shape[1:], dtype=incoming.dtype)
             pooled[local_at] = local[local_row, local_slot]
-            pooled[incoming_at] = incoming[incoming_rows]
+            pooled[incoming_at] = incoming[rows]
             return pooled
 
     if queued:
+        read = incoming_rows if sources is None else sources[incoming_rows]
         out.block = solve_block(
             scheme, k, quantization,
             PackedState(
                 pool(local_quanta, quanta),
-                {name: pool(column, columns[name]) for name, column in local_columns.items()},
+                {name: pool(column, columns[name], read) for name, column in local_columns.items()},
             ),
             offsets,
             pool(local_tokens, tokens) if named else None,  # type: ignore[arg-type]

@@ -10,15 +10,16 @@ This package holds *all* nodes' packed classification state in one
 contiguous structure-of-arrays arena (:mod:`repro.mega.arena`) and
 executes a gossip round as batched numpy operations
 (:mod:`repro.mega.engine`): one vectorised pairing draw, one batched
-split, one stable sort routing every payload to its receiver, and a
-content-addressed receive solver that collapses the post-convergence
-tail into dictionary lookups across the whole population.  For runs that
-outgrow one process, :mod:`repro.mega.shard` splits the arena across
-worker processes with a deterministic, seed-keyed cross-shard exchange:
-payload rows travel through double-buffered shared-memory slabs
-(:mod:`repro.mega.shm`), and both engines run the same round body (the
-arena's split, the solver's routed delivery, the structural-quiescence
-test).
+split, one sort of an integer key routing every payload row to its
+receiver (by reference: a row names its sender's cell, and no summary
+column is copied), and a content-addressed receive solver that collapses
+the post-convergence tail into dictionary lookups across the whole
+population.  For runs that outgrow one process, :mod:`repro.mega.shard`
+splits the arena across worker processes with a deterministic,
+seed-keyed cross-shard exchange: payload rows travel through
+double-buffered shared-memory slabs (:mod:`repro.mega.shm`), and both
+engines run the same round body (the arena's split, the solver's routed
+delivery, the structural-quiescence test).
 
 The correctness contract is byte-parity: at overlapping sizes and equal
 seeds an arena run produces exactly the per-node kernel's classifications

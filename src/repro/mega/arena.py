@@ -247,24 +247,30 @@ class NetworkArena:
     # ------------------------------------------------------------------
     # The round
     # ------------------------------------------------------------------
-    def split(self) -> Tuple[int, np.ndarray, np.ndarray, np.ndarray, Dict[str, np.ndarray]]:
+    def split(self) -> Tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Every node sends half of each collection's quanta, rounded down.
 
-        Returns ``(messages, sender, quanta, ids, columns)``: the sent
-        rows in ``np.nonzero`` row-major order, ascending (sender, slot),
-        which is the concatenation of every node's ``make_message``
-        payload, and the number of distinct senders (the kernel's
-        message count).  ``sender`` indexes this arena's rows.  The kept
-        halves are a new :attr:`quanta` array; the old one is left as it
-        was, so a caller can put it back if the round fails.
+        Returns ``(messages, sender, cells, quanta, ids)``: the sent rows
+        in ascending (sender, slot) order, which is the concatenation of
+        every node's ``make_message`` payload, and the number of distinct
+        senders (the kernel's message count).  ``sender`` indexes this
+        arena's rows; ``cells`` (``sender * k + slot``) names each row's
+        cell of :meth:`cell_columns`, which holds its summary: a sent row
+        is its sender's row byte for byte, so no column is copied.  The
+        kept halves are a new :attr:`quanta` array; the old one is left
+        as it was, so a caller can put it back if the round fails.
         """
         quanta = self.quanta
         sent = quanta // 2
         self.quanta = quanta - sent
-        sender, slot = np.nonzero(sent)
+        cells = np.flatnonzero(sent)
+        sender = cells // self.k
         messages = int(np.count_nonzero(np.diff(sender)) + 1) if len(sender) else 0
-        columns = {name: column[sender, slot] for name, column in self.columns.items()}
-        return messages, sender, sent[sender, slot], self.ids[sender, slot], columns
+        return messages, sender, cells, sent.reshape(-1)[cells], self.ids.reshape(-1)[cells]
+
+    def cell_columns(self) -> Dict[str, np.ndarray]:
+        """The scheme columns as ``(n * k, ...)`` views: row ``i * k + j`` is cell ``[i, j]``."""
+        return {name: column.reshape((-1,) + column.shape[2:]) for name, column in self.columns.items()}
 
     def structurally_converged(self) -> bool:
         """Does every node hold the same summary-id multiset?

@@ -6,6 +6,7 @@ Usage::
     python -m repro.mega --nodes 250000 --shards 4 --rounds 40 --json run.json
     python -m repro.mega --nodes 1000000 --shards 8 --stop-on-quiescence
     python -m repro.mega --nodes 1000 --data normal --scheme centroid
+    python -m repro.mega --nodes 20000 --data paper --rounds 16
 
 Runs one whole-network arena simulation — single-process
 :class:`~repro.mega.engine.ArenaEngine` by default, the multi-process
@@ -21,7 +22,9 @@ default) draws each node's value from three well-separated cluster
 centers: merges are float-exact, so the population byte-converges and
 quiescence detection can stop the run — the regime the mega-scale
 benchmark measures.  ``--data normal`` draws one N(0, I) blob, which
-never byte-converges; use a fixed ``--rounds`` budget there.
+never byte-converges; use a fixed ``--rounds`` budget there.  ``--data
+paper`` is the paper's own setup (§5.3): the three centers plus unit
+Gaussian noise, which never byte-converges either.
 """
 
 from __future__ import annotations
@@ -56,8 +59,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--k", type=int, default=3, help="collections per node")
     parser.add_argument("--seed", type=int, default=11, help="pairing RNG seed")
     parser.add_argument(
-        "--data", choices=["centers", "normal"], default="centers",
-        help="value generator (centers byte-converges; normal never does)",
+        "--data", choices=["centers", "normal", "paper"], default="centers",
+        help="value generator (centers byte-converges; normal and paper never do)",
     )
     parser.add_argument("--data-seed", type=int, default=11)
     parser.add_argument("--rounds", type=int, default=200, help="round budget")

@@ -11,11 +11,13 @@ pipeline.  :class:`ArenaEngine` executes the *same* round over a
    (stream-equivalent to the kernel's per-node ``choose`` calls; scalar
    fallback otherwise).
 2. **Split** — ``sent = quanta // 2`` over the whole ``(n, k)`` matrix;
-   the payload rows, in ``np.nonzero`` row-major order, are exactly the
-   concatenation of every node's ``make_message`` payload.
-3. **Routing** — a stable argsort by destination reproduces the
-   in-memory transport's delivery order (destinations ascending, and
-   within a destination payloads in ascending sender order).
+   the payload rows, in row-major order, are exactly the concatenation
+   of every node's ``make_message`` payload, each named by its sender's
+   cell: a split halves weights only, so no summary column is copied.
+3. **Routing** — :func:`route` sorts one unique integer key per row,
+   destination then arrival position: the in-memory transport's
+   delivery order (destinations ascending, and within a destination
+   payloads in ascending sender order).
 4. **Receive** — :class:`ReceiveSolver` hands the round to
    :func:`repro.core.receive.receive_round`, the driver the per-node
    kernel's rounds run too, with interned ids as row tokens: a round
@@ -49,7 +51,32 @@ from repro.network.simulator import NeighborSelector, RandomSelector
 from repro.network.topology import make_topology, neighbors_map, validate_topology
 from repro.obs.profiling import current_registry
 
-__all__ = ["ArenaEngine", "ArenaStats", "GossipPairing", "ReceiveSolver"]
+__all__ = ["ArenaEngine", "ArenaStats", "GossipPairing", "ReceiveSolver", "check_route", "route"]
+
+#: Bits of a routing key below its destination: the row's arrival position.
+ROUTE_SHIFT = 32
+
+
+def check_route(nodes: int, rows: int) -> None:
+    """Refuse a round whose routing keys, destination above arrival position, would wrap."""
+    if nodes > 1 << 63 - ROUTE_SHIFT or rows > 1 << ROUTE_SHIFT:
+        raise ValueError(
+            f"cannot route {rows} rows to {nodes} nodes: the routing key holds at most "
+            "2**31 nodes and 2**32 rows"
+        )
+
+
+def route(dest: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(order, receivers, bounds)``: receiver ``receivers[p]`` (ascending) of
+    ``range(n)`` gets rows ``order[bounds[p]:bounds[p+1]]`` of ``dest``, in
+    arrival order.  The keys are unique, so their one sort is the stable
+    sort by destination, and their low bits are the order."""
+    check_route(n, len(dest))
+    keys = np.left_shift(dest, ROUTE_SHIFT, dtype=np.int64) | np.arange(len(dest))
+    held = np.bincount(dest, minlength=n)
+    receivers = np.flatnonzero(held)
+    order = np.sort(keys) & (1 << ROUTE_SHIFT) - 1
+    return order, receivers, np.append(0, np.cumsum(held[receivers]))
 
 
 class GossipPairing:
@@ -157,12 +184,13 @@ class ArenaStats:
 class ReceiveSolver:
     """The receive step of :mod:`repro.core.receive` over a payload slab.
 
-    Shared by :class:`ArenaEngine` and the shard workers: both hand it
-    per-destination payload slabs (ids/quanta/columns sorted by receiver)
-    and it updates the arena in place.  Rows are named by interned id,
-    the core's row token here.  The core's round driver
-    (:func:`~repro.core.receive.receive_round`) answers the receives; the
-    solver's own work is the routing, interning, stats and the scatter.
+    Shared by :class:`ArenaEngine` and the shard workers: both hand it a
+    round's payload rows (ids and quanta, their summaries by reference
+    into a column table); it routes them and updates the arena in place.
+    Rows are named by interned id, the core's row token here.  The core's
+    round driver (:func:`~repro.core.receive.receive_round`) answers the
+    receives; the solver's own work is the routing, interning, stats and
+    the scatter.
     """
 
     def __init__(
@@ -184,26 +212,20 @@ class ReceiveSolver:
         ids: np.ndarray,
         quanta: np.ndarray,
         columns: Dict[str, np.ndarray],
+        sources: Optional[np.ndarray] = None,
     ) -> None:
         """Route one round's payload rows to their receivers and apply them.
 
         ``dest`` holds each row's arena-local receiver; rows come in
-        ascending-sender order.  The stable sort by destination keeps
-        that order within each receiver, which is the in-memory
-        transport's batch order that byte parity rests on.
+        ascending-sender order, which :func:`route` keeps within each
+        receiver: the in-memory transport's batch order that byte parity
+        rests on.  Row ``i``'s summary is row ``sources[i]`` of
+        ``columns`` (row ``i`` without ``sources``), read by reference.
         """
-        if not len(dest):
-            return
-        order = np.argsort(dest, kind="stable")
-        sorted_dest = dest[order]
-        dests, starts = np.unique(sorted_dest, return_index=True)
-        self.receive_slab(
-            dests,
-            np.append(starts, len(sorted_dest)),
-            ids[order],
-            quanta[order],
-            {name: rows[order] for name, rows in columns.items()},
-        )
+        if len(dest):
+            order, dests, bounds = route(dest, self.arena.n)
+            sources = order if sources is None else sources[order]
+            self.receive_slab(dests, bounds, ids[order], quanta[order], columns, sources)
 
     def receive_slab(
         self,
@@ -212,13 +234,15 @@ class ReceiveSolver:
         ids: np.ndarray,
         quanta: np.ndarray,
         columns: Dict[str, np.ndarray],
+        sources: np.ndarray,
     ) -> None:
         """Apply one round's receives.
 
         ``dests`` lists the receiving (arena-local) node indices,
-        ascending; payload rows ``bounds[p]:bounds[p+1]`` of
-        ``ids`` / ``quanta`` / ``columns`` belong to ``dests[p]``, in
-        ascending-sender order — the in-memory transport's batch order.
+        ascending; payload rows ``bounds[p]:bounds[p+1]`` of ``ids`` /
+        ``quanta`` belong to ``dests[p]``, in ascending-sender order — the
+        in-memory transport's batch order.  Row ``i``'s summary is row
+        ``sources[i]`` of ``columns``.
 
         The core's round driver answers every receive over the arena's
         own arrays, interning new summaries in its queue order (a
@@ -244,7 +268,9 @@ class ReceiveSolver:
         # needs it.
         result = receive_round(
             arena.scheme, arena.k, arena.quantization,
-            ReceiveSlab(dests, a_counts, a_ids, a_quanta, a_columns, bounds, ids, quanta, columns),
+            ReceiveSlab(
+                dests, a_counts, a_ids, a_quanta, a_columns, bounds, ids, quanta, columns, sources
+            ),
             self.merge_cache, intern, arena.interner.digest,
         )
         kinds, fresh, block = result.kinds, ~result.memo, result.block
@@ -379,9 +405,9 @@ class ArenaEngine:
         arena = self.arena
         peers = self.pairing.draw()
         held = arena.quanta
-        messages, sender, quanta, ids, columns = arena.split()
+        messages, sender, cells, quanta, ids = arena.split()
         try:
-            self.solver.deliver(peers[sender], ids, quanta, columns)
+            self.solver.deliver(peers[sender], ids, quanta, arena.cell_columns(), cells)
         except BaseException:
             arena.quanta = held
             raise

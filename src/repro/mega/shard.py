@@ -18,7 +18,8 @@ each round as a two-phase barrier protocol:
    views and applies them through the shared
    :meth:`~repro.mega.engine.ReceiveSolver.deliver`, assembling rows in
    ascending source-shard order so the concatenation reproduces the
-   in-memory transport's ascending-sender delivery order exactly.
+   in-memory transport's ascending-sender delivery order exactly.  Each
+   bundle's columns are gathered once, from its rows' arena cells.
 
 Only tiny ``(target, rows)`` control tuples cross the pipes; nothing is
 pickled on the data path.  The parent posts all of a phase's messages
@@ -206,18 +207,21 @@ class _ShardState:
         Returns the external bundles ``(dest_shard, dest_global, quanta,
         columns)`` — rows in ascending (sender, slot) order within each
         bundle — and the shard's message count (distinct senders, the
-        kernel's metric).  The own-shard portion is parked for
+        kernel's metric).  A bundle's columns are gathered once, from
+        its rows' cells.  The own-shard portion is parked for
         :meth:`apply_round`, ids included: they stay valid in this
         interner.
         """
         config = self.config
         peers = self.pairing.draw()
-        messages, sender, quanta, ids, columns = self.arena.split()
+        messages, sender, cells, quanta, ids = self.arena.split()
         dest = peers[sender + config.lo]
         dest_shard = np.searchsorted(config.bounds, dest, side="right") - 1
+        table = self.arena.cell_columns()
 
         def bundle(mask: np.ndarray) -> Tuple[np.ndarray, np.ndarray, Dict[str, np.ndarray]]:
-            return dest[mask], quanta[mask], {name: rows[mask] for name, rows in columns.items()}
+            at = cells[mask]
+            return dest[mask], quanta[mask], {name: rows[at] for name, rows in table.items()}
 
         own = dest_shard == config.shard
         own_dest, own_quanta, own_columns = bundle(own)
@@ -236,8 +240,9 @@ class _ShardState:
         ``external`` holds ``(source_shard, dest_global, quanta,
         columns)`` bundles.  Parts are concatenated in ascending
         source-shard order — each internally in ascending sender order —
-        so the stable sort by destination reproduces the transport's
-        global delivery order.
+        so routing by destination, then arrival position, reproduces the
+        transport's global delivery order.  The solver reads each routed
+        row's columns from the concatenated ones, by reference.
         """
         config = self.config
         interner = self.arena.interner

@@ -178,7 +178,11 @@ class PoissonScheduler(Scheduler):
         self._cross_epochs(kernel, when)
         self.now = when
         if isinstance(entry, _Fire):
-            self._fire(kernel, entry.node)
+            try:
+                self._fire(kernel, entry.node)
+            except BaseException:
+                kernel.queue.push_front([(when, entry)])
+                raise
             kernel.metrics.events += 1
         else:
             # An event counts once it has completed: a delivery whose
@@ -226,7 +230,13 @@ class PoissonScheduler(Scheduler):
             self._epoch += 1
 
     def _fire(self, kernel: SimulationKernel, node: int) -> None:
-        """One timer expiry: Algorithm 1 lines 3-7 under this schedule."""
+        """One timer expiry: Algorithm 1 lines 3-7 under this schedule.
+
+        A fire whose send raises is requeued first at its time and runs
+        whole again, with fresh draws: under pushpull a push sent before
+        the pull raised gets a second one, which Section 6's fair schedule
+        allows, and each send splits the weight it carries.
+        """
         if not kernel.is_live(node):
             return  # fail-stop: the dead node's clock is never rescheduled
         neighbors = kernel.neighbors[node]

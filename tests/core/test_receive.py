@@ -428,7 +428,9 @@ def _digest_round(scheme, k, locations, receives, seen):
 
 def _id_round(scheme, k, locations, receives, seen):
     """The round as the arena poses it, over ``(n, k)`` arrays indexed by
-    receiver and interned ids, against each receive as a round of one."""
+    receiver and interned ids, its incoming rows read by reference from
+    the location table, against each receive as a round of one with its
+    incoming rows gathered."""
     columns = scheme.pack_values(np.asarray(locations, dtype=float) * SPREAD)
     interner = SummaryInterner(scheme, {name: column.shape[1:] for name, column in columns.items()})
     ids = interner.intern_rows(columns, len(locations))
@@ -456,19 +458,21 @@ def _id_round(scheme, k, locations, receives, seen):
     def intern(merged):
         return [interner.intern_row(merged, row) for row in range(len(next(iter(merged.values()))))]
 
-    def solve(first, last):
-        """Receivers ``first:last`` as one round."""
+    def solve(first, last, sources=None):
+        """Receivers ``first:last`` as one round: their incoming rows
+        gathered, or read by reference from the location table through
+        ``sources``."""
         low, high = bounds[first], bounds[last]
         slab = ReceiveSlab(
             receivers[first:last], counts, local_ids, local_quanta, local_columns,
             bounds[first : last + 1] - low, ids[flat][low:high], in_quanta[low:high],
-            _rows(columns, flat[low:high]),
+            _rows(columns, flat[low:high]) if sources is None else columns, sources,
         )
         return receive_round(
             scheme, k, QUANTIZATION, slab, MergeCache(), intern, interner.digest, True
         )
 
-    result = solve(0, count)
+    result = solve(0, count, np.asarray(flat, dtype=np.intp))
     for r, (local, held, incoming) in enumerate(receives):
         alone = solve(r, r + 1)
         kind, *outcome = result.outcome(r)

@@ -19,10 +19,11 @@ from oracle import state_bytes
 
 import repro.core.receive as receive
 from repro.data import make_dataset
+from repro.network.kernel import _Fire
 from repro.network.schedulers import PoissonScheduler
 from repro.network.topology import complete
 from repro.obs.events import RingBufferSink
-from repro.protocols.classification import build_classification_network
+from repro.protocols.classification import ClassificationProtocol, build_classification_network
 from repro.schemes.gm import GaussianMixtureScheme
 
 
@@ -261,6 +262,39 @@ def test_poisson_event_whose_receive_raises_is_counted_once(monkeypatch):
     kernel.run(1)
     assert kernel.transport.stats.frames_received > 0
     assert kernel.metrics.events == len(fires) + kernel.transport.stats.frames_received
+
+
+def test_poisson_fire_whose_send_raises_fires_again(monkeypatch):
+    """A 16-node GM Poisson kernel whose send raises in the third epoch
+    puts the fire back uncounted: every live node still has a timer
+    queued, and in the ten epochs after the retry every node fires."""
+    fired = []
+    fire = PoissonScheduler._fire
+
+    def spy(self, kernel, node):
+        fire(self, kernel, node)
+        fired.append(node)
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("refused")
+
+    monkeypatch.setattr(PoissonScheduler, "_fire", spy)
+    values = np.random.default_rng(5).normal(size=(16, 2))
+    kernel, _ = build_classification_network(
+        values, GaussianMixtureScheme(seed=0), 3, graph=complete(16), seed=2,
+        engine="async", merge_cache=True,
+    )
+    kernel.run(2)
+    with monkeypatch.context() as refused:
+        refused.setattr(ClassificationProtocol, "make_payload", refuse)
+        with pytest.raises(RuntimeError, match="refused"):
+            kernel.run(1)
+    timers = [item.node for _, _, item in kernel.queue._heap if isinstance(item, _Fire)]
+    assert sorted(timers) == list(kernel.live_nodes)
+    assert kernel.metrics.events == len(fired) + kernel.transport.stats.frames_received
+    fired.clear()
+    kernel.run(10)
+    assert set(fired) == set(range(16))
 
 
 def test_round_sweeps_a_large_blocks_noops(monkeypatch):
