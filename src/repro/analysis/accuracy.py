@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from repro.ml.gmm import GaussianMixtureModel
 
@@ -95,6 +94,8 @@ def match_mixtures(
             for i in range(estimated.n_components)
         ]
     )
+    from scipy.optimize import linear_sum_assignment  # scipy.optimize is slow to import
+
     rows, cols = linear_sum_assignment(cost)
     matches = []
     for i, j in zip(rows.tolist(), cols.tolist()):

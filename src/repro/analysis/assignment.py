@@ -18,7 +18,6 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from repro.core.classification import Classification
 from repro.core.node import ClassifierNode
@@ -71,6 +70,8 @@ def classification_accuracy(
     total = matrix.sum()
     if total <= 0:
         raise ValueError("classification carries no weight")
+    from scipy.optimize import linear_sum_assignment  # scipy.optimize is slow to import
+
     rows, cols = linear_sum_assignment(-matrix)
     return float(matrix[rows, cols].sum()) / float(total)
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment, linprog
 
 from repro.core.classification import Classification
 from repro.core.collection import Collection
@@ -86,6 +85,8 @@ def classification_distance(
         col[j::n_b] = 1.0
         a_eq.append(col)
         b_eq.append(weights_b[j])
+    from scipy.optimize import linprog  # scipy.optimize is slow to import
+
     result = linprog(c, A_eq=np.array(a_eq), b_eq=np.array(b_eq), bounds=(0, None), method="highs")
     if not result.success:  # pragma: no cover - the LP above is always feasible
         raise RuntimeError(f"transportation LP failed: {result.message}")
@@ -110,6 +111,8 @@ def match_collections(
         [[scheme.distance(ca.summary, cb.summary) for cb in b] for ca in a],
         dtype=float,
     )
+    from scipy.optimize import linear_sum_assignment
+
     rows, cols = linear_sum_assignment(cost)
     return list(zip(rows.tolist(), cols.tolist()))
 

@@ -401,6 +401,10 @@ class MergeCache:
             plans.clear()
         plans[key] = plan
 
+    def drop_plans(self) -> None:
+        """Forget every no-op plan: their keys name rows by ids about to be renumbered."""
+        self._plans.clear()
+
     def record_noop(self) -> None:
         self.noop_hits += 1
 

@@ -634,18 +634,27 @@ def receive_round(
                 at[accepted] = len(out.swept)
                 out.slots[accepted] = np.arange(len(accepted))
                 out.swept.append((accepted, *swept))  # type: ignore[arg-type]
-    # Pass 2 reads the receivers the sweep left, and every incoming row,
-    # once into lists.
-    pending: Any = np.flatnonzero(kinds < 0) if out.swept else slice(None)
-    order = pending.tolist() if out.swept else range(count)
-    held_rows = receivers[pending]
-    limits, row_list, held_list = bounds.tolist(), held_rows.tolist(), held[pending].tolist()
+    # Pass 2 reads only the receivers the sweep left, and their incoming
+    # rows, once into lists: from here on, receiver i is pending[i].
+    pending = np.flatnonzero(kinds < 0)
+    if len(pending) == 0:
+        return out
+    if len(pending) < count:
+        widths = np.diff(bounds)[pending]
+        owner, slot = ragged_slots(widths)
+        flat = bounds[pending][owner] + slot
+        bounds = np.append(0, np.cumsum(widths))
+        tokens = None if tokens is None else tokens[flat]
+        quanta = quanta[flat]
+        sources = flat if sources is None else sources[flat]
+        receivers, held = receivers[pending], held[pending]
+    limits, row_list, held_list = bounds.tolist(), receivers.tolist(), held.tolist()
     # The round memo maps a receive's key (the bytes of its local and
     # incoming tokens and quanta) to its answer, ``index << 2 | kind``.
     memo: Dict[bytes, int] = {}
-    keyed = named and count > 1
+    keyed = named and len(pending) > 1
     if named:
-        own_tokens_all = local_tokens[held_rows]
+        own_tokens_all = local_tokens[receivers]
         own_token_lists, token_list = own_tokens_all.tolist(), tokens.tolist()
     if keyed:
         # A receiver's local cells past its count hold no row: zeroed, they
@@ -653,9 +662,9 @@ def receive_round(
         # or more).  Its incoming rows' tokens and quanta, pair by pair,
         # end the key.
         cells = np.zeros(own_tokens_all.shape, [("token", tokens.dtype), ("quanta", np.int64)])
-        held_cells = np.arange(cells.shape[1]) < held[pending][:, None]
+        held_cells = np.arange(cells.shape[1]) < held[:, None]
         cells["token"][held_cells] = own_tokens_all[held_cells]
-        cells["quanta"][held_cells] = local_quanta[held_rows][held_cells]
+        cells["quanta"][held_cells] = local_quanta[receivers][held_cells]
         local_keys = cells.view(f"V{cells.itemsize * cells.shape[1]}").ravel().tolist()
         pairs = np.empty(len(tokens), cells.dtype)
         pairs["token"], pairs["quanta"] = tokens, quanta
@@ -664,13 +673,13 @@ def receive_round(
     kinds_of: List[int] = []
     at_of: List[int] = []
     copied: List[int] = []
-    for i, r in enumerate(order):
-        row, m, start, stop = row_list[i], held_list[i], limits[r], limits[r + 1]
+    for i, (row, m) in enumerate(zip(row_list, held_list)):
+        start, stop = limits[i], limits[i + 1]
         if keyed:
             key = local_keys[i] + pair_bytes[start * pair_size : stop * pair_size]
             answer = memo.get(key)
             if answer is not None:
-                copied.append(r)
+                copied.append(i)
                 kinds_of.append(answer & 3)
                 at_of.append(answer >> 2)
                 continue
@@ -707,7 +716,7 @@ def receive_round(
                 kind = SOLVED if outcome is None else NOOP
         if outcome is None:
             index = len(queued)
-            queued.append(r)
+            queued.append(i)
         else:
             index = len(out.rows)
             out.rows.append(outcome)
@@ -715,10 +724,10 @@ def receive_round(
         at_of.append(index)
         if keyed:
             memo[key] = index << 2 | kind
-    kinds[pending], at[pending], out.memo[copied] = kinds_of, at_of, True
+    kinds[pending], at[pending], out.memo[pending[copied]] = kinds_of, at_of, True
     if len(queued) == 1:  # one problem: its local block, then its incoming rows
-        (r,) = queued
-        row, m, start, stop = int(receivers[r]), int(held[r]), limits[r], limits[r + 1]
+        (i,) = queued
+        row, m, start, stop = row_list[i], held_list[i], limits[i], limits[i + 1]
         offsets = [0, m + stop - start]
         incoming_rows: Any = slice(start, stop)
 

@@ -17,10 +17,15 @@ expensive equalities of a gossip round O(1):
 - a receive problem repeats            ⟺  same id/quanta key bytes,
 - the population has structurally converged  ⟺  one id multiset per row.
 
-Ids are engine-local (they depend on interning order); content digests —
-the globally stable names the per-node kernel uses — are derived lazily
-per id, so parity checks and certificates speak the same language as
-:mod:`repro.core.fingerprint`.
+The interner is a numpy hash table that names a whole block of rows in
+one probe.  Ids are engine-local (they depend on interning order);
+content digests — the globally stable names the per-node kernel uses —
+are derived lazily per id, so parity checks and certificates speak the
+same language as :mod:`repro.core.fingerprint`.  On noisy inputs every
+round mints new rows and most old ones die, so at the end of a round in
+which the interner holds more than ``2·n·k`` ids (live ones number at
+most ``n·k``) :meth:`NetworkArena.compact` renumbers the live ids
+densely and the interner forgets the rest.
 """
 
 from __future__ import annotations
@@ -37,15 +42,89 @@ from repro.core.weights import Quantization
 __all__ = ["NetworkArena", "SummaryInterner"]
 
 
+#: Fewest slots of an id table and rows of a row table: a power of two.
+_MIN_SLOTS = 64
+#: Multipliers of the row hash (odd 64-bit constants from splitmix64/murmur3).
+_MIX = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xFF51AFD7ED558CCD), np.uint64(0xC4CEB9FE1A85EC53))
+
+
+def _power_of_two(count: int) -> int:
+    """The smallest power of two, at least :data:`_MIN_SLOTS`, that holds ``count``."""
+    return max(_MIN_SLOTS, 1 << max(count - 1, 0).bit_length())
+
+
+def _row_hashes(words: np.ndarray) -> np.ndarray:
+    """One 64-bit hash per row of the word-major ``words``, mixing every bit of every word.
+
+    Exact values such as 8.0 keep all their bits in the exponent and the
+    high mantissa, so each word is folded in by a multiply and a
+    high-to-low shift, and murmur3's finaliser spreads the result over
+    the low bits a slot is taken from.
+    """
+    golden, first, second = _MIX
+    hashes = np.full(words.shape[1], golden, dtype=np.uint64)
+    for word in words:
+        hashes ^= word
+        hashes *= golden
+        hashes ^= hashes >> np.uint64(29)
+    hashes ^= hashes >> np.uint64(33)
+    hashes *= first
+    hashes ^= hashes >> np.uint64(33)
+    hashes *= second
+    hashes ^= hashes >> np.uint64(33)
+    return hashes
+
+
+def _same_rows(table: np.ndarray, at: np.ndarray, words: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Whether row ``at[i]`` of ``table`` holds the words of row ``rows[i]`` of ``words`` (both word-major)."""
+    same = table[0][at] == words[0][rows]
+    for word in range(1, len(words)):
+        same &= table[word][at] == words[word][rows]
+    return same
+
+
+def _first_equal(words: np.ndarray, hashes: np.ndarray) -> np.ndarray:
+    """For each row of the word-major ``words``, the first row holding the same words.
+
+    Rows are grouped by hash and each is confirmed against the first row
+    of its group; rows that differ from it, under a colliding hash, are
+    grouped again among themselves.
+    """
+    first = np.arange(len(hashes))
+    left = first
+    while len(left):
+        order = left[np.argsort(hashes[left])]
+        ordered = hashes[order]
+        starts = np.flatnonzero(np.append(True, ordered[1:] != ordered[:-1]))
+        leader = np.repeat(np.minimum.reduceat(order, starts), np.diff(starts, append=len(order)))
+        equal = _same_rows(words, order, words, leader)
+        first[order[equal]] = leader[equal]
+        left = order[~equal]
+    return first
+
+
 class SummaryInterner:
     """Dense ids for distinct packed summary rows, plus derived caches.
 
     The intern key of a row is the concatenation of its column bytes in
     sorted column-name order — exactly the bytes a scheme's
     ``pack_summaries`` would produce for the summary, so byte-parity
-    with the object world is definitional.  Digest and summary-object
-    caches are lazy: the hot round loop only touches ids; digests are
-    materialised for certificates, parity checks and reporting.
+    with the object world is definitional.
+
+    The table lives in numpy arrays.  A growing uint64 row table holds
+    id ``i``'s key as 64-bit words, stored word-major (``(words, ids)``,
+    so each comparison reads one contiguous array per word), with each
+    row's hash beside it, and a power-of-two open-addressing table, kept
+    at most half full, maps a row's hash to its id.  :meth:`intern_rows`
+    names a whole block at once: it probes every row together, counts a
+    hit only once the full row words compare equal (so two different
+    rows never share an id, and ``0.0``/``-0.0`` or NaN payloads stay
+    apart), and mints the misses in first-occurrence order — the ids a
+    one-at-a-time loop mints.  Both tables grow by doubling.
+
+    :meth:`compact` keeps only the ids a caller names, renumbered
+    densely in order.  Digests and summary objects are cached lazily,
+    only for the ids asked about; the hot round loop touches ids alone.
     """
 
     def __init__(self, scheme: SummaryScheme, column_specs: Dict[str, Tuple[int, ...]]) -> None:
@@ -55,68 +134,124 @@ class SummaryInterner:
         self.row_lengths: List[int] = [
             math.prod(shape) for shape in self.row_shapes
         ]
-        self._ids: Dict[bytes, int] = {}
-        self._keys: List[bytes] = []
-        self._digests: List[Optional[bytes]] = []
-        self._summaries: List[Any] = []
+        self._count = 0
+        self._words = np.empty((sum(self.row_lengths), _MIN_SLOTS), dtype=np.uint64)
+        self._hashes = np.empty(_MIN_SLOTS, dtype=np.uint64)
+        self._slots = np.full(_MIN_SLOTS, -1, dtype=np.int64)
+        self._digests: Dict[int, bytes] = {}
+        self._summaries: Dict[int, Any] = {}
 
     def __len__(self) -> int:
-        return len(self._keys)
+        return self._count
 
     # ------------------------------------------------------------------
     # Interning
     # ------------------------------------------------------------------
-    def _flatten_rows(self, columns: Dict[str, np.ndarray], count: int) -> np.ndarray:
-        """One C-contiguous ``(count, total_floats)`` matrix of row bytes."""
+    def _words_of(self, columns: Dict[str, np.ndarray], count: int) -> np.ndarray:
+        """The ``count`` packed rows of ``columns`` as one word-major uint64 array."""
         flats = []
-        for name, shape in zip(self.names, self.row_shapes):
-            array = np.ascontiguousarray(columns[name], dtype=float)
+        for name, shape, length in zip(self.names, self.row_shapes, self.row_lengths):
+            array = np.asarray(columns[name], dtype=float)
             if array.shape[0] != count or array.shape[1:] != shape:
                 raise ValueError(
                     f"column {name!r} has shape {array.shape}, "
                     f"expected ({count}, {', '.join(map(str, shape))})"
                 )
-            flats.append(array.reshape(count, -1))
-        return np.ascontiguousarray(np.concatenate(flats, axis=1))
+            flats.append(array.reshape(count, length).T)
+        return np.concatenate(flats).view(np.uint64)
 
     def intern_rows(self, columns: Dict[str, np.ndarray], count: int) -> np.ndarray:
         """Intern ``count`` packed rows; returns their ids, in row order."""
-        flat = self._flatten_rows(columns, count)
-        out = np.empty(count, dtype=np.int64)
-        ids = self._ids
-        keys = self._keys
-        digests = self._digests
-        summaries = self._summaries
-        for i in range(count):
-            key = flat[i].tobytes()
-            found = ids.get(key)
-            if found is None:
-                found = len(keys)
-                ids[key] = found
-                keys.append(key)
-                digests.append(None)
-                summaries.append(None)
-            out[i] = found
-        return out
+        words = self._words_of(columns, count)
+        hashes = _row_hashes(words)
+        ids = self._find(words, hashes)
+        missed = np.flatnonzero(ids < 0)
+        if len(missed):
+            first = _first_equal(words[:, missed], hashes[missed])
+            fresh = np.flatnonzero(first == np.arange(len(missed)))
+            rank = np.empty(len(missed), dtype=np.int64)
+            rank[fresh] = np.arange(self._count, self._count + len(fresh))
+            ids[missed] = rank[first]
+            self._append(words[:, missed[fresh]], hashes[missed[fresh]])
+        return ids
 
     def intern_row(self, columns: Dict[str, np.ndarray], index: int) -> int:
         """Intern the single packed row ``index`` of ``columns``."""
-        key = b"".join(
-            np.ascontiguousarray(columns[name][index], dtype=float).tobytes()
-            for name in self.names
-        )
-        found = self._ids.get(key)
-        if found is None:
-            found = len(self._keys)
-            self._ids[key] = found
-            self._keys.append(key)
-            self._digests.append(None)
-            self._summaries.append(None)
+        row = {name: columns[name][index : index + 1] for name in self.names}
+        return int(self.intern_rows(row, 1)[0])
+
+    def _find(self, words: np.ndarray, hashes: np.ndarray) -> np.ndarray:
+        """Each row's id, or -1: every row walks its probe chain at once."""
+        slots, mask = self._slots, len(self._slots) - 1
+        found = np.full(len(hashes), -1, dtype=np.int64)
+        rows = np.arange(len(hashes))
+        at = (hashes & np.uint64(mask)).astype(np.int64)
+        while len(rows):
+            held = slots[at]
+            taken = held >= 0
+            rows, at, held = rows[taken], at[taken], held[taken]
+            same = self._hashes[held] == hashes[rows]
+            candidates = np.flatnonzero(same)
+            same[candidates] = _same_rows(self._words, held[candidates], words, rows[candidates])
+            found[rows[same]] = held[same]
+            rows, at = rows[~same], (at[~same] + 1) & mask
         return found
+
+    def _append(self, words: np.ndarray, hashes: np.ndarray) -> None:
+        """Give the word-major rows ``words`` the next ids; both tables grow by doubling."""
+        low, high = self._count, self._count + len(hashes)
+        if high > len(self._hashes):
+            spare = _power_of_two(high) - low
+            self._words = np.concatenate(
+                [self._words[:, :low], np.empty((len(words), spare), np.uint64)], axis=1
+            )
+            self._hashes = np.concatenate([self._hashes[:low], np.empty(spare, np.uint64)])
+        self._words[:, low:high] = words
+        self._hashes[low:high] = hashes
+        self._count = high
+        if 2 * high > len(self._slots):
+            self._rebuild()
+        else:
+            self._place(np.arange(low, high))
+
+    def _rebuild(self) -> None:
+        """A fresh id table, at most half full, holding every id."""
+        self._slots = np.full(_power_of_two(2 * self._count), -1, dtype=np.int64)
+        self._place(np.arange(self._count))
+
+    def _place(self, ids: np.ndarray) -> None:
+        """Put ``ids`` in the id table, each in the first free slot of its chain."""
+        slots, mask = self._slots, len(self._slots) - 1
+        at = (self._hashes[ids] & np.uint64(mask)).astype(np.int64)
+        while len(ids):
+            free = slots[at] < 0
+            slots[at[free]] = ids[free]
+            placed = np.zeros(len(ids), dtype=bool)
+            placed[free] = slots[at[free]] == ids[free]
+            ids, at = ids[~placed], (at[~placed] + 1) & mask
+
+    def compact(self, live: np.ndarray) -> None:
+        """Keep only the ids in ``live`` (ascending, distinct), as ``0..len(live)-1``.
+
+        Both tables are rebuilt and the lazy caches dropped: what they
+        held is recomputed on demand from the row words.
+        """
+        self._words = self._words[:, live]
+        self._hashes = self._hashes[live]
+        self._count = len(live)
+        self._rebuild()
+        self._digests.clear()
+        self._summaries.clear()
 
     # ------------------------------------------------------------------
     # Decoding
     # ------------------------------------------------------------------
+    def _check(self, summary_id: int) -> int:
+        """``summary_id`` as an int, or IndexError outside ``range(len(self))``."""
+        if not 0 <= summary_id < self._count:
+            raise IndexError(f"no summary id {summary_id} among {self._count}")
+        return int(summary_id)
+
     def key_bytes(self, summary_id: int) -> bytes:
         """The intern key (packed row bytes) behind an id.
 
@@ -125,25 +260,22 @@ class SummaryInterner:
         when their dense ids differ — the currency for cross-process
         state comparison.
         """
-        return self._keys[summary_id]
+        return self._words[:, self._check(summary_id)].tobytes()
 
     def row_arrays(self, summary_id: int) -> Dict[str, np.ndarray]:
         """The packed column row behind an id (fresh, writable arrays)."""
-        key = self._keys[summary_id]
+        floats = self._words[:, self._check(summary_id)].view(np.float64)
         out: Dict[str, np.ndarray] = {}
         offset = 0
         for name, shape, length in zip(self.names, self.row_shapes, self.row_lengths):
-            out[name] = (
-                np.frombuffer(key, dtype=np.float64, count=length, offset=offset)
-                .reshape(shape)
-                .copy()
-            )
-            offset += length * 8
+            out[name] = floats[offset : offset + length].reshape(shape).copy()
+            offset += length
         return out
 
     def summary(self, summary_id: int) -> Any:
         """The summary object behind an id (cached; treat as immutable)."""
-        cached = self._summaries[summary_id]
+        summary_id = self._check(summary_id)
+        cached = self._summaries.get(summary_id)
         if cached is None:
             rows = self.row_arrays(summary_id)
             cached = self.scheme.unpack_summary(
@@ -154,7 +286,8 @@ class SummaryInterner:
 
     def digest(self, summary_id: int) -> bytes:
         """The scheme content digest behind an id (cached)."""
-        cached = self._digests[summary_id]
+        summary_id = self._check(summary_id)
+        cached = self._digests.get(summary_id)
         if cached is None:
             cached = self.scheme.summary_digest(self.summary(summary_id))
             self._digests[summary_id] = cached
@@ -199,6 +332,8 @@ class NetworkArena:
         self.ids = ids
         self.columns = columns
         self.interner = interner
+        #: Times :meth:`compact` has renumbered the ids.
+        self.compactions = 0
 
     @property
     def n(self) -> int:
@@ -271,6 +406,38 @@ class NetworkArena:
     def cell_columns(self) -> Dict[str, np.ndarray]:
         """The scheme columns as ``(n * k, ...)`` views: row ``i * k + j`` is cell ``[i, j]``."""
         return {name: column.reshape((-1,) + column.shape[2:]) for name, column in self.columns.items()}
+
+    def _live_cells(self) -> np.ndarray:
+        """``(n, k)`` mask of the cells that hold a collection."""
+        return np.arange(self.k) < self.counts[:, None]
+
+    def compact(self) -> bool:
+        """Renumber the live ids densely once the interner holds more than ``2·n·k``.
+
+        Live ids number at most ``n·k``, so past that bound dead ids
+        outnumber them.  The interner keeps the live ids' rows, in id
+        order, as ``0..live-1``, and cells that hold no collection get
+        -1.  Returns whether it compacted; a caller holding anything
+        keyed by ids (no-op plans) drops it then.
+        """
+        if len(self.interner) <= 2 * self.ids.size:
+            return False
+        cells = self._live_cells()
+        live, dense = np.unique(self.ids[cells], return_inverse=True)
+        self.interner.compact(live)
+        self.ids.fill(-1)
+        self.ids[cells] = dense
+        self.compactions += 1
+        return True
+
+    def interner_stats(self) -> Dict[str, int]:
+        """The interner's size against the live ids it holds, and compactions so far."""
+        return {
+            "nodes": self.n,
+            "interned": len(self.interner),
+            "live_ids": len(np.unique(self.ids[self._live_cells()])),
+            "compactions": self.compactions,
+        }
 
     def structurally_converged(self) -> bool:
         """Does every node hold the same summary-id multiset?

@@ -13,7 +13,9 @@ Runs one whole-network arena simulation — single-process
 :class:`~repro.mega.shard.ShardedArenaEngine` with ``--shards N`` — and
 prints a round/time/cache summary (optionally as JSON for scripting).
 Sharded runs move payload rows through shared-memory slabs; the summary
-names the segments' count and the exchange's per-phase seconds.
+names the segments' count and the exchange's per-phase seconds.  For
+each arena (each shard's, in a sharded run) it gives the interner's size,
+the live ids among them and how often they were compacted.
 
 ``--data``, ``--scheme`` and ``--topology`` are names in
 :data:`repro.data.DATASETS`, :data:`repro.schemes.SCHEMES` and
@@ -121,8 +123,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     stats = engine.stats.as_dict()
     if args.shards > 0:
         tier = f"shared-memory slabs ({len(engine.segment_names)} segments)"
+        interners = engine.shard_interner_stats()
     else:
         tier = "in-process (single arena)"
+        interners = [engine.arena.interner_stats()]
     summary = {
         "nodes": args.nodes,
         "scheme": args.scheme,
@@ -136,6 +140,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         "wall_s": round(elapsed, 3),
         "rounds_per_s": round(executed / elapsed, 3) if elapsed > 0 else None,
         "stats": stats,
+        "interners": interners,
     }
     if args.shards > 0:
         summary["exchange_phase_s"] = {
@@ -156,6 +161,14 @@ def main(argv: Optional[list[str]] = None) -> int:
         ["dedup/no-op hits", hits],
         ["full merges solved", stats["full_solves"]],
     ]
+    for shard, entry in enumerate(interners):
+        label = f"shard {shard} interner" if args.shards > 0 else "interner"
+        rows.append(
+            [
+                f"{label} ids / live / compactions",
+                f"{entry['interned']} / {entry['live_ids']} / {entry['compactions']}",
+            ]
+        )
     if args.shards > 0:
         phases = engine.phase_seconds
         rows.append(

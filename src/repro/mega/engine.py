@@ -189,8 +189,8 @@ class ReceiveSolver:
     into a column table); it routes them and updates the arena in place.
     Rows are named by interned id, the core's row token here.  The core's
     round driver (:func:`~repro.core.receive.receive_round`) answers the
-    receives; the solver's own work is the routing, interning, stats and
-    the scatter.
+    receives; the solver's own work is the routing, interning, stats,
+    the scatter and, at the end of a round, the arena's compaction.
     """
 
     def __init__(
@@ -245,11 +245,11 @@ class ReceiveSolver:
         ``sources[i]`` of ``columns``.
 
         The core's round driver answers every receive over the arena's
-        own arrays, interning new summaries in its queue order (a
-        one-at-a-time loop's, so ids match it); then the scatter, the
-        only step that writes the arena, so a round that raises leaves
-        every receiver's rows as they were.  Receivers are distinct, so
-        no receiver reads another's new rows.
+        own arrays, interning the solved block's merged rows in one
+        call, in queue order (a one-at-a-time loop's, so ids match it);
+        then the scatter, the only step that writes the arena, so a
+        round that raises leaves every receiver's rows as they were.
+        Receivers are distinct, so no receiver reads another's new rows.
         """
         arena = self.arena
         stats = self.stats
@@ -257,10 +257,10 @@ class ReceiveSolver:
         a_ids = arena.ids
         a_quanta = arena.quanta
         a_columns = arena.columns
-        intern_row = arena.interner.intern_row
+        interner = arena.interner
 
-        def intern(merged: Dict[str, np.ndarray]) -> List[int]:
-            return [intern_row(merged, row) for row in range(len(next(iter(merged.values()))))]
+        def intern(merged: Dict[str, np.ndarray]) -> np.ndarray:
+            return interner.intern_rows(merged, len(next(iter(merged.values()))))
 
         # merge_groups_columns is contractually byte-identical to packing
         # merge_set's summary per group; the summary object behind each
@@ -318,6 +318,12 @@ class ReceiveSolver:
             a_quanta[at, slot] = block.quanta[rows]
             for name, column in a_columns.items():
                 column[at, slot] = block.columns[name][rows]
+
+    def compact(self) -> None:
+        """End of a round: compact the arena's ids if due, and then drop
+        the no-op plans, which are keyed by them."""
+        if self.arena.compact() and self.merge_cache is not None:
+            self.merge_cache.drop_plans()
 
 
 class ArenaEngine:
@@ -411,6 +417,7 @@ class ArenaEngine:
         except BaseException:
             arena.quanta = held
             raise
+        self.solver.compact()
         self.round_index += 1
         self.stats.rounds += 1
         self.stats.messages += messages

@@ -242,7 +242,9 @@ class _ShardState:
         source-shard order — each internally in ascending sender order —
         so routing by destination, then arrival position, reproduces the
         transport's global delivery order.  The solver reads each routed
-        row's columns from the concatenated ones, by reference.
+        row's columns from the concatenated ones, by reference.  External
+        rows are interned in one block per source shard, and the round
+        ends with the solver's compaction of this shard's arena.
         """
         config = self.config
         interner = self.arena.interner
@@ -265,6 +267,7 @@ class _ShardState:
                 for name in self.arena.columns
             },
         )
+        self.solver.compact()
         self.rounds_done += 1
 
     # ------------------------------------------------------------------
@@ -301,6 +304,7 @@ class _ShardState:
     def final_payload(self) -> Dict[str, Any]:
         payload = self.checkpoint_payload()
         payload["stats"] = self.stats.as_dict()
+        payload["interner"] = self.arena.interner_stats()
         return payload
 
 
@@ -501,6 +505,7 @@ class ShardedArenaEngine:
         self._checkpoints: List[Optional[Dict[str, Any]]] = [None] * shards
         self._history: List[List[Tuple[int, List[Any]]]] = [[] for _ in range(shards)]
         self._shard_stats: List[Dict[str, int]] = [ArenaStats().as_dict() for _ in range(shards)]
+        self._shard_interners: List[Dict[str, int]] = []
         self._receivers_prev = [0] * shards
         self._restarts = 0
         self.round_index = 0
@@ -818,6 +823,7 @@ class ShardedArenaEngine:
             self._shard_stats[shard] = payload["stats"]
         self.close()
         assert all(payload is not None for payload in payloads)
+        self._shard_interners = [payload["interner"] for payload in payloads]
         counts = np.concatenate([payload["counts"] for payload in payloads])
         quanta = np.concatenate([payload["quanta"] for payload in payloads])
         columns = {
@@ -877,6 +883,11 @@ class ShardedArenaEngine:
                 }
             )
         return out
+
+    def shard_interner_stats(self) -> List[Dict[str, int]]:
+        """Each worker's final :meth:`~repro.mega.arena.NetworkArena.interner_stats`,
+        in shard order; empty until :meth:`collect` has finished the workers."""
+        return list(self._shard_interners)
 
     def _publish_gauges(self, messages: int) -> None:
         deltas = []

@@ -170,6 +170,17 @@ def test_engine_matches_kernel_without_merge_cache():
     assert _engine_states(engine) == expected
 
 
+def test_engine_matches_kernel_across_compactions():
+    """Noisy inputs mint rows every round, so the arena renumbers its ids
+    once dead ones outnumber the live ones; the bytes stay the kernel's."""
+    values = make_dataset("normal", N, 11)
+    expected = _kernel_states(values, GaussianMixtureScheme(seed=0), 3, 11, 16)
+    engine = ArenaEngine(values, GaussianMixtureScheme(seed=0), 3, seed=11, use_cache=True)
+    engine.run(16)
+    assert engine.arena.compactions >= 1
+    assert _engine_states(engine) == expected
+
+
 def test_quanta_conserved_across_rounds():
     values = _values(2)
     engine = ArenaEngine(values, GaussianMixtureScheme(seed=0), 3, seed=0)

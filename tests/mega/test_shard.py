@@ -154,6 +154,30 @@ def test_worker_crash_recovers_with_identical_state(values, crash_at, monkeypatc
         assert [arena.state_digests(node) for node in range(N)] == expected
 
 
+def test_worker_respawn_after_a_compaction_recovers(monkeypatch, tmp_path):
+    """A worker that compacted its ids dies; its respawn, on a fresh
+    interner, replays to the unsharded engine's bytes."""
+    values = make_dataset("normal", N, 11)
+    rounds, crash_round = 14, 10
+    expected = _single_states(values, GaussianMixtureScheme(seed=0), 3, 0, rounds, use_cache=True)
+    settings = dict(seed=0, shards=2, use_cache=True, checkpoint_every=4, worker_timeout=120.0)
+    with ShardedArenaEngine(values, GaussianMixtureScheme(seed=0), 3, **settings) as engine:
+        engine.run(crash_round)
+        engine.collect()
+        # The runs are deterministic: the crashing worker compacts before it dies.
+        assert engine.shard_interner_stats()[1]["compactions"] >= 1
+    flag = tmp_path / "crash.flag"
+    monkeypatch.setenv(CRASH_SHARD_ENV, f"1:{crash_round}:deliver")
+    monkeypatch.setenv(CRASH_FLAG_ENV, str(flag))
+    with ShardedArenaEngine(values, GaussianMixtureScheme(seed=0), 3, **settings) as engine:
+        engine.run(rounds)
+        arena = engine.collect()
+        assert flag.exists() and engine._restarts == 1
+        assert [arena.state_digests(node) for node in range(N)] == expected
+        for stats in engine.shard_interner_stats():
+            assert stats["nodes"] == N // 2 and stats["interned"] <= 2 * (N // 2) * 3
+
+
 def test_restart_budget_enforced(values, monkeypatch, tmp_path):
     monkeypatch.setenv(CRASH_SHARD_ENV, "0:2")
     monkeypatch.setenv(CRASH_FLAG_ENV, str(tmp_path / "crash.flag"))

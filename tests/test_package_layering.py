@@ -6,13 +6,18 @@ module level.  The summary layers (``core``, ``ml``, ``schemes``) import
 nothing from the engines or the drivers above them, the per-node
 network and protocols import nothing from the arena, the sweeps, the
 experiments or the deployment tier, and every ``__all__`` entry of
-every importable module names something that exists.
+every importable module names something that exists.  Importing the
+arena does not import ``scipy.optimize``, which only the analysis
+functions that solve an assignment or a transport problem call.
 """
 
 from __future__ import annotations
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -103,3 +108,13 @@ def test_every_export_resolves():
                 missing.append(f"{name}.{entry}")
     assert checked > 0
     assert missing == []
+
+
+def test_importing_the_arena_leaves_scipy_optimize_unimported():
+    probe = "import sys, repro.mega; print('scipy.optimize' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
